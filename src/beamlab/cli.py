@@ -1,15 +1,12 @@
 """Reproducible experiment runner.
 
-Subcommands: bound-check, neg-sweep, tomography, jj-evolve, pendulum,
-fluctuations, compare.  Configuration comes from an optional JSON file
-(--config) with unknown keys rejected; command-line flags override file
-values, and the effective configuration is echoed into every report header.
-All randomness derives from the --seed through the fixed fan-out mix, so a
-run is byte-identical across repeats and across --workers settings (worker
-count is an execution detail and is not echoed).
+Each subcommand declares its parameters once, in a table of `Param` entries
+that yields its flags, its --config keys and its echoed configuration.  All
+randomness derives from --seed through the fixed fan-out mix, so a report
+is byte-identical across repeats and --workers settings.
 
-Exit codes: 0 success; 1 domain/configuration error; 2 a bound or
-invariant violated by a sampled state, which would falsify the
+Exit codes: 0 success; 1 usage, domain or configuration error; 2 a bound
+or invariant violated by a sampled state, which would falsify the
 implementation rather than the run.
 """
 
@@ -17,31 +14,129 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from multiprocessing import get_context
 
 import numpy as np
 
-from . import dynamics, entanglement, fock, jj, polarization, reports
-from .errors import BeamlabError, DomainError
-from .seeding import child_seed, rng_for
+from . import dynamics, entanglement, jj, polarization, reports
+from .errors import BeamlabError
+from .seeding import child_seed
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VIOLATION = 2
 
 
+def _flag_value(text: str):
+    """Flag text as the JSON value it spells: a number, true/false or a string.
+    (argparse hands the text "--" over as an empty list, kept as it is.)"""
+    for convert in (int, float):
+        try:
+            return convert(text)
+        except (TypeError, ValueError):
+            pass
+    return {"true": True, "false": False}.get(str(text).lower(), text)
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not (isinstance(value, int) or (
+            isinstance(value, float) and value.is_integer())):
+        raise ValueError("must be an integer")
+    return int(value)
+
+
+def _number(value) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValueError("must be a finite number")
+    return float(value)
+
+
+def _one_of(*options):
+    def check(value):       # by type too: 1 is not true
+        if not any(type(value) is type(o) and value == o for o in options):
+            raise ValueError("must be " + " or ".join(map(json.dumps, options)))
+        return value
+    return check
+
+
+def _numbers(value) -> list[float]:
+    if not isinstance(value, list):
+        try:
+            value = [float(v) for v in str(value).split(",")]
+        except ValueError:
+            raise ValueError("must be a list or comma-separated numbers") from None
+    return [_number(v) for v in value]
+
+
+def _complex_matrix(value) -> np.ndarray:
+    try:
+        return np.array([[complex(_number(x), _number(y)) for x, y in row]
+                         for row in value])
+    except (TypeError, ValueError):
+        raise ValueError("must be a matrix of [re, im] pairs, "
+                         "e.g. [[[1,0],[0,0]], [[0,0],[0,0]]]") from None
+
+
+def _stokes(value) -> polarization.StokesVector:
+    if not (isinstance(value, dict) and "i" in value and set(value) <= set("imcs")):
+        raise ValueError("must be an object with key 'i' and optional 'm', 'c', 's'")
+    given = {k: _number(v) for k, v in value.items()}
+    return polarization.StokesVector(**({"m": 0.0, "c": 0.0, "s": 0.0} | given))
+
+
+def _device_maps(value) -> list[polarization.DeviceMap]:
+    if not (isinstance(value, list) and all(
+            isinstance(spec, dict) and set(spec) == {"kraus"}
+            and isinstance(spec["kraus"], list) for spec in value)):
+        raise ValueError('must be a list of {"kraus": [matrix, ...]} objects')
+    return [polarization.DeviceMap(tuple(_complex_matrix(k) for k in spec["kraus"]))
+            for spec in value]
+
+
+REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Param:
+    """One parameter of one subcommand: flag --name-with-dashes, config key name.
+
+    `check` takes a JSON value (a config entry, or flag text read by
+    `_flag_value`) and returns the typed value, raising ValueError that says
+    what the value must be.  `default` is a value, None (optional), REQUIRED,
+    or a function of the values resolved before it.  `interval` bounds the
+    value, e.g. "[1, inf)".  `source` "flag" marks an execution detail and
+    "config" a structured scene value; neither is echoed.
+    """
+
+    name: str
+    check: Callable
+    default: object
+    help: str
+    interval: str | None = None
+    source: str = "both"
+
+
+def _inside(value: float, interval: str) -> bool:
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = lo < value if interval[0] == "(" else lo <= value
+    below = value < hi if interval[-1] == ")" else value <= hi
+    return above and below
+
+
 def _load_config_file(path: str, allowed: set[str]) -> dict:
     try:
         with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise BeamlabError(f"cannot read config {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
+            data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise BeamlabError(
             f"{path}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BeamlabError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise BeamlabError(f"{path}: config must be a JSON object")
     unknown = sorted(set(data) - allowed)
@@ -50,32 +145,43 @@ def _load_config_file(path: str, allowed: set[str]) -> dict:
     return data
 
 
-def _effective(args, keys: list[str], file_keys: set[str] | None = None) -> dict:
-    """Merge config file < flags; flags win when explicitly set."""
-    cfg = {}
-    if getattr(args, "config", None):
-        cfg.update(_load_config_file(args.config, file_keys or set(keys)))
-    for key in keys:
-        flag = getattr(args, key.replace("-", "_"), None)
-        if flag is not None:
-            cfg[key] = flag
-    return cfg
+def resolve(table: tuple[Param, ...], args) -> dict:
+    """Validated values for every parameter in `table`: flag, else config
+    file, else default.  A JSON null counts as not given."""
+    file = {}
+    if args.config:
+        file = _load_config_file(
+            args.config, {p.name for p in table if p.source != "flag"})
+    values = {}
+    for p in table:
+        flag = getattr(args, p.name, None)
+        raw = file.get(p.name) if flag is None else flag
+        if raw is None and p.default is REQUIRED:
+            raise BeamlabError(f"missing required parameter '{p.name}'")
+        if raw is None:
+            values[p.name] = p.default(values) if callable(p.default) else p.default
+            continue
+        where = (f"{args.config}: {p.name}" if flag is None
+                 else "--" + p.name.replace("_", "-"))
+        try:
+            value = p.check(raw if flag is None else _flag_value(flag))
+            if p.interval and not _inside(value, p.interval):
+                raise ValueError(f"must be in {p.interval}")
+        except (ValueError, OverflowError) as exc:
+            raise BeamlabError(f"{where} {exc}, got {raw!r}") from None
+        values[p.name] = value
+    return values
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg or cfg[key] is None:
-        raise BeamlabError(f"missing required parameter '{key}'")
-    return cfg[key]
+COMMANDS = {}
 
 
-def _jj_params(cfg: dict) -> jj.JJParams:
-    n_total = int(_require(cfg, "n_total"))
-    n_bar1 = cfg.get("n_bar1")
-    if n_bar1 is None:
-        n_bar1 = n_total / 2.0
-    return jj.JJParams(e_c=float(_require(cfg, "e_c")),
-                       lam=float(_require(cfg, "lam")),
-                       n_total=n_total, n_bar1=float(n_bar1))
+def command(name: str, help_text: str, table: tuple[Param, ...]):
+    """Register a function of the resolved arguments returning (rows, extra)."""
+    def register(run):
+        COMMANDS[name] = (run, table, help_text)
+        return run
+    return register
 
 
 # -- bound-check / neg-sweep ---------------------------------------------------
@@ -97,301 +203,194 @@ def _parallel_bound_rows(seed, samples, cutoff, photons, workers):
     return [row for chunk in chunks for row in chunk]
 
 
-def _mixture_rows(seed, mixtures, cutoff, offset):
-    space = fock.FockSpace.truncated([cutoff] * 4)
+SEED = Param("seed", _integer, REQUIRED, "master seed for the run")
+WORKERS = Param("workers", _integer, 1, "worker processes", "[1, inf)", source="flag")
+IGNORED_SEED = Param("seed", _integer, None, "ignored: deterministic", source="flag")
+
+
+@command("bound-check", "negativity bound over Haar-random states", (
+    SEED,
+    Param("samples", _integer, 1000, "Haar-random pure states", "[1, inf)"),
+    Param("cutoff", _integer, 2, "photon-number cutoff per mode", "[1, inf)"),
+    Param("mixtures", _integer, 0, "two-component mixtures", "[0, inf)"),
+    WORKERS,
+))
+def run_bound_check(args):
+    rows = _parallel_bound_rows(args.seed, args.samples, args.cutoff, None,
+                                args.workers)
+    mixtures = range(args.samples, args.samples + args.mixtures)
+    return rows + entanglement.mixture_rows(args.seed, mixtures, args.cutoff), None
+
+
+@command("neg-sweep", "max negativity vs photons per beam (k = 1..k_max)", (
+    SEED,
+    Param("samples", _integer, 200, "random-search samples per k", "[1, inf)"),
+    Param("k_max", _integer, 10, "largest photon number per beam", "[1, inf)"),
+    WORKERS,
+))
+def run_neg_sweep(args):
     rows = []
-    for m in range(mixtures):
-        rng = rng_for(seed, offset + m)
-        g1 = entanglement.gamma_from_state(entanglement.haar_state(space, rng))
-        g2 = entanglement.gamma_from_state(entanglement.haar_state(space, rng))
-        w = float(rng.uniform())
-        mix = entanglement.gamma_from_mixture([(w, g1), (1.0 - w, g2)])
-        rep = entanglement.bound_report(mix)
-        rows.append({
-            "seed": int(offset + m), "cutoff": int(cutoff),
-            "n_a": mix.n_a, "n_b": mix.n_b, "n_ab": mix.n_ab,
-            "negativity": rep.negativity, "bound_exact": rep.bound_exact,
-            "bound_approx": rep.bound_approx, "satisfied": rep.satisfied,
-        })
-    return rows
-
-
-def run_bound_check(args) -> int:
-    cfg = _effective(args, ["seed", "samples", "cutoff", "mixtures"])
-    cfg.setdefault("samples", 1000)
-    cfg.setdefault("cutoff", 2)
-    cfg.setdefault("mixtures", 0)
-    seed = int(_require(cfg, "seed"))
-    rows = _parallel_bound_rows(seed, int(cfg["samples"]), int(cfg["cutoff"]),
-                                None, args.workers)
-    rows += _mixture_rows(seed, int(cfg["mixtures"]), int(cfg["cutoff"]),
-                          offset=int(cfg["samples"]))
-    config = {"subcommand": "bound-check", "seed": seed,
-              "samples": int(cfg["samples"]), "cutoff": int(cfg["cutoff"]),
-              "mixtures": int(cfg["mixtures"]), "format": args.format}
-    reports.emit_report(rows, args.format, args.out, config=config)
-    return EXIT_OK if all(r["satisfied"] for r in rows) else EXIT_VIOLATION
-
-
-def run_neg_sweep(args) -> int:
-    cfg = _effective(args, ["seed", "samples", "k_max"])
-    cfg.setdefault("samples", 200)
-    cfg.setdefault("k_max", 10)
-    seed = int(_require(cfg, "seed"))
-    samples, k_max = int(cfg["samples"]), int(cfg["k_max"])
-    rows = []
-    for k in range(1, k_max + 1):
-        rows += _parallel_bound_rows(child_seed(seed, k), samples, k, k,
+    for k in range(1, args.k_max + 1):
+        rows += _parallel_bound_rows(child_seed(args.seed, k), args.samples, k, k,
                                      args.workers)
-    config = {"subcommand": "neg-sweep", "seed": seed, "samples": samples,
-              "k_max": k_max, "format": args.format}
-    reports.emit_report(rows, args.format, args.out, config=config)
-    return EXIT_OK if all(r["satisfied"] for r in rows) else EXIT_VIOLATION
+    return rows, None
 
 
-# -- tomography ------------------------------------------------------------------
-
-
-def _complex_matrix(nested) -> np.ndarray:
-    try:
-        arr = np.array([[complex(c[0], c[1]) for c in row] for row in nested])
-    except (TypeError, IndexError) as exc:
-        raise BeamlabError(
-            "matrix entries must be [re, im] pairs, e.g. [[[1,0],[0,0]], ...]"
-        ) from exc
-    return arr
-
-
-_SCENE_KEYS = {"stokes", "omega", "device_maps", "shots", "seed", "noise"}
-
-
-def run_tomography(args) -> int:
-    cfg = _effective(args, ["shots", "seed", "noise"], file_keys=_SCENE_KEYS)
-    cfg.setdefault("shots", 10000)
-    cfg.setdefault("noise", True)
-    if "omega" in cfg:
-        omega = polarization.CorrelationMatrix2(_complex_matrix(cfg["omega"]))
-    elif "stokes" in cfg:
-        s = cfg["stokes"]
-        unknown = sorted(set(s) - {"i", "m", "c", "s"})
-        if unknown:
-            raise BeamlabError(f"unknown stokes keys: {', '.join(unknown)}")
-        omega = polarization.stokes_to_omega(polarization.StokesVector(
-            i=float(s["i"]), m=float(s.get("m", 0.0)),
-            c=float(s.get("c", 0.0)), s=float(s.get("s", 0.0))))
-    else:
-        raise BeamlabError("scene must provide either 'omega' or 'stokes'")
-    for spec in cfg.get("device_maps", []):
-        device = polarization.DeviceMap(
-            tuple(_complex_matrix(k) for k in spec["kraus"]))
+@command("tomography", "simulated Stokes tomography", (
+    Param("seed", _integer, REQUIRED, "shot-noise seed", "[0, inf)"),
+    Param("shots", _integer, 10000, "shots per measurement basis", "[1, inf)"),
+    Param("noise", _one_of(True, False), True, "add shot noise: true or false"),
+    Param("stokes", _stokes, None, "", source="config"),
+    Param("omega", _complex_matrix, None, "", source="config"),
+    Param("device_maps", _device_maps, (), "", source="config"),
+))
+def run_tomography(args):
+    if (args.omega is None) == (args.stokes is None):
+        raise BeamlabError("scene must provide exactly one of 'omega' and 'stokes'")
+    omega = (polarization.stokes_to_omega(args.stokes) if args.omega is None
+             else polarization.CorrelationMatrix2(args.omega))
+    for device in args.device_maps:
         omega = polarization.apply_device_map(omega, device)
-    result = polarization.tomography_simulate(
-        omega, int(cfg["shots"]), int(_require(cfg, "seed")),
-        noise=bool(cfg["noise"]))
-    names = ("i", "m", "c", "s")
-    config = {"subcommand": "tomography", "seed": int(cfg["seed"]),
-              "shots": int(cfg["shots"]), "noise": bool(cfg["noise"]),
-              "format": args.format}
-    rows = [{"component": n, "estimate": e, "standard_error": se, "true_value": t}
-            for n, e, se, t in zip(names, result.estimate,
-                                   result.standard_errors, result.true_values)]
-    if args.format == "json":
-        payload = {
-            "config": config,
-            "estimate": dict(zip(names, result.estimate)),
-            "standard_errors": dict(zip(names, result.standard_errors)),
-            "true_values": dict(zip(names, result.true_values)),
-        }
-        try:
-            with open(args.out, "w") as fh:
-                json.dump(payload, fh, indent=2, allow_nan=False)
-                fh.write("\n")
-        except OSError as exc:
-            raise BeamlabError(f"cannot write report to {args.out}: {exc}") from exc
-    else:
-        reports.emit_report(rows, args.format, args.out, config=config)
-    return EXIT_OK
+    result = polarization.tomography_simulate(omega, args.shots, args.seed,
+                                              noise=args.noise)
+    if args.format == "json":       # one object per quantity, keyed by component
+        return None, {key: dict(zip("imcs", getattr(result, key)))
+                      for key in ("estimate", "standard_errors", "true_values")}
+    return [{"component": n, "estimate": e, "standard_error": se, "true_value": t}
+            for n, e, se, t in zip("imcs", result.estimate, result.standard_errors,
+                                   result.true_values)], None
 
 
 # -- dynamics subcommands --------------------------------------------------------
 
 
-_JJ_KEYS = ["e_c", "lam", "n_total", "n_bar1"]
+def _jj_params(v: dict) -> jj.JJParams:
+    return jj.JJParams(**{p.name: v[p.name] for p in JUNCTION})
 
 
-def run_jj_evolve(args) -> int:
-    cfg = _effective(args, _JJ_KEYS + ["model", "n0", "phi0", "horizon", "dt"])
-    params = _jj_params(cfg)
-    model = cfg.get("model", "mean_field")
-    n0 = float(cfg.get("n0", params.n_bar1))
-    phi0 = float(cfg.get("phi0", 0.0))      # construction label of the product state
-    omega = jj.derived_constants(params).omega
-    rate = max(omega, abs(params.lam), 1e-12)
-    horizon = float(cfg.get("horizon", 10.0 / rate))
-    dt = float(cfg.get("dt", 0.01 / rate))
-    space = jj.sector_space(params)
-    initial = jj.product_state(params.n_total, n0, phi0, space)
-    if model == "mean_field":
-        traj = dynamics.evolve_meanfield(initial, params, horizon, dt)
-    elif model == "bose_hubbard":
-        traj = dynamics.evolve_exact(initial, params, horizon, dt)
-    else:
-        raise BeamlabError(f"unknown model {model!r}")
-    config = {"subcommand": "jj-evolve", "model": model,
-              "e_c": params.e_c, "lam": params.lam, "n_total": params.n_total,
-              "n_bar1": params.n_bar1, "n0": n0, "phi0": phi0,
-              "horizon": horizon, "dt": dt, "format": args.format}
-    reports.emit_report(traj.rows(), args.format, args.out, config=config)
-    return EXIT_OK
+def _rate(v: dict) -> float:
+    """The junction's time scale: plasma frequency or tunneling rate."""
+    params = _jj_params(v)
+    return max(jj.derived_constants(params).omega, abs(params.lam), 1e-12)
 
 
-def run_pendulum(args) -> int:
-    cfg = _effective(args, ["phi0", "phidot0", "omega", "horizon", "dt",
-                            "e_c", "n_bar1"])
-    phi0 = float(cfg.get("phi0", 0.0))
-    phidot0 = float(cfg.get("phidot0", 0.0))
-    omega = float(_require(cfg, "omega"))
-    horizon = float(cfg.get("horizon", 10.0 / omega if omega > 0 else 10.0))
-    dt = float(cfg.get("dt", 0.01 / omega if omega > 0 else 0.01))
-    e_c = cfg.get("e_c")
-    n_bar1 = cfg.get("n_bar1")
-    traj = dynamics.pendulum_trajectory(
-        phi0, phidot0, omega, horizon, dt,
-        e_c=None if e_c is None else float(e_c),
-        n_bar1=None if n_bar1 is None else float(n_bar1))
-    config = {"subcommand": "pendulum", "phi0": phi0, "phidot0": phidot0,
-              "omega": omega, "horizon": horizon, "dt": dt,
-              "e_c": e_c, "n_bar1": n_bar1, "format": args.format}
-    reports.emit_report(traj.rows(), args.format, args.out, config=config)
-    return EXIT_OK
+JUNCTION = (
+    Param("e_c", _number, REQUIRED, "charging energy E_C", "[0, inf)"),
+    Param("lam", _number, REQUIRED, "tunneling amplitude"),
+    Param("n_total", _integer, REQUIRED, "total pair number N", "[1, inf)"),
+    Param("n_bar1", _number, lambda v: v["n_total"] / 2.0, "background pairs (N/2)"),
+)
 
 
-def run_fluctuations(args) -> int:
-    cfg = _effective(args, ["n_bar1_values", "p", "phi", "e_c", "lam"])
-    cfg.setdefault("p", 0.5)
-    cfg.setdefault("phi", 0.0)
-    cfg.setdefault("e_c", 1.0)
-    cfg.setdefault("lam", 1.0)
-    raw = _require(cfg, "n_bar1_values")
-    values = [float(v) for v in (raw.split(",") if isinstance(raw, str) else raw)]
-    p = float(cfg["p"])
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"filling p must be in (0, 1), got {p}")
-    params_list = [jj.JJParams(e_c=float(cfg["e_c"]), lam=float(cfg["lam"]),
-                               n_total=int(round(nb / p)), n_bar1=nb)
-                   for nb in values]
-    report = dynamics.fluctuation_scan(params_list, phi=float(cfg["phi"]))
-    config = {"subcommand": "fluctuations", "n_bar1_values": values, "p": p,
-              "phi": float(cfg["phi"]), "e_c": float(cfg["e_c"]),
-              "lam": float(cfg["lam"]), "format": args.format}
-    extra = {"fitted_exponents": {"number": report.fitted_exponents[0],
-                                  "phase": report.fitted_exponents[1]}}
-    reports.emit_report(report.rows(), args.format, args.out, config=config,
-                        extra=extra)
-    return EXIT_OK
+@command("jj-evolve", "one junction trajectory", (
+    Param("model", _one_of("mean_field", "bose_hubbard"), "mean_field",
+          "junction model"),
+    *JUNCTION,
+    Param("n0", _number, lambda v: v["n_bar1"], "initial pairs on electrode 1"),
+    Param("phi0", _number, 0.0, "phase label of the initial product state"),
+    Param("horizon", _number, lambda v: 10.0 / _rate(v), "end time", "[0, inf)"),
+    Param("dt", _number, lambda v: 0.01 / _rate(v), "output spacing"),
+    IGNORED_SEED,
+))
+def run_jj_evolve(args):
+    params = _jj_params(vars(args))
+    initial = jj.product_state(params.n_total, args.n0, args.phi0,
+                               jj.sector_space(params))
+    evolve = (dynamics.evolve_meanfield if args.model == "mean_field"
+              else dynamics.evolve_exact)
+    return evolve(initial, params, args.horizon, args.dt).rows(), None
 
 
-def run_compare(args) -> int:
-    cfg = _effective(args, _JJ_KEYS + ["n0", "phi0", "horizon"])
-    params = _jj_params(cfg)
-    n0 = float(cfg.get("n0", params.n_bar1 + 1.0))
-    phi0 = float(cfg.get("phi0", 0.0))      # displacement from the locked phase
-    omega = jj.derived_constants(params).omega
-    rate = max(omega, abs(params.lam), 1e-12)
-    horizon = float(cfg.get("horizon", 20.0 / rate))
-    record = dynamics.model_compare(params, n0, phi0, horizon)
-    config = {"subcommand": "compare", "e_c": params.e_c, "lam": params.lam,
-              "n_total": params.n_total, "n_bar1": params.n_bar1, "n0": n0,
-              "phi0": phi0, "horizon": horizon, "format": args.format}
-    extra = {"max_divergence": {"n1": record.max_div_n1, "phi": record.max_div_phi}}
-    reports.emit_report(record.rows(), args.format, args.out, config=config,
-                        extra=extra)
-    return EXIT_OK
+@command("pendulum", "classical pendulum trajectory", (
+    Param("phi0", _number, 0.0, "initial phase"),
+    Param("phidot0", _number, 0.0, "initial phase velocity"),
+    Param("omega", _number, REQUIRED, "plasma frequency"),
+    Param("horizon", _number, lambda v: 10.0 / v["omega"] if v["omega"] > 0 else 10.0,
+          "end time", "[0, inf)"),
+    Param("dt", _number, lambda v: 0.01 / v["omega"] if v["omega"] > 0 else 0.01,
+          "output spacing"),
+    Param("e_c", _number, None, "charging energy, to reconstruct n1"),
+    Param("n_bar1", _number, None, "background pairs, to reconstruct n1"),
+    IGNORED_SEED,
+))
+def run_pendulum(args):
+    traj = dynamics.pendulum_trajectory(args.phi0, args.phidot0, args.omega,
+                                        args.horizon, args.dt, e_c=args.e_c,
+                                        n_bar1=args.n_bar1)
+    return traj.rows(), None
 
 
-# -- parser ----------------------------------------------------------------------
+@command("fluctuations", "number/phase fluctuation scaling scan", (
+    Param("n_bar1_values", _numbers, REQUIRED, "comma-separated background pairs"),
+    Param("p", _number, 0.5, "filling n_bar1/N held fixed", "(0, 1)"),
+    Param("phi", _number, 0.0, "phase label of the product states"),
+    Param("e_c", _number, 1.0, "charging energy E_C", "[0, inf)"),
+    Param("lam", _number, 1.0, "tunneling amplitude"),
+    IGNORED_SEED,
+))
+def run_fluctuations(args):
+    params_list = [jj.JJParams(e_c=args.e_c, lam=args.lam,
+                               n_total=int(round(nb / args.p)), n_bar1=nb)
+                   for nb in args.n_bar1_values]
+    report = dynamics.fluctuation_scan(params_list, phi=args.phi)
+    number, phase = report.fitted_exponents
+    return report.rows(), {"fitted_exponents": {"number": number, "phase": phase}}
+
+
+@command("compare", "exact vs self-consistent vs pendulum", (
+    *JUNCTION,
+    Param("n0", _number, lambda v: v["n_bar1"] + 1.0, "initial pairs on electrode 1"),
+    Param("phi0", _number, 0.0, "initial displacement from the locked phase"),
+    Param("horizon", _number, lambda v: 20.0 / _rate(v), "end time", "(0, inf)"),
+    IGNORED_SEED,
+))
+def run_compare(args):
+    record = dynamics.model_compare(_jj_params(vars(args)), args.n0, args.phi0,
+                                    args.horizon)
+    return record.rows(), {"max_divergence": {"n1": record.max_div_n1,
+                                              "phi": record.max_div_phi}}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so they exit 1 with one line like any other error."""
+
+    def error(self, message):
+        raise BeamlabError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="beamlab",
-        description="Bosonic two-beam polarization and Josephson-junction "
-                    "numerical experiments")
+    parser = _Parser(prog="beamlab", description="Bosonic two-beam polarization "
+                     "and Josephson-junction numerical experiments")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
+    for name, (run, table, help_text) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--seed", type=int, help="master seed for the run")
         p.add_argument("--out", required=True, help="report output path")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
-
-    p = sub.add_parser("bound-check",
-                       help="negativity bound over Haar-random states")
-    common(p)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--cutoff", type=int)
-    p.add_argument("--mixtures", type=int)
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=run_bound_check)
-
-    p = sub.add_parser("neg-sweep",
-                       help="max negativity vs photons per beam (k = 1..k_max)")
-    common(p)
-    p.add_argument("--samples", type=int, help="random-search samples per k")
-    p.add_argument("--k-max", type=int, dest="k_max")
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=run_neg_sweep)
-
-    p = sub.add_parser("tomography", help="simulated Stokes tomography")
-    common(p)
-    p.add_argument("--shots", type=int)
-    p.add_argument("--noise", type=lambda s: s.lower() != "false", default=None)
-    p.set_defaults(func=run_tomography)
-
-    p = sub.add_parser("jj-evolve", help="one junction trajectory")
-    common(p)
-    for flag in ("--e-c", "--lam", "--n-bar1", "--n0", "--phi0",
-                 "--horizon", "--dt"):
-        p.add_argument(flag, type=float)
-    p.add_argument("--n-total", type=int)
-    p.add_argument("--model", choices=["mean_field", "bose_hubbard"])
-    p.set_defaults(func=run_jj_evolve)
-
-    p = sub.add_parser("pendulum", help="classical pendulum trajectory")
-    common(p)
-    for flag in ("--phi0", "--phidot0", "--omega", "--horizon", "--dt",
-                 "--e-c", "--n-bar1"):
-        p.add_argument(flag, type=float)
-    p.set_defaults(func=run_pendulum)
-
-    p = sub.add_parser("fluctuations",
-                       help="number/phase fluctuation scaling scan")
-    common(p)
-    p.add_argument("--n-bar1-values", dest="n_bar1_values",
-                   help="comma-separated background pair numbers")
-    p.add_argument("--p", type=float, help="filling n_bar1/N held fixed")
-    p.add_argument("--phi", type=float)
-    p.add_argument("--e-c", type=float)
-    p.add_argument("--lam", type=float)
-    p.set_defaults(func=run_fluctuations)
-
-    p = sub.add_parser("compare", help="exact vs self-consistent vs pendulum")
-    common(p)
-    for flag in ("--e-c", "--lam", "--n-bar1", "--n0", "--phi0", "--horizon"):
-        p.add_argument(flag, type=float)
-    p.add_argument("--n-total", type=int)
-    p.set_defaults(func=run_compare)
-
+        for param in table:
+            if param.source != "config":
+                p.add_argument("--" + param.name.replace("_", "-"), dest=param.name,
+                               help=f"{param.help} {param.interval or ''}")
+        p.set_defaults(func=run, table=table)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        vars(args).update(resolve(args.table, args))
+        rows, extra = args.func(args)
+        config = {"subcommand": args.subcommand,
+                  **{p.name: getattr(args, p.name) for p in args.table
+                     if p.source == "both"},
+                  "format": args.format}
+        reports.emit_report(rows, args.format, args.out, config=config, extra=extra)
     except BeamlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    if any(row.get("satisfied") is False for row in rows or ()):
+        return EXIT_VIOLATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

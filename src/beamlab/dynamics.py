@@ -84,17 +84,22 @@ class Trajectory:
             raise ContractViolationError("trajectory times must be strictly increasing")
 
     def rows(self) -> list[dict]:
+        """Report rows: the shared columns, then `fidelity` and/or `phidot`
+        where the model carries them."""
         out = []
         for i, t in enumerate(self.times):
-            out.append({
+            row = {
                 "time": float(t),
                 "n1": _none_if_nan(self.n1[i]),
                 "phi": _none_if_nan(self.phi[i]),
                 "norm_drift": float(self.norm_drift[i]),
                 "energy": float(self.energy[i]),
-                "fidelity": (_none_if_nan(self.fidelity[i])
-                             if self.fidelity is not None else None),
-            })
+            }
+            if self.fidelity is not None:
+                row["fidelity"] = _none_if_nan(self.fidelity[i])
+            if self.phidot is not None:
+                row["phidot"] = float(self.phidot[i])
+            out.append(row)
         return out
 
 
@@ -389,6 +394,8 @@ def fluctuation_scan(params_list: list[jj.JJParams], phi: float = 0.0
     """
     if len(params_list) < 3:
         raise FitError("fluctuation fit needs at least 3 scan points")
+    if len({params.n_bar1 for params in params_list}) < 2:
+        raise FitError("fluctuation fit needs at least 2 distinct n_bar1 values")
     nb, variances, widths = [], [], []
     for params in params_list:
         space = jj.sector_space(params)

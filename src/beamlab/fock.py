@@ -31,6 +31,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     ContractViolationError,
+    IntegrationFailureError,
     ResourceLimitError,
     UnsupportedOperatorError,
 )
@@ -293,11 +294,6 @@ def _adjoint_matrix(m):
     return np.conjugate(np.asarray(m)).T
 
 
-def identity_operator(space: FockSpace) -> LinearOperator:
-    eye = sp.identity(space.dimension, dtype=complex, format="csr")
-    return LinearOperator(space, eye, hermitian=True, _skip_check=True)
-
-
 def ladder_operator(space: FockSpace, mode: int, kind: str) -> LinearOperator:
     """annihilate / create / number operator for one mode.
 
@@ -493,7 +489,8 @@ def _lanczos_expm_apply(matrix, vec: np.ndarray, t: float, tol: float,
     Short iterates with full reorthogonalization; each restart grows the
     basis only until the standard residual estimate meets the proportional
     error budget tol * dt / |t|, halving the substep if the maximum basis
-    size is not enough.
+    size is not enough.  Raises IntegrationFailureError when even a substep
+    of 1e-15 |t| misses the budget.
     """
     if t == 0.0:
         return vec.copy()
@@ -545,8 +542,12 @@ def _lanczos_expm_apply(matrix, vec: np.ndarray, t: float, tol: float,
                 ew, ev = eigh_tridiagonal(alphas[:m_eff], betas[1:m_eff])
                 y = ev @ (np.exp(-1j * sign * dt * ew) * ev[0, :])
                 err = betas[m_eff] * abs(y[-1]) * dt
-                if err <= tol * dt / total or dt <= 1e-15 * total:
+                if err <= tol * dt / total:
                     break
+                if dt <= 1e-15 * total:
+                    raise IntegrationFailureError(
+                        f"Lanczos step error {err:.2e} above the budget "
+                        f"{tol * dt / total:.2e} at the smallest substep {dt:.2e}")
                 dt *= 0.5
         w = V[:, :m_eff] @ (beta0 * y)
         remaining -= dt

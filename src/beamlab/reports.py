@@ -50,16 +50,21 @@ def _cell(value) -> str:
     return str(value)
 
 
-def emit_report(rows: list[dict], fmt: str, path: str, config: dict | None = None,
-                extra: dict | None = None, columns: list[str] | None = None) -> None:
+def emit_report(rows: list[dict] | None, fmt: str, path: str,
+                config: dict | None = None, extra: dict | None = None,
+                columns: list[str] | None = None) -> None:
     """Write `rows` to `path` as csv or json.
 
     `config` (the effective run configuration) and `extra` (scalar results,
     e.g. fitted exponents) go into the CSV comment header / the JSON
     envelope; with both omitted the JSON form is a bare array of row
     objects.  `columns` supplies the CSV header when the row set is empty.
+    A JSON report may have no rows (None): its envelope then holds only
+    `config` and `extra`.
     """
-    rows = sanitize_rows(rows)
+    if rows is None and fmt != "json":
+        raise ContractViolationError("only a json report may have no rows")
+    rows = None if rows is None else sanitize_rows(rows)
     if rows and columns is not None and list(rows[0].keys()) != list(columns):
         raise ContractViolationError("explicit columns disagree with the rows")
     try:
@@ -97,7 +102,8 @@ def _write_json(rows, path, config, extra):
             payload["config"] = config
         if extra is not None:
             payload.update(extra)
-        payload["rows"] = rows
+        if rows is not None:
+            payload["rows"] = rows
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")

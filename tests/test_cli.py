@@ -19,6 +19,19 @@ def test_pendulum_fixed_point_zeros(tmp_path):
     assert rows[0]["time"] == 0.0 and rows[-1]["time"] == 1.0
 
 
+def test_pendulum_report_columns(tmp_path):
+    # a pendulum carries a phase velocity and no product fidelity
+    out = tmp_path / "pend.csv"
+    assert run(["pendulum", "--phi0", "0.3", "--omega", "2", "--horizon", "1",
+                "--dt", "0.01", "--e-c", "0.5", "--n-bar1", "10",
+                "--out", str(out)]) == 0
+    rows, _ = reports.load_report(str(out))
+    assert list(rows[0].keys()) == ["time", "n1", "phi", "norm_drift", "energy",
+                                    "phidot"]
+    assert rows[0]["phidot"] == 0.0 and rows[-1]["phidot"] < 0.0
+    assert all(r["n1"] == pytest.approx(10.0 + r["phidot"] / 0.5) for r in rows)
+
+
 def test_bound_check_deterministic_across_runs_and_workers(tmp_path):
     args = ["bound-check", "--seed", "7", "--samples", "60", "--cutoff", "2",
             "--mixtures", "5"]

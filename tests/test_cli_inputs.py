@@ -1,0 +1,241 @@
+"""Every user input to the CLI either runs (exit 0) or exits 1 with exactly
+one stderr line starting with ``error:``: no traceback, no silent coercion.
+
+Sizes stay small so each generated run takes milliseconds: samples <= 3,
+cutoff <= 2, k_max <= 2, n_total <= 12, horizon <= 1, workers 1.  Keys
+whose default would make a run long (neg-sweep's k_max, the dynamics
+horizons and steps) are always given, valid or not.
+"""
+
+import contextlib
+import io
+import json
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from beamlab import cli
+
+NAN, INF = math.nan, math.inf
+PROJECTOR = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+
+INT_JUNK = [True, 1.5, "5", [1], {"a": 1}, NAN]
+FLOAT_JUNK = [True, "1", NAN, INF, -INF, [0.5], {}]
+# flag text that never reads as a number
+JUNK_TEXT = st.text(alphabet="xe.-,_ ", max_size=4)
+
+
+def key(valid, *bad, required=False, where=("config", "flag")):
+    return valid, list(bad), required, where
+
+
+def ints(lo, hi, *bad, **kw):
+    return key(st.integers(lo, hi), *INT_JUNK, *bad, **kw)
+
+
+def floats(lo, hi, *bad, **kw):
+    return key(st.floats(lo, hi), *FLOAT_JUNK, *bad, **kw)
+
+
+JUNCTION = {
+    "e_c": floats(0, 2, -1.0),
+    "lam": floats(-1, 1),
+    "n_total": ints(2, 12, 0, -2),
+    "n_bar1": floats(0.5, 1.5, 0.0, 20.0),
+}
+SPACE = {
+    "bound-check": {
+        "seed": ints(-5, 5),
+        "samples": ints(1, 3, 0, -3),
+        "cutoff": ints(1, 2, 0),
+        "mixtures": ints(0, 2, -1),
+        "workers": ints(1, 1, 0, -1, where=("flag",)),
+    },
+    "neg-sweep": {
+        "seed": ints(0, 5),
+        "samples": ints(1, 3, 0),
+        "k_max": ints(1, 2, 0, -1, required=True),
+        "workers": ints(1, 1, 0, where=("flag",)),
+    },
+    "tomography": {
+        "seed": ints(0, 5, -1),
+        "shots": ints(1, 100, 0),
+        "noise": key(st.booleans(), "no", 0, 1, "true", None),
+        "stokes": key(st.fixed_dictionaries(
+            {"i": st.floats(0.5, 2)},
+            optional={c: st.floats(-0.3, 0.3) for c in "mcs"}),
+            {}, {"m": 1}, {"i": "1"}, {"i": 1, "x": 0}, {"i": NAN}, [1], "s", 5,
+            where=("config",)),
+        "omega": key(st.sampled_from([PROJECTOR, [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]),
+                     [[1, 0]], [[[1, 0], [0, 0]], [[0, 0]]], [[[1], [0]]], "x", 5,
+                     [[["a", 0]]], [[[True, 0], [0, 0]], [[0, 0], [1, 0]]],
+                     [[[1, 0], [2, 0]], [[0, 0], [1, 0]]], [], where=("config",)),
+        "device_maps": key(st.sampled_from([[], [{"kraus": [PROJECTOR]}]]),
+                           [{}], [{"kraus": 5}], [{"kraus": []}], "x", [5],
+                           [{"kraus": [PROJECTOR], "extra": 1}],
+                           [{"kraus": [[[[2, 0], [0, 0]], [[0, 0], [0, 0]]]]}],
+                           where=("config",)),
+    },
+    "jj-evolve": {
+        "model": key(st.sampled_from(["mean_field", "bose_hubbard"]), "x", 1),
+        **JUNCTION,
+        "n0": floats(0, 2, -1.0),
+        "phi0": floats(-3, 3),
+        "horizon": floats(0, 1, -1.0, required=True),
+        "dt": floats(0.05, 0.5, 0.0, -0.1, required=True),
+        "seed": ints(0, 5, where=("flag",)),
+    },
+    "pendulum": {
+        "phi0": floats(-3, 3),
+        "phidot0": floats(-3, 3),
+        "omega": floats(-3, 3),
+        "horizon": floats(0, 1, -1.0, required=True),
+        "dt": floats(0.05, 0.5, 0.0, -0.1, required=True),
+        "e_c": floats(0, 2),
+        "n_bar1": floats(0, 10),
+    },
+    "fluctuations": {
+        "n_bar1_values": key(
+            st.one_of(st.lists(st.floats(1, 6), min_size=3, max_size=4),
+                      st.lists(st.integers(1, 6), min_size=3, max_size=4).map(
+                          lambda v: ",".join(map(str, v)))),
+            "a,b", "", [True], ["1"], 5, [NAN], {}),
+        "p": floats(0.05, 0.95, 0.0, 1.0, 1.5),
+        "phi": floats(-3, 3),
+        "e_c": floats(0, 2, -1.0),
+        "lam": floats(-1, 1),
+    },
+    "compare": {
+        **JUNCTION,
+        "n0": floats(0, 2),
+        "phi0": floats(-1, 1),
+        "horizon": floats(0, 1, -1.0, required=True),
+    },
+}
+# raw config file texts that are not a JSON object
+BAD_FILES = [b"{", b"[1]", b'"x"', b'{"seed": 1,}', b"\xff\xfe"]
+BAD_ARGV = [["--bogus=1"], ["--format=xml"], ["--out"]]
+
+
+def flag_text(value) -> str:
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+@st.composite
+def cli_case(draw):
+    """(subcommand, config object or raw file bytes or None, argv tail).
+    Each omission or malformation is drawn with probability 1/10, so that
+    many cases are valid runs."""
+    def rarely():           # hypothesis favours the first, simplest choice
+        return draw(st.sampled_from([False] * 9 + [True]))
+
+    name = draw(st.sampled_from(sorted(SPACE)))
+    config, argv = {}, []
+    for param, (valid, bad, required, where) in SPACE[name].items():
+        if not required and rarely():
+            continue
+        place = draw(st.sampled_from(where))
+        value = draw(st.sampled_from(bad) if rarely() else valid)
+        if place == "config":
+            config[param] = value
+        else:
+            text = draw(JUNK_TEXT) if rarely() else flag_text(value)
+            argv.append(f"--{param.replace('_', '-')}={text}")
+    if rarely():
+        config["typo_key"] = 1
+    if rarely():
+        config = draw(st.sampled_from(BAD_FILES))
+    if rarely():
+        argv += draw(st.sampled_from(BAD_ARGV))
+    return name, config, argv
+
+
+def run_cli(tmp_dir, name, config, argv):
+    """Exit code and stderr of one in-process run."""
+    args = [name, "--out", str(tmp_dir / "report.csv")]
+    if config is not None:
+        path = tmp_dir / "config.json"
+        path.write_bytes(config if isinstance(config, bytes)
+                         else json.dumps(config).encode())
+        args += ["--config", str(path)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(args + argv)
+    return code, err.getvalue()
+
+
+def assert_clean_outcome(code, err):
+    assert "Traceback" not in err
+    assert code in (0, 1), err
+    if code == 1:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+# Each input below once ended in a traceback, a silent coercion, an empty
+# header-less report, an invalid-JSON echo or exit code 2.
+DEFECTS = [
+    ("bound-check", {"seed": "x"}, []),
+    ("bound-check", {"seed": 1, "samples": 1.5}, []),
+    ("bound-check", {"seed": 1, "samples": "5"}, []),
+    ("bound-check", {"seed": True, "samples": 2}, []),
+    ("bound-check", None, ["--seed", "1", "--samples", "0"]),
+    ("bound-check", None, ["--seed", "1", "--samples", "-3"]),
+    ("bound-check", None, ["--seed", "1", "--samples"]),
+    ("bound-check", None, ["--seed=1", "--samples=--"]),
+    ("bound-check", None, ["--seed", "1", "--samples", "2", "--workers", "0"]),
+    ("neg-sweep", None, ["--seed", "1", "--k-max", "0"]),
+    ("tomography", {"stokes": {"i": 1.0}, "seed": 1,
+                    "device_maps": [{}]}, []),
+    ("tomography", {"stokes": {"m": 1.0}, "seed": 1}, []),
+    ("tomography", {"stokes": {"i": 1.0}, "seed": 1, "noise": "no"}, []),
+    ("tomography", {"stokes": {"i": 1.0}, "seed": 1}, ["--noise", "0"]),
+    ("tomography", {"stokes": {"i": 1.0}, "seed": 1}, ["--shots", "0"]),
+    ("fluctuations", None, ["--n-bar1-values", "a,b"]),
+    ("jj-evolve", None, ["--e-c", "0.2", "--lam", "0.1", "--n-total", "4",
+                         "--horizon", "nan"]),
+    ("jj-evolve", None, ["--e-c", "0.2", "--lam", "0.1", "--n-total", "4",
+                         "--model", "qubit"]),
+    ("pendulum", {"omega": 1, "horizon": INF}, []),
+    ("fluctuations", {"n_bar1_values": [1.0, 1.0, 1.0]}, []),
+]
+
+
+@pytest.mark.parametrize("name,config,argv", DEFECTS)
+def test_cli_defect_inputs_exit_1_with_one_line(tmp_path, name, config, argv):
+    code, err = run_cli(tmp_path, name, config, argv)
+    assert code == 1
+    assert_clean_outcome(code, err)
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_cli_null_config_value_means_not_given(tmp_path):
+    code, err = run_cli(tmp_path, "bound-check",
+                        {"seed": 1, "samples": None, "cutoff": 1}, [])
+    assert (code, err) == (0, "")
+    assert '"samples": 1000' in (tmp_path / "report.csv").read_text()
+
+
+def test_cli_flag_words_for_bool(tmp_path):
+    scene = {"stokes": {"i": 1.0}, "seed": 1}
+    for word, noise in [("false", False), ("False", False), ("true", True)]:
+        code, err = run_cli(tmp_path, "tomography", scene, [f"--noise={word}"])
+        assert (code, err) == (0, "")
+        assert f'"noise": {json.dumps(noise)}' in (tmp_path / "report.csv").read_text()
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(cli_case())
+@example(("bound-check", {"seed": 1, "samples": None, "cutoff": 1}, []))
+@example(("bound-check", None, ["--seed=1", "--samples=3", "--workers=2"]))
+def test_cli_inputs_run_or_exit_1_with_one_line(tmp_path_factory, case):
+    name, config, argv = case
+    code, err = run_cli(tmp_path_factory.mktemp("cli"), name, config, argv)
+    assert_clean_outcome(code, err)
+
+
+for _case in DEFECTS:
+    test_cli_inputs_run_or_exit_1_with_one_line = example(_case)(
+        test_cli_inputs_run_or_exit_1_with_one_line)

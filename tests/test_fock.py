@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import beamlab.fock as fock
 from beamlab.errors import (
     ContractViolationError,
+    IntegrationFailureError,
     ResourceLimitError,
     UnsupportedOperatorError,
 )
@@ -280,6 +281,25 @@ def test_krylov_agrees_with_eigendecomposition():
         kry = fock._lanczos_expm_apply(h.matrix, state.amplitudes, 2.3, 1e-12)
         assert np.max(np.abs(dense.amplitudes - kry)) < 1e-8
         assert abs(np.linalg.norm(kry) - 1.0) < 1e-9
+
+
+def test_krylov_raises_when_the_budget_is_out_of_reach():
+    # A two-vector basis cannot meet tol = 1e-300 even at the smallest
+    # substep: the step must fail, not be accepted and then crawl forward.
+    rng = np.random.default_rng(5)
+    h = _random_hermitian_operator(fock.FockSpace.truncated([29]), rng)
+    z = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        if len(calls) > 10_000:
+            raise RuntimeError("crawling at the smallest substep")
+        return h.matrix @ v
+
+    with pytest.raises(IntegrationFailureError):
+        fock._lanczos_expm_apply(matvec, z / np.linalg.norm(z), 1.0, 1e-300,
+                                 m_max=2)
 
 
 def test_krylov_path_conserves_above_dense_limit():
