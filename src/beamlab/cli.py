@@ -22,7 +22,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from . import dynamics, entanglement, jj, polarization, reports
+from . import dynamics, entanglement, fock, jj, polarization, reports
 from .errors import BeamlabError
 from .seeding import child_seed
 
@@ -193,6 +193,7 @@ def _bound_chunk(task):
 
 
 def _parallel_bound_rows(seed, samples, cutoff, photons, workers):
+    entanglement.check_sample_work(samples, cutoff)
     if workers <= 1 or samples < 2 * workers:
         return entanglement.bound_rows(seed, range(samples), cutoff, photons)
     bounds = np.linspace(0, samples, workers + 1, dtype=int)
@@ -216,6 +217,7 @@ IGNORED_SEED = Param("seed", _integer, None, "ignored: deterministic", source="f
     WORKERS,
 ))
 def run_bound_check(args):
+    entanglement.check_sample_work(args.mixtures, args.cutoff)
     rows = _parallel_bound_rows(args.seed, args.samples, args.cutoff, None,
                                 args.workers)
     mixtures = range(args.samples, args.samples + args.mixtures)
@@ -229,6 +231,7 @@ def run_bound_check(args):
     WORKERS,
 ))
 def run_neg_sweep(args):
+    entanglement.check_sample_work(args.samples, args.k_max)     # the largest k
     rows = []
     for k in range(1, args.k_max + 1):
         rows += _parallel_bound_rows(child_seed(args.seed, k), args.samples, k, k,
@@ -329,6 +332,9 @@ def run_pendulum(args):
     IGNORED_SEED,
 ))
 def run_fluctuations(args):
+    for nb in args.n_bar1_values:
+        fock.check_work(nb / args.p, fock.DEFAULT_DIMENSION_LIMIT,
+                        "n_total = n_bar1 / p")
     params_list = [jj.JJParams(e_c=args.e_c, lam=args.lam,
                                n_total=int(round(nb / args.p)), n_bar1=nb)
                    for nb in args.n_bar1_values]

@@ -45,6 +45,22 @@ NORM_DRIFT_TOL = 1e-9
 FIDELITY_TOL = 1e-6
 FIDELITY_COLLAPSE = 1e-3
 
+# Work budgets, checked before a run allocates anything.  A step of the
+# pendulum keeps two Python floats (about 64 bytes); an exact-model output
+# keeps a state of 16 bytes per basis state.
+STEP_LIMIT = 10_000_000
+OUTPUT_WORK_LIMIT = 10_000_000
+
+
+def _step_count(horizon: float, dt: float, per_step: float = 1.0,
+                limit: float = STEP_LIMIT, what: str = "steps") -> int:
+    """round(horizon / dt), at least 1 for a positive horizon; refused when
+    steps x per_step exceed `limit`."""
+    if not horizon > 0:
+        return 0
+    fock.check_work(horizon / dt * per_step, limit, what)
+    return max(int(round(horizon / dt)), 1)
+
 
 @dataclass
 class Trajectory:
@@ -183,7 +199,7 @@ def evolve_meanfield(initial: fock.StateVector, params: jj.JJParams, horizon: fl
 
 def _integrate_meanfield(initial, params, horizon, dt, sample_every, tol):
     space = initial.space
-    n_steps = max(int(round(horizon / dt)), 1) if horizon > 0 else 0
+    n_steps = _step_count(horizon, dt)
     step = horizon / n_steps if n_steps else 0.0
     psi = initial.amplitudes.copy()
     k = np.arange(space.dimension, dtype=float)
@@ -234,8 +250,9 @@ def evolve_exact(initial: fock.StateVector, params: jj.JJParams, horizon: float,
     if dt_out <= 0:
         raise ContractViolationError("dt_out must be positive")
     space = initial.space
+    n_out = _step_count(horizon, dt_out, space.dimension, OUTPUT_WORK_LIMIT,
+                        "outputs x dimension")
     hamiltonian = jj.build_jj_hamiltonian(params, space, kind, state=initial)
-    n_out = max(int(round(horizon / dt_out)), 1) if horizon > 0 else 0
     times = [i * horizon / n_out for i in range(n_out + 1)] if n_out else [0.0]
     states = fock.evolve_unitary_sampled(initial, hamiltonian, times, tol)
     n1s, raw_phi, drifts, energies, fids = [], [], [], [], []
@@ -298,13 +315,14 @@ def pendulum_trajectory(phi0: float, phidot0: float, omega: float, horizon: floa
     if horizon < 0:
         raise ContractViolationError("horizon must be >= 0")
     stride = int(sample_every)
-    n_steps = max(int(round(horizon / dt)), 1) if horizon > 0 else 0
+    n_steps = _step_count(horizon, dt)
     if n_steps:
         n_steps = ((n_steps + stride - 1) // stride) * stride
     scale = max(abs(0.5 * phidot0 ** 2 - omega ** 2 * math.cos(phi0)),
                 omega ** 2, 1e-30)
     drift = 0.0
     for _ in range(max_refinements + 1):
+        fock.check_work(n_steps, STEP_LIMIT, "steps")
         step = horizon / n_steps if n_steps else 0.0
         phis, vs = _pendulum_fixed_step(phi0, phidot0, omega, n_steps, step, stride)
         energy = 0.5 * vs ** 2 - omega ** 2 * np.cos(phis)
@@ -474,10 +492,12 @@ def model_compare(params: jj.JJParams, n0: float, phi0: float, horizon: float,
         dt_out = 0.1 / rate
     if dt_mf is None:
         dt_mf = 0.01 / rate
-    n_out = max(int(round(horizon / dt_out)), 1)
+    n_out = max(_step_count(horizon, dt_out, params.n_total + 1,
+                            OUTPUT_WORK_LIMIT, "outputs x dimension"), 1)
     dt_out = horizon / n_out
     stride = max(int(round(dt_out / dt_mf)), 1)
     dt_mf = dt_out / stride
+    fock.check_work(n_out * stride, STEP_LIMIT, "steps")
 
     space = jj.sector_space(params)
     label0 = locked_phase_label(params) - phi0

@@ -20,7 +20,9 @@ recorded alongside.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -33,6 +35,16 @@ from .errors import (
 from .seeding import rng_for
 
 BOUND_TOL = 1e-9
+
+# Work budget in sampled states x basis dimension.  The batched Gamma step
+# holds about 150 bytes per entry (states, lowered copies, conjugates): 1.5 GB.
+SAMPLE_WORK_LIMIT = 10_000_000
+
+
+def check_sample_work(samples: int, cutoff: int) -> None:
+    """Refuse `samples` states at `cutoff` beyond SAMPLE_WORK_LIMIT."""
+    fock.check_work(samples * (cutoff + 1) ** 4, SAMPLE_WORK_LIMIT,
+                    "samples x dimension")
 
 
 class TwoBeamCorrelation:
@@ -68,16 +80,36 @@ class TwoBeamCorrelation:
         return self.gamma / self.n_ab
 
 
-def _lowering_products(space: fock.FockSpace, beam_a: tuple[int, int],
-                       beam_b: tuple[int, int]):
-    """The four sparse matrices a_mu b_mu', ordered by row index 2*mu + mu'."""
-    ops = []
-    for mu in beam_a:
-        a_low = fock.ladder_operator(space, mu, "annihilate").matrix
-        for mup in beam_b:
-            b_low = fock.ladder_operator(space, mup, "annihilate").matrix
-            ops.append((a_low @ b_low).tocsr())
-    return ops
+def _lowered(space: fock.FockSpace, beam_a: tuple[int, int],
+             beam_b: tuple[int, int], psi: np.ndarray) -> np.ndarray:
+    """The four a_mu b_mu' psi (row 2*mu + mu') for state columns psi: index
+    shifts by stride_mu + stride_mu' weighted sqrt(n_mu) * sqrt(n_mu'), the
+    two roots as a product of ladder matrices forms them, bit for bit."""
+    strides = space._strides()
+    out = np.zeros((4, *psi.shape), dtype=complex)
+    for row, (mu, mup) in enumerate(product(beam_a, beam_b)):
+        n_mu, n_mup = space.number_diagonal(mu), space.number_diagonal(mup)
+        src = np.nonzero((n_mu > 0) & (n_mup > 0))[0]
+        weight = np.sqrt(n_mu[src]) * np.sqrt(n_mup[src])
+        out[row, src - strides[mu] - strides[mup]] = weight[:, None] * psi[src]
+    return out
+
+
+def _gammas_and_moments(space: fock.FockSpace, beam_a: tuple[int, int],
+                        beam_b: tuple[int, int], psi: np.ndarray):
+    """(n_samples, 4, 4) Gamma stack plus moment arrays for the state columns
+    psi (dimension, n_samples) of `space`.  Reductions run per column in a
+    fixed order (einsum, not BLAS), so values do not depend on batch width.
+    """
+    na_diag = space.number_diagonal(beam_a[0]) + space.number_diagonal(beam_a[1])
+    nb_diag = space.number_diagonal(beam_b[0]) + space.number_diagonal(beam_b[1])
+    probs = np.abs(psi) ** 2
+    n_a = np.einsum("d,ds->s", na_diag, probs)
+    n_b = np.einsum("d,ds->s", nb_diag, probs)
+    n_ab = np.einsum("d,ds->s", na_diag * nb_diag, probs)
+    lowered = _lowered(space, beam_a, beam_b, psi)
+    gammas = np.einsum("cds,rds->src", lowered.conj(), lowered)
+    return gammas, n_a, n_b, n_ab
 
 
 def gamma_from_state(state: fock.StateVector, beam_a: tuple[int, int] = (0, 1),
@@ -89,19 +121,9 @@ def gamma_from_state(state: fock.StateVector, beam_a: tuple[int, int] = (0, 1),
     space = state.space
     if space.kind != "truncated" or any(m >= space.mode_count for m in modes):
         raise ContractViolationError("beams must address modes of a truncated space")
-    psi = state.amplitudes
-    probs = np.abs(psi) ** 2
-    na_diag = space.number_diagonal(beam_a[0]) + space.number_diagonal(beam_a[1])
-    nb_diag = space.number_diagonal(beam_b[0]) + space.number_diagonal(beam_b[1])
-    n_a = float(na_diag @ probs)
-    n_b = float(nb_diag @ probs)
-    n_ab = float((na_diag * nb_diag) @ probs)
-    lowered = [op @ psi for op in _lowering_products(space, beam_a, beam_b)]
-    gamma = np.empty((4, 4), dtype=complex)
-    for r in range(4):
-        for c in range(4):
-            gamma[r, c] = np.vdot(lowered[c], lowered[r])
-    return TwoBeamCorrelation(gamma, n_a, n_b, n_ab)
+    gammas, n_a, n_b, n_ab = _gammas_and_moments(space, beam_a, beam_b,
+                                                 state.amplitudes[:, None])
+    return TwoBeamCorrelation(gammas[0], n_a[0], n_b[0], n_ab[0])
 
 
 def gamma_from_mixture(components: list[tuple[float, TwoBeamCorrelation]]
@@ -113,26 +135,44 @@ def gamma_from_mixture(components: list[tuple[float, TwoBeamCorrelation]]
     weights = np.array([w for w, _ in components], dtype=float)
     if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
         raise DomainError("mixture weights must be >= 0 and sum to 1")
-    gamma = sum(w * t.gamma for w, t in components)
-    n_a = sum(w * t.n_a for w, t in components)
-    n_b = sum(w * t.n_b for w, t in components)
-    n_ab = sum(w * t.n_ab for w, t in components)
-    return TwoBeamCorrelation(gamma, n_a, n_b, n_ab)
+    return TwoBeamCorrelation(*(sum(w * getattr(t, key) for w, t in components)
+                                for key in ("gamma", "n_a", "n_b", "n_ab")))
 
 
 def partial_transpose(mat: np.ndarray) -> np.ndarray:
     """Transpose the second-subsystem indices: (mu mu'),(nu nu') -> (mu nu'),(nu mu').
 
-    Trace- and Hermiticity-preserving involution.
+    Accepts a (..., 4, 4) stack.  Trace- and Hermiticity-preserving involution.
     """
     m = np.asarray(mat)
-    if m.shape != (4, 4):
-        raise DomainError(f"partial transpose expects a 4x4 matrix, got {m.shape}")
-    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    if m.shape[-2:] != (4, 4):
+        raise DomainError(f"partial transpose expects 4x4 matrices, got {m.shape}")
+    lead = m.shape[:-2]
+    return m.reshape(*lead, 2, 2, 2, 2).swapaxes(-3, -1).reshape(*lead, 4, 4)
+
+
+# Bound statistics of a batch of states, one array entry per state; excess
+# is (Tr |Gamma~^PT| - 1)/2 before it is clipped at 0 into negativity.
+_BoundStats = namedtuple("_BoundStats", [
+    "pt_eigenvalues", "trace_abs", "excess", "negativity", "bound_exact",
+    "bound_approx", "trace_abs_bound", "satisfied"])
+
+
+def _bound_stats(gammas: np.ndarray, n_a: np.ndarray, n_b: np.ndarray,
+                 n_ab: np.ndarray) -> _BoundStats:
+    lam = BeamSampler.pt_eigenvalues(gammas, n_ab)
+    trace_abs = np.sum(np.abs(lam), axis=-1)
+    excess = 0.5 * (trace_abs - 1.0)
+    neg = np.maximum(excess, 0.0)
+    bound_exact = np.minimum(2.0 * n_a, 2.0 * n_b) / n_ab
+    return _BoundStats(lam, trace_abs, excess, neg, bound_exact,
+                       2.0 / np.maximum(n_a, n_b), 1.0 + 4.0 * n_a / n_ab,
+                       neg <= bound_exact + BOUND_TOL)
 
 
 def negativity(sigma: np.ndarray) -> float:
-    """N(sigma) = (Tr|sigma^PT| - 1)/2 for a Hermitian trace-1 4x4 matrix."""
+    """N(sigma) = (Tr|sigma^PT| - 1)/2 for a Hermitian trace-1 4x4 matrix,
+    which is its own Gamma~ at unit moments."""
     s = np.asarray(sigma, dtype=complex)
     if s.shape != (4, 4):
         raise ContractViolationError("negativity expects a 4x4 matrix")
@@ -140,11 +180,11 @@ def negativity(sigma: np.ndarray) -> float:
         raise ContractViolationError("negativity expects a Hermitian matrix")
     if abs(np.trace(s).real - 1.0) > 1e-10:
         raise ContractViolationError("negativity expects a trace-1 matrix")
-    lam = np.linalg.eigvalsh(partial_transpose(s))
-    val = 0.5 * (np.sum(np.abs(lam)) - 1.0)
-    if val < -1e-12:
-        raise ContractViolationError(f"negativity evaluated to {val}, below -1e-12")
-    return float(max(val, 0.0))
+    stats = _bound_stats(s[None], *np.ones((3, 1)))
+    if stats.excess[0] < -1e-12:
+        raise ContractViolationError(
+            f"negativity evaluated to {stats.excess[0]}, below -1e-12")
+    return float(stats.negativity[0])
 
 
 @dataclass(frozen=True)
@@ -162,23 +202,14 @@ class BoundReport:
 
 
 def bound_report(corr: TwoBeamCorrelation) -> BoundReport:
-    tilde = corr.gamma_tilde
-    lam = np.linalg.eigvalsh(partial_transpose(tilde))
-    trace_abs = float(np.sum(np.abs(lam)))
-    neg = max(0.5 * (trace_abs - 1.0), 0.0)
-    bound_exact = min(2.0 * corr.n_a, 2.0 * corr.n_b) / corr.n_ab
-    bound_approx = 2.0 / max(corr.n_a, corr.n_b)
-    trace_abs_bound = 1.0 + 4.0 * corr.n_a / corr.n_ab
+    moments = (np.array([m]) for m in (corr.n_a, corr.n_b, corr.n_ab))
+    s = _BoundStats(*(field[0] for field in _bound_stats(corr.gamma[None], *moments)))
     return BoundReport(
-        negativity=float(neg),
-        bound_exact=float(bound_exact),
-        bound_approx=float(bound_approx),
-        satisfied=bool(neg <= bound_exact + BOUND_TOL),
-        pt_eigenvalues=tuple(float(x) for x in lam),
-        trace_abs_pt=trace_abs,
-        trace_abs_bound=float(trace_abs_bound),
-        trace_bound_satisfied=bool(trace_abs <= trace_abs_bound + BOUND_TOL),
-    )
+        negativity=float(s.negativity), bound_exact=float(s.bound_exact),
+        bound_approx=float(s.bound_approx), satisfied=bool(s.satisfied),
+        pt_eigenvalues=tuple(float(x) for x in s.pt_eigenvalues),
+        trace_abs_pt=float(s.trace_abs), trace_abs_bound=float(s.trace_abs_bound),
+        trace_bound_satisfied=bool(s.trace_abs <= s.trace_abs_bound + BOUND_TOL))
 
 
 def check_bound(state: fock.StateVector, beam_a: tuple[int, int] = (0, 1),
@@ -195,13 +226,19 @@ def haar_state(space: fock.FockSpace, rng: np.random.Generator) -> fock.StateVec
     return fock.StateVector(space, z, normalize=True)
 
 
+def _sector_indices(space: fock.FockSpace, beam_a: tuple[int, int],
+                    beam_b: tuple[int, int], k_a: int, k_b: int) -> np.ndarray:
+    """Basis indices with exactly k_a photons in beam a and k_b in beam b."""
+    na = space.number_diagonal(beam_a[0]) + space.number_diagonal(beam_a[1])
+    nb = space.number_diagonal(beam_b[0]) + space.number_diagonal(beam_b[1])
+    return np.nonzero((na == k_a) & (nb == k_b))[0]
+
+
 def sector_state(space: fock.FockSpace, beam_a: tuple[int, int],
                  beam_b: tuple[int, int], k_a: int, k_b: int,
                  rng: np.random.Generator) -> fock.StateVector:
     """Haar-random state with exactly k_a photons in beam a and k_b in beam b."""
-    na = space.number_diagonal(beam_a[0]) + space.number_diagonal(beam_a[1])
-    nb = space.number_diagonal(beam_b[0]) + space.number_diagonal(beam_b[1])
-    idx = np.nonzero((na == k_a) & (nb == k_b))[0]
+    idx = _sector_indices(space, beam_a, beam_b, k_a, k_b)
     if idx.size == 0:
         raise DomainError(f"no basis states with beam photon numbers ({k_a}, {k_b})")
     z = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
@@ -213,10 +250,9 @@ def sector_state(space: fock.FockSpace, beam_a: tuple[int, int],
 class BeamSampler:
     """Batched Gamma/negativity evaluation over many sampled states.
 
-    Precomputes the four lowering products and the diagonal moments for one
-    (space, beam assignment), then processes whole sample batches with dense
-    linear algebra.  Per-sample randomness comes from the fan-out seeds, so
-    results do not depend on batching or scheduling.
+    Holds one (space, beam assignment) and processes whole sample batches
+    with dense linear algebra.  Per-sample randomness comes from the
+    fan-out seeds, so results do not depend on batching or scheduling.
     """
 
     def __init__(self, cutoff: int, beam_a: tuple[int, int] = (0, 1),
@@ -224,91 +260,54 @@ class BeamSampler:
         self.space = fock.FockSpace.truncated([cutoff] * 4)
         self.beam_a = beam_a
         self.beam_b = beam_b
-        self.lowering = _lowering_products(self.space, beam_a, beam_b)
-        self.na_diag = (self.space.number_diagonal(beam_a[0])
-                        + self.space.number_diagonal(beam_a[1]))
-        self.nb_diag = (self.space.number_diagonal(beam_b[0])
-                        + self.space.number_diagonal(beam_b[1]))
-        self._sector_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def _sector_indices(self, k_a: int, k_b: int) -> np.ndarray:
-        key = (k_a, k_b)
-        if key not in self._sector_cache:
-            idx = np.nonzero((self.na_diag == k_a) & (self.nb_diag == k_b))[0]
-            self._sector_cache[key] = idx
-        return self._sector_cache[key]
 
     def sample_states(self, master_seed: int, indices: range,
                       photons_per_beam: int | None = None) -> np.ndarray:
         """Columns of normalized amplitudes, one per task index."""
         dim = self.space.dimension
-        psi = np.empty((dim, len(indices)), dtype=complex)
+        support = (np.arange(dim) if photons_per_beam is None else _sector_indices(
+            self.space, self.beam_a, self.beam_b, photons_per_beam, photons_per_beam))
+        n = support.size
+        psi = np.zeros((dim, len(indices)), dtype=complex)
         for col, i in enumerate(indices):
             rng = rng_for(master_seed, i)
-            if photons_per_beam is None:
-                z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-                psi[:, col] = z / np.linalg.norm(z)
-            else:
-                idx = self._sector_indices(photons_per_beam, photons_per_beam)
-                z = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
-                v = np.zeros(dim, dtype=complex)
-                v[idx] = z / np.linalg.norm(z)
-                psi[:, col] = v
+            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            psi[support, col] = z / np.linalg.norm(z)
         return psi
 
     def gammas_and_moments(self, psi: np.ndarray):
-        """(n_samples, 4, 4) Gamma stack plus moment arrays for state columns.
-
-        All reductions run per column in a fixed order (einsum, not BLAS
-        matmul), so values are bit-identical regardless of batch width.
-        """
-        probs = np.abs(psi) ** 2
-        n_a = np.einsum("d,ds->s", self.na_diag, probs)
-        n_b = np.einsum("d,ds->s", self.nb_diag, probs)
-        n_ab = np.einsum("d,ds->s", self.na_diag * self.nb_diag, probs)
-        lowered = np.stack([op @ psi for op in self.lowering])  # (4, dim, ns)
-        gammas = np.einsum("cds,rds->src", lowered.conj(), lowered)
-        return gammas, n_a, n_b, n_ab
+        """(n_samples, 4, 4) Gamma stack plus moment arrays for state columns."""
+        return _gammas_and_moments(self.space, self.beam_a, self.beam_b, psi)
 
     @staticmethod
     def pt_eigenvalues(gammas: np.ndarray, n_ab: np.ndarray) -> np.ndarray:
-        tilde = gammas / n_ab[:, None, None]
-        pt = tilde.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
-        return np.linalg.eigvalsh(pt)
+        return np.linalg.eigvalsh(partial_transpose(gammas / n_ab[:, None, None]))
 
 
 def bound_rows(master_seed: int, indices: range, cutoff: int,
                photons_per_beam: int | None = None) -> list[dict]:
     """Report rows (one per sampled state) for the bound-checking sweeps."""
+    check_sample_work(len(indices), cutoff)
     sampler = BeamSampler(cutoff)
     psi = sampler.sample_states(master_seed, indices, photons_per_beam)
     gammas, n_a, n_b, n_ab = sampler.gammas_and_moments(psi)
     if np.any(n_ab <= 0.0):
         raise NormalizationUndefinedError("sampled state with <n_a n_b> = 0")
-    lam = sampler.pt_eigenvalues(gammas, n_ab)
-    trace_abs = np.sum(np.abs(lam), axis=1)
-    neg = np.maximum(0.5 * (trace_abs - 1.0), 0.0)
-    bound_exact = np.minimum(2.0 * n_a, 2.0 * n_b) / n_ab
-    bound_approx = 2.0 / np.maximum(n_a, n_b)
-    rows = []
-    for col, i in enumerate(indices):
-        rows.append({
-            "seed": int(i),
-            "cutoff": int(cutoff),
-            "n_a": float(n_a[col]),
-            "n_b": float(n_b[col]),
-            "n_ab": float(n_ab[col]),
-            "negativity": float(neg[col]),
-            "bound_exact": float(bound_exact[col]),
-            "bound_approx": float(bound_approx[col]),
-            "satisfied": bool(neg[col] <= bound_exact[col] + BOUND_TOL),
-        })
-    return rows
+    stats = _bound_stats(gammas, n_a, n_b, n_ab)
+    return [{
+        "seed": int(i), "cutoff": int(cutoff),
+        "n_a": float(n_a[col]), "n_b": float(n_b[col]), "n_ab": float(n_ab[col]),
+        "negativity": float(stats.negativity[col]),
+        "bound_exact": float(stats.bound_exact[col]),
+        "bound_approx": float(stats.bound_approx[col]),
+        "satisfied": bool(stats.satisfied[col]),
+    } for col, i in enumerate(indices)]
 
 
 def mixture_rows(master_seed: int, indices: range, cutoff: int) -> list[dict]:
     """Report rows for two-component mixtures of Haar-random states, one per
     index; each draws both components and the weight from its own RNG."""
+    check_sample_work(len(indices), cutoff)
     space = fock.FockSpace.truncated([cutoff] * 4)
     rows = []
     for i in indices:

@@ -41,6 +41,14 @@ DENSE_EIG_LIMIT = 2000
 HERMITIAN_TOL = 1e-12
 
 
+def check_work(work, limit: float, what: str) -> None:
+    """Raise ResourceLimitError unless `work` is within `limit`; callers check
+    before they allocate anything.  An infinite count fails too."""
+    if not work <= limit:
+        shown = f"{work:.3g}" if work < 1e300 else "more than 1e300"
+        raise ResourceLimitError(f"{what} {shown} exceeds the limit {limit:.3g}")
+
+
 class FockSpace:
     """Immutable basis description. Use :meth:`truncated` or :meth:`fixed_sector`."""
 

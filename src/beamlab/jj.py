@@ -55,7 +55,7 @@ class JJParams:
                 f"n_bar1 = {self.n_bar1}, N = {self.n_total}: at least one electrode "
                 "holds fewer than ~10 background pairs; two-level-style derived "
                 "constants are only indicative here",
-                ChargeRegimeWarning, stacklevel=2)
+                ChargeRegimeWarning, stacklevel=3)
 
     @property
     def charge_qubit_regime(self) -> bool:

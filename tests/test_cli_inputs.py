@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import math
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -201,6 +202,22 @@ DEFECTS = [
     ("pendulum", {"omega": 1, "horizon": INF}, []),
     ("fluctuations", {"n_bar1_values": [1.0, 1.0, 1.0]}, []),
 ]
+JUNCTION_FLAGS = ["--e-c", "0.2", "--lam", "0.1", "--n-total", "4"]
+# Work beyond a budget is refused before anything is allocated or any pool
+# starts, so each of these exits within a second.
+OVER_BUDGET = [
+    ("bound-check", ["--seed", "1", "--samples", "1e300"]),
+    ("bound-check", ["--seed", "1", "--samples", "1e300", "--workers", "2"]),
+    ("bound-check", ["--seed", "1", "--samples", "1", "--mixtures", "1e300"]),
+    ("neg-sweep", ["--seed", "1", "--samples", "1", "--k-max", "1000"]),
+    ("pendulum", ["--omega", "1", "--horizon", "1", "--dt", "1e-9"]),
+    ("jj-evolve", [*JUNCTION_FLAGS, "--horizon", "1", "--dt", "1e-12"]),
+    ("jj-evolve", [*JUNCTION_FLAGS, "--horizon", "1", "--dt", "1e-12",
+                   "--model", "bose_hubbard"]),
+    ("compare", [*JUNCTION_FLAGS, "--horizon", "1e308"]),
+    ("fluctuations", ["--n-bar1-values", "1e308,1.5e308,1.7e308"]),
+]
+DEFECTS += [(name, None, argv) for name, argv in OVER_BUDGET]
 
 
 @pytest.mark.parametrize("name,config,argv", DEFECTS)
@@ -209,6 +226,15 @@ def test_cli_defect_inputs_exit_1_with_one_line(tmp_path, name, config, argv):
     assert code == 1
     assert_clean_outcome(code, err)
     assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("name,argv", OVER_BUDGET)
+def test_cli_refuses_work_beyond_the_budget_at_once(tmp_path, name, argv):
+    start = time.perf_counter()
+    code, err = run_cli(tmp_path, name, None, argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and "exceeds the limit" in err
+    assert_clean_outcome(code, err)
 
 
 def test_cli_null_config_value_means_not_given(tmp_path):

@@ -11,6 +11,7 @@ from beamlab.errors import (
     ContractViolationError,
     FitError,
     IntegrationFailureError,
+    ResourceLimitError,
 )
 
 
@@ -330,3 +331,16 @@ def test_trajectory_validation():
     with pytest.raises(ContractViolationError):
         dyn.Trajectory(times=[0.0, 0.0], n1=[1.0, 1.0], phi=[0.0, 0.0],
                        norm_drift=[0.0, 0.0], energy=[0.0, 0.0])
+
+
+def test_work_budgets_refuse_before_running():
+    params = jj.JJParams(e_c=0.2, lam=0.1, n_total=4, n_bar1=2.0)
+    initial = jj.product_state(4, 2.0, 0.0, jj.sector_space(params))
+    with pytest.raises(ResourceLimitError):
+        dyn.evolve_meanfield(initial, params, 1.0, 1.0 / (dyn.STEP_LIMIT + 1))
+    with pytest.raises(ResourceLimitError):
+        dyn.evolve_exact(initial, params, 1.0, 4.0 / dyn.OUTPUT_WORK_LIMIT)
+    with pytest.raises(ResourceLimitError):
+        dyn.pendulum_trajectory(0.1, 0.0, 1.0, 1.0, 1.0 / (dyn.STEP_LIMIT + 1))
+    with pytest.raises(ResourceLimitError):
+        dyn.model_compare(params, 3.0, 0.0, 1e308)

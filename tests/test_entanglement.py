@@ -5,7 +5,11 @@ from hypothesis import strategies as st
 
 import beamlab.entanglement as ent
 import beamlab.fock as fock
-from beamlab.errors import ContractViolationError, NormalizationUndefinedError
+from beamlab.errors import (
+    ContractViolationError,
+    NormalizationUndefinedError,
+    ResourceLimitError,
+)
 from beamlab.seeding import rng_for
 
 
@@ -248,3 +252,62 @@ def test_sampling_is_seeded_per_index():
     c = ent.haar_state(space, rng_for(7, 4)).amplitudes
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# -- oracles for the Gamma and bound kernels -----------------------------------
+
+
+def test_index_shift_products_equal_sparse_ladder_products():
+    # uneven cutoffs and beams out of mode order, so every stride differs
+    space = fock.FockSpace.truncated([1, 2, 3, 2])
+    beam_a, beam_b = (2, 0), (3, 1)
+    rng = np.random.default_rng(11)
+    psi = (rng.standard_normal((space.dimension, 5))
+           + 1j * rng.standard_normal((space.dimension, 5)))
+    ann = [fock.ladder_operator(space, m, "annihilate").matrix for m in range(4)]
+    sparse = np.stack([(ann[mu] @ ann[mup]).tocsr() @ psi
+                       for mu in beam_a for mup in beam_b])
+    assert np.array_equal(ent._lowered(space, beam_a, beam_b, psi), sparse)
+    gammas, n_a, n_b, n_ab = ent._gammas_and_moments(space, beam_a, beam_b, psi)
+    assert np.array_equal(gammas, np.einsum("cds,rds->src", sparse.conj(), sparse))
+    for col in range(5):
+        state = fock.StateVector(space, psi[:, col], normalize=True)
+        corr = ent.gamma_from_state(state, beam_a, beam_b)
+        scale = np.vdot(psi[:, col], psi[:, col]).real
+        assert np.allclose(corr.gamma * scale, gammas[col], rtol=1e-12, atol=1e-12)
+        assert corr.n_ab * scale == pytest.approx(n_ab[col], rel=1e-12)
+
+
+def test_partial_transpose_of_a_stack_matches_index_oracle():
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((3, 2, 4, 4)) + 1j * rng.standard_normal((3, 2, 4, 4))
+    oracle = np.empty_like(stack)
+    for mu, mup, nu, nup in np.ndindex(2, 2, 2, 2):
+        oracle[..., 2 * mu + nup, 2 * nu + mup] = stack[..., 2 * mu + mup, 2 * nu + nup]
+    assert np.array_equal(ent.partial_transpose(stack), oracle)
+
+
+def test_batched_bound_stats_equal_one_state_at_a_time():
+    sampler = ent.BeamSampler(2)
+    gammas, n_a, n_b, n_ab = sampler.gammas_and_moments(
+        sampler.sample_states(17, range(40)))
+    stats = ent._bound_stats(gammas, n_a, n_b, n_ab)
+    for col in range(40):
+        lam = np.linalg.eigvalsh(ent.partial_transpose(gammas[col] / n_ab[col]))
+        assert np.array_equal(stats.pt_eigenvalues[col], lam)
+        trace_abs = float(np.sum(np.abs(lam)))
+        assert stats.trace_abs[col] == trace_abs
+        assert stats.negativity[col] == max(0.5 * (trace_abs - 1.0), 0.0)
+        na, nb, nab = float(n_a[col]), float(n_b[col]), float(n_ab[col])
+        assert stats.bound_exact[col] == min(2.0 * na, 2.0 * nb) / nab
+        assert stats.bound_approx[col] == 2.0 / max(na, nb)
+        assert stats.trace_abs_bound[col] == 1.0 + 4.0 * na / nab
+    rep = ent.bound_report(ent.TwoBeamCorrelation(gammas[0], n_a[0], n_b[0], n_ab[0]))
+    assert rep.pt_eigenvalues == tuple(stats.pt_eigenvalues[0])
+
+
+def test_sample_budget_is_checked_before_sampling():
+    with pytest.raises(ResourceLimitError):
+        ent.bound_rows(1, range(ent.SAMPLE_WORK_LIMIT // 81 + 1), 2)
+    with pytest.raises(ResourceLimitError):
+        ent.mixture_rows(1, range(ent.SAMPLE_WORK_LIMIT // 16 + 1), 1)

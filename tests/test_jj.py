@@ -35,6 +35,12 @@ def test_charge_regime_warning():
     assert p.charge_qubit_regime
 
 
+def test_charge_regime_warning_points_at_the_caller():
+    with pytest.warns(ChargeRegimeWarning) as record:
+        jj.JJParams(e_c=1.0, lam=1.0, n_total=4, n_bar1=2.0)
+    assert record[0].filename == __file__
+
+
 def test_derived_constants_examples():
     p = params_for(n_total=40, n_bar1=20.0, lam=0.3)
     dc = jj.derived_constants(p)
