@@ -47,9 +47,12 @@ FIDELITY_COLLAPSE = 1e-3
 
 # Work budgets, checked before a run allocates anything.  A step of the
 # pendulum keeps two Python floats (about 64 bytes); an exact-model output
-# keeps a state of 16 bytes per basis state.
+# keeps a state of 16 bytes per basis state, and the batched propagation
+# holds one more array of that size while it runs (320 MB at the limit).
 STEP_LIMIT = 10_000_000
 OUTPUT_WORK_LIMIT = 10_000_000
+# Largest total pair number model_compare accepts.
+COMPARE_N_LIMIT = 2000
 
 
 def _step_count(horizon: float, dt: float, per_step: float = 1.0,
@@ -482,10 +485,11 @@ def model_compare(params: jj.JJParams, n0: float, phi0: float, horizon: float,
     the quantum runs start from the product configuration with label
     (locked label - phi0) and mean n0.  The pendulum starts at
     (phi0, E_C (n0 - nbar1)) with the matched linearized frequency.
-    Requires a dense-path sector (N <= 2000).
+    Requires N <= COMPARE_N_LIMIT.
     """
-    if params.n_total > fock.DENSE_EIG_LIMIT:
-        raise ContractViolationError("model_compare needs the dense path (N <= 2000)")
+    if params.n_total > COMPARE_N_LIMIT:
+        raise ContractViolationError(
+            f"model_compare supports N <= {COMPARE_N_LIMIT}, got {params.n_total}")
     omega_match = meanfield_matched_omega(params)
     rate = max(omega_match, abs(params.lam), 1e-12)
     if dt_out is None:

@@ -36,9 +36,13 @@ from .seeding import rng_for
 
 BOUND_TOL = 1e-9
 
-# Work budget in sampled states x basis dimension.  The batched Gamma step
-# holds about 150 bytes per entry (states, lowered copies, conjugates): 1.5 GB.
+# Work budget in sampled states x basis dimension.
 SAMPLE_WORK_LIMIT = 10_000_000
+# bound_rows evaluates samples in chunks of about this many states x
+# dimension: the Gamma step holds about 150 bytes per entry, so a chunk
+# peaks near 80 MB.  A chunk holds at least two states, because einsum sums
+# a single column in another order; from two on, rows do not depend on it.
+CHUNK_WORK = 2 ** 19
 
 
 def check_sample_work(samples: int, cutoff: int) -> None:
@@ -99,7 +103,8 @@ def _gammas_and_moments(space: fock.FockSpace, beam_a: tuple[int, int],
                         beam_b: tuple[int, int], psi: np.ndarray):
     """(n_samples, 4, 4) Gamma stack plus moment arrays for the state columns
     psi (dimension, n_samples) of `space`.  Reductions run per column in a
-    fixed order (einsum, not BLAS), so values do not depend on batch width.
+    fixed order (einsum, not BLAS), so values do not depend on batch width
+    from two columns on; einsum sums a single column in another order.
     """
     na_diag = space.number_diagonal(beam_a[0]) + space.number_diagonal(beam_a[1])
     nb_diag = space.number_diagonal(beam_b[0]) + space.number_diagonal(beam_b[1])
@@ -289,19 +294,26 @@ def bound_rows(master_seed: int, indices: range, cutoff: int,
     """Report rows (one per sampled state) for the bound-checking sweeps."""
     check_sample_work(len(indices), cutoff)
     sampler = BeamSampler(cutoff)
-    psi = sampler.sample_states(master_seed, indices, photons_per_beam)
-    gammas, n_a, n_b, n_ab = sampler.gammas_and_moments(psi)
-    if np.any(n_ab <= 0.0):
-        raise NormalizationUndefinedError("sampled state with <n_a n_b> = 0")
-    stats = _bound_stats(gammas, n_a, n_b, n_ab)
-    return [{
-        "seed": int(i), "cutoff": int(cutoff),
-        "n_a": float(n_a[col]), "n_b": float(n_b[col]), "n_ab": float(n_ab[col]),
-        "negativity": float(stats.negativity[col]),
-        "bound_exact": float(stats.bound_exact[col]),
-        "bound_approx": float(stats.bound_approx[col]),
-        "satisfied": bool(stats.satisfied[col]),
-    } for col, i in enumerate(indices)]
+    n = len(indices)
+    count = min(-(-n * sampler.space.dimension // CHUNK_WORK), n // 2) or 1
+    bounds = np.linspace(0, n, count + 1, dtype=int)
+    rows = []
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        chunk = indices[start:stop]
+        psi = sampler.sample_states(master_seed, chunk, photons_per_beam)
+        gammas, n_a, n_b, n_ab = sampler.gammas_and_moments(psi)
+        if np.any(n_ab <= 0.0):
+            raise NormalizationUndefinedError("sampled state with <n_a n_b> = 0")
+        stats = _bound_stats(gammas, n_a, n_b, n_ab)
+        rows += [{
+            "seed": int(i), "cutoff": int(cutoff),
+            "n_a": float(n_a[col]), "n_b": float(n_b[col]), "n_ab": float(n_ab[col]),
+            "negativity": float(stats.negativity[col]),
+            "bound_exact": float(stats.bound_exact[col]),
+            "bound_approx": float(stats.bound_approx[col]),
+            "satisfied": bool(stats.satisfied[col]),
+        } for col, i in enumerate(chunk)]
+    return rows
 
 
 def mixture_rows(master_seed: int, indices: range, cutoff: int) -> list[dict]:

@@ -16,9 +16,11 @@ Any amplitude an operator would push above a truncation cutoff is dropped;
 :func:`boundary_weight` reports the population sitting on the cutoff
 boundary so simulations can verify the drop is negligible.
 
-Evolution under exp(-iHt) uses an exact Hermitian eigendecomposition up to
-dimension 2000 and a restarted short-iterate Lanczos propagator above.
-hbar = 1 throughout: times are inverse energies in the caller's unit.
+Evolution under a fixed Hamiltonian uses one exact Hermitian
+eigendecomposition and one batched propagation to all output times; a
+restarted short-iterate Lanczos propagator serves the self-consistent
+stepping, where H changes every substep.  hbar = 1 throughout: times are
+inverse energies in the caller's unit.
 """
 
 from __future__ import annotations
@@ -37,8 +39,10 @@ from .errors import (
 )
 
 DEFAULT_DIMENSION_LIMIT = 1_000_000
-DENSE_EIG_LIMIT = 2000
 HERMITIAN_TOL = 1e-12
+# Work budget of one eigendecomposition in dimension^2: it holds 8 to 16
+# bytes per entry for the eigenvectors, plus a dense copy unless tridiagonal.
+EIG_WORK_LIMIT = 25_000_000
 
 
 def check_work(work, limit: float, what: str) -> None:
@@ -179,12 +183,14 @@ class StateVector:
         if amps.shape != (space.dimension,):
             raise ContractViolationError(
                 f"amplitude vector has shape {amps.shape}, expected ({space.dimension},)")
+        if not np.all(np.isfinite(amps)):
+            raise ContractViolationError("amplitudes must be finite")
         nrm = np.linalg.norm(amps)
         if normalize:
-            if nrm == 0.0:
-                raise ContractViolationError("cannot normalize the zero vector")
+            if not 0.0 < nrm < np.inf:
+                raise ContractViolationError(f"cannot normalize a vector of norm {nrm!r}")
             amps = amps / nrm
-        elif abs(nrm - 1.0) > 1e-12:
+        elif not abs(nrm - 1.0) <= 1e-12:
             raise ContractViolationError(f"state norm {nrm!r} deviates from 1 by > 1e-12")
         amps.flags.writeable = False
         self.space = space
@@ -230,18 +236,16 @@ def boundary_weight(state: StateVector) -> float:
 class LinearOperator:
     """Square operator on a space, stored dense or sparse.
 
-    `tridiagonal` optionally carries (diag, offdiag) real vectors when the
-    builder knows the matrix is real symmetric tridiagonal; evolution then
-    uses the specialized eigensolver.
+    Its structure is read from the matrix: :attr:`tridiagonal` is set for
+    a real matrix of bandwidth <= 1, and evolution then uses the
+    tridiagonal eigensolver, whichever way the operator was built.
     """
 
     def __init__(self, space: FockSpace, matrix, hermitian: bool = False,
-                 tridiagonal: tuple[np.ndarray, np.ndarray] | None = None,
                  _skip_check: bool = False):
         self.space = space
         self.matrix = matrix
         self.hermitian = hermitian
-        self.tridiagonal = tridiagonal
         self._eig = None
         if hermitian and not _skip_check:
             if self.hermiticity_defect() > HERMITIAN_TOL:
@@ -252,6 +256,15 @@ class LinearOperator:
         if sp.issparse(d):
             return float(np.max(np.abs(d.data))) if d.nnz else 0.0
         return float(np.max(np.abs(d))) if d.size else 0.0
+
+    @property
+    def tridiagonal(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(diagonal, lower off-diagonal) as real vectors when the matrix is
+        real with bandwidth <= 1, else None."""
+        m = sp.coo_matrix(self.matrix)
+        if np.any((np.abs(m.row - m.col) > 1) & (m.data != 0)) or np.any(m.data.imag):
+            return None
+        return m.diagonal(0).real, m.diagonal(-1).real
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.matrix @ vec
@@ -291,9 +304,7 @@ class LinearOperator:
 
     def marked_hermitian(self) -> "LinearOperator":
         """Same matrix, with the hermitian contract asserted and flagged."""
-        op = LinearOperator(self.space, self.matrix, hermitian=True,
-                            tridiagonal=self.tridiagonal)
-        return op
+        return LinearOperator(self.space, self.matrix, hermitian=True)
 
 
 def _adjoint_matrix(m):
@@ -314,17 +325,10 @@ def ladder_operator(space: FockSpace, mode: int, kind: str) -> LinearOperator:
     if kind not in ("annihilate", "create", "number"):
         raise ContractViolationError(f"unknown ladder kind {kind!r}")
 
-    if space.kind == "fixed_sector":
-        if kind != "number":
-            raise UnsupportedOperatorError(
-                "single ladder operators leave the fixed-total-number sector; "
-                "use number operators or hopping_operator")
-        diag = space.number_diagonal(mode)
-        mat = sp.diags(diag.astype(complex), format="csr")
-        return LinearOperator(space, mat, hermitian=True,
-                              tridiagonal=(diag.copy(), np.zeros(space.dimension - 1)),
-                              _skip_check=True)
-
+    if space.kind == "fixed_sector" and kind != "number":
+        raise UnsupportedOperatorError(
+            "single ladder operators leave the fixed-total-number sector; "
+            "use number operators or hopping_operator")
     if kind == "number":
         diag = space.number_diagonal(mode)
         return LinearOperator(space, sp.diags(diag.astype(complex), format="csr"),
@@ -386,54 +390,43 @@ def variance(state: StateVector, op: LinearOperator) -> float:
 
 def evolve_unitary(state: StateVector, hamiltonian: LinearOperator, t: float,
                    tol: float = 1e-10) -> StateVector:
-    """Return exp(-i H t)|psi> (hbar = 1).
-
-    Exact eigendecomposition up to dimension 2000 (specializing to the
-    tridiagonal solver when the operator carries that structure), restarted
-    Lanczos above.  `tol` bounds the accumulated Krylov truncation error.
-    """
-    if tol <= 0:
-        raise ContractViolationError("tol must be positive")
-    _require_hermitian(hamiltonian)
-    if state.space != hamiltonian.space:
-        raise ContractViolationError("state and Hamiltonian live on different spaces")
-    psi = _expm_apply(hamiltonian, state.amplitudes, t, tol)
-    return StateVector(state.space, psi)
+    """Return exp(-i H t)|psi> (hbar = 1): :func:`evolve_unitary_sampled` at
+    the one time t."""
+    return evolve_unitary_sampled(state, hamiltonian, [t], tol)[0]
 
 
 def evolve_unitary_sampled(state: StateVector, hamiltonian: LinearOperator,
                            times: Iterable[float], tol: float = 1e-10) -> list[StateVector]:
-    """States at the given (ascending, from 0) output times.
+    """States exp(-i H t)|psi> at the given non-decreasing, finite times.
 
-    With an eigendecomposition each output is computed directly from t=0
-    (no step-to-step error accumulation); the Krylov path steps sequentially.
+    Every output comes from t = 0 through the eigendecomposition of H, all
+    times in one matrix product, so no error accumulates from step to step.
+    `tol` must be positive; the eigendecomposition leaves only roundoff,
+    with no truncation error for it to bound.  Raises ResourceLimitError
+    when dimension^2 exceeds EIG_WORK_LIMIT.
     """
     if tol <= 0:
         raise ContractViolationError("tol must be positive")
     _require_hermitian(hamiltonian)
     if state.space != hamiltonian.space:
         raise ContractViolationError("state and Hamiltonian live on different spaces")
-    times = list(times)
-    if any(b < a for a, b in zip(times, times[1:])):
+    times = np.array(list(times), dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ContractViolationError("output times must be finite")
+    if np.any(np.diff(times) < 0):
         raise ContractViolationError("output times must be non-decreasing")
-    dim = state.space.dimension
-    out = []
-    if dim <= DENSE_EIG_LIMIT:
-        w, v = _eigendecomposition(hamiltonian)
-        c0 = v.conj().T @ state.amplitudes
-        for tt in times:
-            psi = v @ (np.exp(-1j * w * tt) * c0)
-            out.append(StateVector(state.space, psi))
-        return out
-    psi = state.amplitudes
-    prev = 0.0
-    budget = tol / max(len(times), 1)
-    for tt in times:
-        if tt != prev:
-            psi = _lanczos_expm_apply(hamiltonian.matrix, psi, tt - prev, budget)
-            prev = tt
-        out.append(StateVector(state.space, psi.copy()))
-    return out
+    w, v = _eigendecomposition(hamiltonian)
+    c0 = _real_or_complex_matmul(v.conj().T, state.amplitudes[:, None])
+    psi = _real_or_complex_matmul(v, np.exp(-1j * np.outer(w, times)) * c0)
+    return [StateVector(state.space, psi[:, j]) for j in range(len(times))]
+
+
+def _real_or_complex_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """m @ z for complex columns z; a real m multiplies the interleaved real
+    and imaginary parts, so it is never copied to complex."""
+    if np.iscomplexobj(m):
+        return m @ z
+    return (m @ np.ascontiguousarray(z).view(float)).view(complex)
 
 
 def _require_hermitian(op: LinearOperator):
@@ -445,28 +438,14 @@ def _require_hermitian(op: LinearOperator):
 
 
 def _eigendecomposition(op: LinearOperator):
+    """(eigenvalues, eigenvectors) of a Hermitian operator, cached on it;
+    the eigenvectors of a real tridiagonal matrix stay real."""
     if op._eig is None:
-        if op.tridiagonal is not None:
-            d, e = op.tridiagonal
-            w, v = eigh_tridiagonal(d, e)
-            op._eig = (w, v.astype(complex))
-        else:
-            w, v = np.linalg.eigh(op.to_dense())
-            op._eig = (w, v)
+        dim = op.space.dimension
+        check_work(float(dim) * dim, EIG_WORK_LIMIT, "eigendecomposition dimension^2")
+        tri = op.tridiagonal
+        op._eig = eigh_tridiagonal(*tri) if tri is not None else np.linalg.eigh(op.to_dense())
     return op._eig
-
-
-def expm_apply(op: LinearOperator, vec: np.ndarray, t: float,
-               tol: float = 1e-11) -> np.ndarray:
-    """exp(-i t H) vec through the same dispatch as :func:`evolve_unitary`,
-    without wrapping the result in a StateVector (hot-loop form)."""
-    if op.space.dimension <= DENSE_EIG_LIMIT:
-        w, v = _eigendecomposition(op)
-        return v @ (np.exp(-1j * w * t) * (v.conj().T @ vec))
-    return _lanczos_expm_apply(op.matrix, vec, t, tol)
-
-
-_expm_apply = expm_apply
 
 
 def tridiagonal_expm_apply(diag: np.ndarray, off: np.ndarray, vec: np.ndarray,

@@ -6,8 +6,9 @@ differ in the charging part:
 * ``bose_hubbard``:  E_C (n1 - nbar1)^2            (quadratic, state-independent)
 * ``mean_field``:    E_C (<n1> - nbar1)(n1 - nbar1) (Hartree, state-dependent)
 
-Everything is tridiagonal in the sector basis k = n1, which the builders
-expose so evolution can use specialized solvers at large N.
+Everything is tridiagonal in the sector basis k = n1, so evolution uses
+the tridiagonal eigensolver, which reads that structure from the matrix,
+and the self-consistent stepping works on the two diagonals directly.
 
 E_C is taken directly as an input energy; nbar1 may be non-integer (it is
 an average).  With lam > 0 the phase-locked configuration of the tunneling
@@ -170,8 +171,7 @@ def build_jj_hamiltonian(params: JJParams, space: fock.FockSpace, kind: str,
     off = tunneling_offdiagonal(params.n_total, params.lam)
     matrix = sp.diags([off.astype(complex), diag.astype(complex), off.astype(complex)],
                       [-1, 0, 1], format="csr")
-    return fock.LinearOperator(space, matrix, hermitian=True,
-                               tridiagonal=(diag, off), _skip_check=True)
+    return fock.LinearOperator(space, matrix, hermitian=True, _skip_check=True)
 
 
 def coherence(state: fock.StateVector) -> complex:

@@ -216,6 +216,8 @@ OVER_BUDGET = [
                    "--model", "bose_hubbard"]),
     ("compare", [*JUNCTION_FLAGS, "--horizon", "1e308"]),
     ("fluctuations", ["--n-bar1-values", "1e308,1.5e308,1.7e308"]),
+    ("jj-evolve", ["--model", "bose_hubbard", "--n-total", "6000", "--e-c", "0.01",
+                   "--lam", "0.001", "--horizon", "23.57", "--dt", "0.2357"]),
 ]
 DEFECTS += [(name, None, argv) for name, argv in OVER_BUDGET]
 

@@ -311,3 +311,12 @@ def test_sample_budget_is_checked_before_sampling():
         ent.bound_rows(1, range(ent.SAMPLE_WORK_LIMIT // 81 + 1), 2)
     with pytest.raises(ResourceLimitError):
         ent.mixture_rows(1, range(ent.SAMPLE_WORK_LIMIT // 16 + 1), 1)
+
+
+def test_bound_rows_do_not_depend_on_the_chunk_width(monkeypatch):
+    whole = ent.bound_rows(4, range(3, 13), 1)
+    sector = ent.bound_rows(4, range(3, 13), 2, photons_per_beam=2)
+    monkeypatch.setattr(ent, "CHUNK_WORK", 3 * 16)      # widths 2, 3, 2, 3 at cutoff 1
+    assert ent.bound_rows(4, range(3, 13), 1) == whole
+    monkeypatch.setattr(ent, "CHUNK_WORK", 1)           # the least width, 2
+    assert ent.bound_rows(4, range(3, 13), 2, photons_per_beam=2) == sector

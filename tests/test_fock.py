@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -397,3 +399,64 @@ def test_evolution_is_deterministic():
     a = fock.evolve_unitary(state, n_op, 1.234).amplitudes
     b = fock.evolve_unitary(state, n_op, 1.234).amplitudes
     assert np.array_equal(a, b)
+
+
+def test_state_and_times_must_be_finite():
+    space = fock.FockSpace.truncated([1])
+    for amps, normalize in [([np.nan, 0.0], False), ([np.inf, 0.0], True),
+                            ([1e308, 1e308], True), ([np.nan, 1.0], True)]:
+        with pytest.raises(ContractViolationError), np.errstate(over="ignore"):
+            fock.StateVector(space, np.array(amps), normalize=normalize)
+    n_op = fock.ladder_operator(space, 0, "number")
+    state = fock.basis_state(space, (1,))
+    with pytest.raises(ContractViolationError):
+        fock.evolve_unitary(state, n_op, float("nan"))
+    with pytest.raises(ContractViolationError):
+        fock.evolve_unitary_sampled(state, n_op, [0.0, 1.0, float("inf")])
+
+
+def _sector_hamiltonian(n_tot):
+    sector = fock.FockSpace.fixed_sector(n_tot)
+    hop = fock.hopping_operator(sector, 0, 1)
+    n1 = fock.ladder_operator(sector, 0, "number")
+    return (0.02 * (hop + hop.dagger()) + 0.001 * (n1 @ n1)).marked_hermitian()
+
+
+def test_tridiagonal_structure_is_read_from_the_matrix():
+    h = _sector_hamiltonian(30)
+    dense = h.to_dense()
+    d, e = h.tridiagonal
+    assert np.array_equal(d, np.diag(dense).real)
+    assert np.array_equal(e, np.diag(dense, -1).real)
+    assert d.dtype == e.dtype == float
+    hop = fock.hopping_operator(fock.FockSpace.fixed_sector(30), 0, 1)
+    assert (1j * (hop - hop.dagger())).marked_hermitian().tridiagonal is None
+    wide = fock.hopping_operator(fock.FockSpace.truncated([2, 2]), 0, 1)
+    assert (wide + wide.dagger()).tridiagonal is None
+
+
+def test_eigen_propagator_above_2000_matches_lanczos():
+    h = _sector_hamiltonian(2100)
+    k = np.arange(2101)
+    amps = np.exp(-0.5 * (k - 1050) ** 2 / 50.0 + 0.3j * k)
+    state = fock.StateVector(h.space, amps, normalize=True)
+    times = [0.0, 0.4, 1.3, 3.0]
+    for t, out in zip(times, fock.evolve_unitary_sampled(state, h, times)):
+        want = fock._lanczos_expm_apply(h.matrix, state.amplitudes, t, 1e-9)
+        assert np.max(np.abs(out.amplitudes - want)) < 1e-8
+        assert abs(out.norm() - 1.0) < 1e-12
+
+
+def test_eigendecomposition_beyond_the_budget_is_refused_at_once(monkeypatch):
+    h = _sector_hamiltonian(6000)
+    state = fock.basis_state(h.space, (3000, 3000))
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        fock.evolve_unitary(state, h, 1.0)
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.setattr(fock, "EIG_WORK_LIMIT", 100)
+    small = _sector_hamiltonian(9)
+    fock.evolve_unitary(fock.basis_state(small.space, (4, 5)), small, 1.0)
+    over = _sector_hamiltonian(10)
+    with pytest.raises(ResourceLimitError):
+        fock.evolve_unitary(fock.basis_state(over.space, (5, 5)), over, 1.0)
