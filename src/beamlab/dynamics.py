@@ -3,9 +3,10 @@
 Three dynamical models run from matched initial data:
 
 * exact unitary evolution under the quadratic-charging Hamiltonian,
-* the self-consistent (state-dependent) flow, integrated with a midpoint
-  predictor-corrector: build H from the state, half-step, rebuild H from
-  the half-step state, take the full step with the rebuilt H,
+* the self-consistent (state-dependent) flow, which is linear in the SU(2)
+  generators and so reduces exactly to one rotation of the state driven
+  by its Bloch vector (the (z, phi) equations of the bosonic junction);
+  a sixth-order composition of exact rotations integrates it,
 * the classical pendulum  phidd = -omega^2 sin(phi).
 
 Conventions (frozen):
@@ -27,6 +28,7 @@ Conventions (frozen):
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -43,7 +45,6 @@ from .errors import (
 COHERENCE_FLOOR = 1e-12
 NORM_DRIFT_TOL = 1e-9
 FIDELITY_TOL = 1e-6
-FIDELITY_COLLAPSE = 1e-3
 
 # Work budgets, checked before a run allocates anything.  A step of the
 # pendulum keeps two Python floats (about 64 bytes); an exact-model output
@@ -51,8 +52,6 @@ FIDELITY_COLLAPSE = 1e-3
 # holds one more array of that size while it runs (320 MB at the limit).
 STEP_LIMIT = 10_000_000
 OUTPUT_WORK_LIMIT = 10_000_000
-# Largest total pair number model_compare accepts.
-COMPARE_N_LIMIT = 2000
 
 
 def _step_count(horizon: float, dt: float, per_step: float = 1.0,
@@ -84,20 +83,13 @@ class Trajectory:
     phidot: np.ndarray | None = None
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.n1 = np.asarray(self.n1, dtype=float)
-        self.phi = np.asarray(self.phi, dtype=float)
-        self.norm_drift = np.asarray(self.norm_drift, dtype=float)
-        self.energy = np.asarray(self.energy, dtype=float)
-        arrays = [self.n1, self.phi, self.norm_drift, self.energy]
-        if self.fidelity is not None:
-            self.fidelity = np.asarray(self.fidelity, dtype=float)
-            arrays.append(self.fidelity)
-        if self.phidot is not None:
-            self.phidot = np.asarray(self.phidot, dtype=float)
-            arrays.append(self.phidot)
-        n = len(self.times)
-        if any(len(a) != n for a in arrays):
+        for name in ("times", "n1", "phi", "norm_drift", "energy", "fidelity",
+                     "phidot"):
+            if getattr(self, name) is not None:
+                setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        arrays = [a for a in (self.n1, self.phi, self.norm_drift, self.energy,
+                              self.fidelity, self.phidot) if a is not None]
+        if any(len(a) != len(self.times) for a in arrays):
             raise ContractViolationError("trajectory arrays must share one length")
         if np.any(np.diff(self.times) <= 0):
             raise ContractViolationError("trajectory times must be strictly increasing")
@@ -158,85 +150,120 @@ def displacement_from_locked(phi_estimator: np.ndarray, params: jj.JJParams
     return _unwrap_keeping_nans(wrapped)
 
 
+# 6th-order Yoshida composition (solution A) of a symmetric second-order step:
+# the pendulum's leapfrog and the self-consistent flow's Strang rotation.  It
+# stays symplectic, so the energy error stays bounded instead of drifting.
+_W1 = -1.17767998417887
+_W2 = 0.235573213359357
+_W3 = 0.784513610477560
+_W0 = 1.0 - 2.0 * (_W1 + _W2 + _W3)
+_YOSHIDA6 = (_W3, _W2, _W1, _W0, _W1, _W2, _W3)
+
+
 # -- self-consistent evolution -------------------------------------------------
 
 
 def evolve_meanfield(initial: fock.StateVector, params: jj.JJParams, horizon: float,
-                     dt: float, sample_every: int = 1, tol: float = 1e-11,
-                     max_refinements: int = 8) -> Trajectory:
+                     dt: float, sample_every: int = 1) -> Trajectory:
     """Integrate the state-dependent flow i d|psi>/dt = H[psi]|psi>.
 
-    Midpoint self-consistency with one corrector pass; the step is halved
-    (up to `max_refinements` times) until norm drift stays within 1e-9 and
-    the product fidelity within 1e-6 of unity.  A fidelity collapse below
-    1 - 1e-3 aborts the attempt as an integration failure.
+    Up to a constant H[psi] = E_C (<Jz> + N/2 - nbar1) Jz + lam Jx, with
+    Jz = n1 - N/2, so the flow is one SU(2) rotation (`_meanfield_rotations`);
+    it is applied to the carried vector at every output step, and every
+    column is measured on that vector.  Raises IntegrationFailureError when
+    the initial state is off the product family, or when the run's norm
+    drift or product fidelity misses NORM_DRIFT_TOL or FIDELITY_TOL.
     """
     if dt <= 0:
         raise ContractViolationError("dt must be positive")
     if horizon < 0:
         raise ContractViolationError("horizon must be >= 0")
-    if initial.space.kind != "fixed_sector" or initial.space.n_total != params.n_total:
-        raise ContractViolationError("initial state must live on the parameter sector")
-    cur_dt, cur_stride = float(dt), int(sample_every)
-    last_error = None
-    for _ in range(max_refinements + 1):
-        try:
-            traj = _integrate_meanfield(initial, params, horizon, cur_dt,
-                                        cur_stride, tol)
-        except IntegrationFailureError as exc:
-            last_error = exc
-            cur_dt *= 0.5
-            cur_stride *= 2
-            continue
-        drift_ok = np.max(traj.norm_drift) <= NORM_DRIFT_TOL
-        fid_ok = np.min(traj.fidelity) >= 1.0 - FIDELITY_TOL
-        if drift_ok and fid_ok:
-            return traj
-        last_error = IntegrationFailureError(
-            f"invariants unmet at dt = {cur_dt} (norm drift "
-            f"{np.max(traj.norm_drift):.2e}, min fidelity {np.min(traj.fidelity)})")
-        cur_dt *= 0.5
-        cur_stride *= 2
-    raise last_error
-
-
-def _integrate_meanfield(initial, params, horizon, dt, sample_every, tol):
     space = initial.space
+    if space.kind != "fixed_sector" or space.n_total != params.n_total:
+        raise ContractViolationError("initial state must live on the parameter sector")
+    fid0 = jj.best_fit_product(initial)[2]
+    if fid0 < 1.0 - FIDELITY_TOL:
+        raise IntegrationFailureError(
+            f"initial product fidelity {fid0} is below 1 - {FIDELITY_TOL}")
     n_steps = _step_count(horizon, dt)
     step = horizon / n_steps if n_steps else 0.0
-    psi = initial.amplitudes.copy()
-    k = np.arange(space.dimension, dtype=float)
-    off = jj.tunneling_offdiagonal(params.n_total, params.lam)
-    times, n1s, raw_phi, drifts, energies, fids = [], [], [], [], [], []
+    jz = np.arange(space.dimension, dtype=float) - 0.5 * params.n_total
+    jx_off = jj.tunneling_offdiagonal(params.n_total, 1.0)
 
-    def record(t, vec):
-        state = fock.StateVector(space, vec / np.linalg.norm(vec))
-        n1 = jj.mean_n1(state)
-        z = jj.coherence(state)
-        _, _, fid = jj.best_fit_product(state)
-        if fid < 1.0 - FIDELITY_COLLAPSE:
-            raise IntegrationFailureError(
-                f"product fidelity collapsed to {fid} at t = {t} (step too large)")
+    def samples():
+        psi = initial.amplitudes
+        for t, u, v in _meanfield_rotations(initial, params, step, n_steps, sample_every):
+            psi = _rotate(psi, u, v, jz, jx_off)
+            norm = np.linalg.norm(psi)
+            yield t, fock.StateVector(space, psi / norm), abs(norm - 1.0)
+
+    traj = _measured(samples(), lambda st, n1, z: (
+        params.lam * z.real + 0.5 * params.e_c * (n1 - params.n_bar1) ** 2))
+    drift, fid = np.max(traj.norm_drift), np.min(traj.fidelity)
+    if not (drift <= NORM_DRIFT_TOL and fid >= 1.0 - FIDELITY_TOL):
+        raise IntegrationFailureError(
+            f"invariants unmet (norm drift {drift:.2e}, min fidelity {fid})")
+    return traj
+
+
+def _meanfield_rotations(initial, params, step, n_steps, sample_every):
+    """Yield (t, u, v) at t = 0 and at every output step: (u, v) is the first
+    column of the SU(2) matrix of the rotation since the previous output.
+
+    The Bloch vector (Re zeta, Im zeta, jz), zeta = <a1+ a2>, obeys
+    d<J>/dt = B x <J> with B = (lam, 0, E_C (jz + N/2 - nbar1)).  A Strang
+    step Rz(h/2) Rx(h) Rz(h/2) is exact, as jz stands still while z turns,
+    and the _YOSHIDA6 weights compose it to sixth order; the two z-turns
+    that meet between x-turns are merged.
+    """
+    zeta, jz = jj.coherence(initial), jj.mean_n1(initial) - 0.5 * params.n_total
+    shift = 0.5 * params.n_total - params.n_bar1
+    z_angles = [0.5 * (a + b) * step * params.e_c
+                for a, b in zip((0.0,) + _YOSHIDA6, _YOSHIDA6 + (0.0,))]
+    x_turns = [(math.cos(h), math.sin(h), math.cos(2.0 * h), math.sin(2.0 * h))
+               for h in (0.5 * w * step * params.lam for w in _YOSHIDA6)]
+    x_turns.append((1.0, 0.0, 1.0, 0.0))    # none after the last z-turn
+    u, v = 1.0 + 0.0j, 0.0j
+    yield 0.0, u, v
+    for s in range(n_steps):
+        for z_angle, (ch, sh, c, sn) in zip(z_angles, x_turns):
+            e = cmath.exp(0.5j * z_angle * (jz + shift))    # half angle
+            u, v, zeta = u * e.conjugate(), v * e, zeta * (e * e)
+            u, v = ch * u - 1j * sh * v, ch * v - 1j * sh * u
+            zeta, jz = complex(zeta.real, c * zeta.imag - sn * jz), sn * zeta.imag + c * jz
+        if (s + 1) % sample_every == 0 or s + 1 == n_steps:
+            yield (s + 1) * step, u, v
+            u, v = 1.0 + 0.0j, 0.0j
+
+
+def _rotate(psi, u, v, jz, jx_off):
+    """exp(-i theta n.J) psi for the SU(2) matrix exp(-i theta n.sigma / 2)
+    with first column (u, v) = (cos - i n_z sin, (n_y - i n_x) sin)(theta/2).
+    The gauge exp(-i phi Jz), phi = arg(n_x + i n_y), turns n.J into the
+    real tridiagonal n_z Jz + |n_xy| Jx."""
+    if u.real < 0.0:    # -U is the same rotation; the state gains a global phase
+        u, v = -u, -v
+    sin_half = math.hypot(abs(v), u.imag)
+    if sin_half == 0.0:
+        return psi
+    gauge = np.exp(1j * cmath.phase(1j * v) * jz)
+    return fock.tridiagonal_expm_apply(
+        (-u.imag / sin_half) * jz, (abs(v) / sin_half) * jx_off, gauge * psi,
+        2.0 * math.atan2(sin_half, u.real)) / gauge
+
+
+def _measured(samples, energy) -> Trajectory:
+    """Trajectory of (time, state, norm drift) samples, every column measured
+    on the state as it is given; energy(state, <n1>, <a1+ a2>)."""
+    times, n1s, raw_phi, drifts, energies, fids = [], [], [], [], [], []
+    for t, st, drift in samples:
+        n1, z = jj.mean_n1(st), jj.coherence(st)
         times.append(t)
         n1s.append(n1)
         raw_phi.append(np.angle(z) if abs(z) > COHERENCE_FLOOR else np.nan)
-        drifts.append(abs(np.linalg.norm(vec) - 1.0))
-        energies.append(params.lam * z.real
-                        + 0.5 * params.e_c * (n1 - params.n_bar1) ** 2)
-        fids.append(fid)
-
-    record(0.0, psi)
-    for s in range(n_steps):
-        n1 = float(k @ np.abs(psi) ** 2) / float(np.vdot(psi, psi).real)
-        half = fock.tridiagonal_expm_apply(
-            jj.charging_diagonal(params, "mean_field", n1), off, psi,
-            0.5 * step, tol)
-        n1_half = float(k @ np.abs(half) ** 2) / float(np.vdot(half, half).real)
-        psi = fock.tridiagonal_expm_apply(
-            jj.charging_diagonal(params, "mean_field", n1_half), off, psi,
-            step, tol)
-        if (s + 1) % sample_every == 0 or s + 1 == n_steps:
-            record((s + 1) * step, psi)
+        drifts.append(drift)
+        energies.append(energy(st, n1, z))
+        fids.append(jj.best_fit_product(st)[2])
     return Trajectory(times=np.array(times), n1=np.array(n1s),
                       phi=_unwrap_keeping_nans(np.array(raw_phi)),
                       norm_drift=np.array(drifts), energy=np.array(energies),
@@ -258,29 +285,11 @@ def evolve_exact(initial: fock.StateVector, params: jj.JJParams, horizon: float,
     hamiltonian = jj.build_jj_hamiltonian(params, space, kind, state=initial)
     times = [i * horizon / n_out for i in range(n_out + 1)] if n_out else [0.0]
     states = fock.evolve_unitary_sampled(initial, hamiltonian, times, tol)
-    n1s, raw_phi, drifts, energies, fids = [], [], [], [], []
-    for st in states:
-        n1s.append(jj.mean_n1(st))
-        z = jj.coherence(st)
-        raw_phi.append(np.angle(z) if abs(z) > COHERENCE_FLOOR else np.nan)
-        drifts.append(abs(st.norm() - 1.0))
-        energies.append(fock.expectation(st, hamiltonian).real)
-        fids.append(jj.best_fit_product(st)[2])
-    return Trajectory(times=np.array(times), n1=np.array(n1s),
-                      phi=_unwrap_keeping_nans(np.array(raw_phi)),
-                      norm_drift=np.array(drifts), energy=np.array(energies),
-                      fidelity=np.array(fids))
+    return _measured(((t, st, abs(st.norm() - 1.0)) for t, st in zip(times, states)),
+                     lambda st, n1, z: fock.expectation(st, hamiltonian).real)
 
 
 # -- classical pendulum --------------------------------------------------------
-
-# 6th-order Yoshida composition of the leapfrog (solution A); kept symplectic
-# so the energy error stays bounded instead of drifting.
-_W1 = -1.17767998417887
-_W2 = 0.235573213359357
-_W3 = 0.784513610477560
-_W0 = 1.0 - 2.0 * (_W1 + _W2 + _W3)
-_YOSHIDA6 = (_W3, _W2, _W1, _W0, _W1, _W2, _W3)
 
 
 def _pendulum_fixed_step(phi0, v0, omega, n_steps, dt, sample_every):
@@ -459,21 +468,12 @@ class ComparisonRecord:
     max_div_phi: float
 
     def rows(self) -> list[dict]:
-        out = []
-        for i, t in enumerate(self.times):
-            out.append({
-                "time": float(t),
-                "n1_exact": _none_if_nan(self.n1_exact[i]),
-                "n1_meanfield": _none_if_nan(self.n1_meanfield[i]),
-                "n1_pendulum": _none_if_nan(self.n1_pendulum[i]),
-                "phi_exact": _none_if_nan(self.phi_exact[i]),
-                "phi_meanfield": _none_if_nan(self.phi_meanfield[i]),
-                "phi_pendulum": _none_if_nan(self.phi_pendulum[i]),
-                "div_n1": _none_if_nan(self.div_n1[i]),
-                "div_phi": _none_if_nan(self.div_phi[i]),
-                "fidelity_exact": _none_if_nan(self.fidelity_exact[i]),
-            })
-        return out
+        columns = ("n1_exact", "n1_meanfield", "n1_pendulum", "phi_exact",
+                   "phi_meanfield", "phi_pendulum", "div_n1", "div_phi",
+                   "fidelity_exact")
+        return [{"time": float(t),
+                 **{c: _none_if_nan(getattr(self, c)[i]) for c in columns}}
+                for i, t in enumerate(self.times)]
 
 
 def model_compare(params: jj.JJParams, n0: float, phi0: float, horizon: float,
@@ -485,11 +485,8 @@ def model_compare(params: jj.JJParams, n0: float, phi0: float, horizon: float,
     the quantum runs start from the product configuration with label
     (locked label - phi0) and mean n0.  The pendulum starts at
     (phi0, E_C (n0 - nbar1)) with the matched linearized frequency.
-    Requires N <= COMPARE_N_LIMIT.
+    The exact run's fock.EIG_WORK_LIMIT bounds N.
     """
-    if params.n_total > COMPARE_N_LIMIT:
-        raise ContractViolationError(
-            f"model_compare supports N <= {COMPARE_N_LIMIT}, got {params.n_total}")
     omega_match = meanfield_matched_omega(params)
     rate = max(omega_match, abs(params.lam), 1e-12)
     if dt_out is None:

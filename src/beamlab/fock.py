@@ -18,9 +18,9 @@ boundary so simulations can verify the drop is negligible.
 
 Evolution under a fixed Hamiltonian uses one exact Hermitian
 eigendecomposition and one batched propagation to all output times; a
-restarted short-iterate Lanczos propagator serves the self-consistent
-stepping, where H changes every substep.  hbar = 1 throughout: times are
-inverse energies in the caller's unit.
+restarted short-iterate Lanczos propagator carries the self-consistent
+flow's SU(2) rotation from one output to the next in O(N) work.  hbar = 1
+throughout: times are inverse energies in the caller's unit.
 """
 
 from __future__ import annotations
@@ -47,10 +47,11 @@ EIG_WORK_LIMIT = 25_000_000
 
 def check_work(work, limit: float, what: str) -> None:
     """Raise ResourceLimitError unless `work` is within `limit`; callers check
-    before they allocate anything.  An infinite count fails too."""
+    before they allocate anything.  An infinite count fails too.  Six
+    significant digits tell a count just over the limit from the limit."""
     if not work <= limit:
-        shown = f"{work:.3g}" if work < 1e300 else "more than 1e300"
-        raise ResourceLimitError(f"{what} {shown} exceeds the limit {limit:.3g}")
+        shown = f"{work:.6g}" if work < 1e300 else "more than 1e300"
+        raise ResourceLimitError(f"{what} {shown} exceeds the limit {limit:.6g}")
 
 
 class FockSpace:
@@ -453,9 +454,9 @@ def tridiagonal_expm_apply(diag: np.ndarray, off: np.ndarray, vec: np.ndarray,
     """exp(-i t H) vec for a real symmetric tridiagonal H given by its
     diagonals, via the Lanczos propagator with a slice-based matvec.
 
-    This is the stepping kernel for self-consistent integrations, where H
-    is rebuilt every substep and a full eigendecomposition would dominate
-    the cost.
+    The self-consistent flow applies its rotation between two outputs
+    with it, once per output; each rotation is another H, for which a
+    full eigendecomposition would dominate the cost.
     """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(off, dtype=float)

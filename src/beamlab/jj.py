@@ -8,7 +8,7 @@ differ in the charging part:
 
 Everything is tridiagonal in the sector basis k = n1, so evolution uses
 the tridiagonal eigensolver, which reads that structure from the matrix,
-and the self-consistent stepping works on the two diagonals directly.
+and the self-consistent flow's rotations use the tridiagonal Lanczos kernel.
 
 E_C is taken directly as an input energy; nbar1 may be non-integer (it is
 an average).  With lam > 0 the phase-locked configuration of the tunneling

@@ -1,6 +1,8 @@
+import time
+
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.special import ellipk
 
 import beamlab.dynamics as dyn
@@ -125,8 +127,40 @@ def test_meanfield_rejects_non_product_initial():
     b = jj.product_state(30, 22.0, 0.0, space)
     cat = fock.StateVector(space, a.amplitudes + b.amplitudes, normalize=True)
     with pytest.raises(IntegrationFailureError):
-        dyn.evolve_meanfield(cat, params, horizon=1.0, dt=0.01,
-                             max_refinements=1)
+        dyn.evolve_meanfield(cat, params, horizon=1.0, dt=0.01)
+
+
+def test_meanfield_matches_the_full_nonlinear_equation():
+    # oracle: i psi' = H[psi] psi integrated on the whole sector by DOP853,
+    # H[psi] rebuilt from the state at every evaluation
+    params = jj.JJParams(e_c=0.7, lam=0.4, n_total=30, n_bar1=13.0)
+    initial = displaced_initial(params, 0.9, n0=17.0)
+    space = initial.space
+
+    def rhs(t, psi):
+        state = fock.StateVector(space, psi, normalize=True)
+        return -1j * jj.build_jj_hamiltonian(params, space, "mean_field",
+                                             state).apply(psi)
+
+    traj = dyn.evolve_meanfield(initial, params, horizon=6.0, dt=0.01,
+                                sample_every=20)
+    sol = solve_ivp(rhs, (0.0, 6.0), initial.amplitudes, method="DOP853",
+                    t_eval=traj.times, rtol=1e-12, atol=1e-12)
+    want = [fock.StateVector(space, psi, normalize=True) for psi in sol.y.T]
+    n1 = np.array([jj.mean_n1(st) for st in want])
+    phi = np.unwrap([np.angle(jj.coherence(st)) for st in want])
+    assert np.max(np.abs(traj.n1 - n1)) <= 1e-8
+    assert np.max(np.abs(traj.phi - phi)) <= 1e-8
+    assert np.ptp(traj.n1) > 1.0                      # the flow does move
+    assert np.max(np.abs(traj.energy - traj.energy[0])) <= 1e-10 * abs(traj.energy[0])
+
+
+def test_meanfield_checks_its_invariants_after_the_run(monkeypatch):
+    params = canonical_params()
+    initial = displaced_initial(params, 0.3)
+    monkeypatch.setattr(dyn, "NORM_DRIFT_TOL", -1.0)
+    with pytest.raises(IntegrationFailureError, match="norm drift"):
+        dyn.evolve_meanfield(initial, params, horizon=1.0, dt=0.01)
 
 
 def test_meanfield_argument_validation():
@@ -279,9 +313,15 @@ def test_model_compare_strong_charging_dichotomy():
 
 
 def test_model_compare_requires_dense_path():
+    # the exact run's eigendecomposition budget is the only size limit
     params = jj.JJParams(e_c=0.1, lam=0.1, n_total=2500, n_bar1=1250.0)
-    with pytest.raises(ContractViolationError):
-        dyn.model_compare(params, n0=1250.0, phi0=0.1, horizon=1.0)
+    rec = dyn.model_compare(params, n0=1250.0, phi0=0.1, horizon=1.0)
+    assert rec.div_n1[0] <= 1e-9
+    params = jj.JJParams(e_c=0.1, lam=0.1, n_total=5000, n_bar1=2500.0)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        dyn.model_compare(params, n0=2500.0, phi0=0.1, horizon=1.0)
+    assert time.perf_counter() - start < 1.0
 
 
 # -- fluctuation scan --------------------------------------------------------------

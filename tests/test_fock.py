@@ -460,3 +460,10 @@ def test_eigendecomposition_beyond_the_budget_is_refused_at_once(monkeypatch):
     over = _sector_hamiltonian(10)
     with pytest.raises(ResourceLimitError):
         fock.evolve_unitary(fock.basis_state(over.space, (5, 5)), over, 1.0)
+
+
+def test_budget_message_tells_the_count_from_the_limit():
+    # N = 5000: (N + 1)^2 = 25,010,001 against the limit 25,000,000
+    with pytest.raises(ResourceLimitError,
+                       match=r"^dimension\^2 2\.501e\+07 exceeds the limit 2\.5e\+07$"):
+        fock.check_work(25_010_001, 25_000_000, "dimension^2")
