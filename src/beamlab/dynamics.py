@@ -29,6 +29,7 @@ Conventions (frozen):
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -47,9 +48,10 @@ NORM_DRIFT_TOL = 1e-9
 FIDELITY_TOL = 1e-6
 
 # Work budgets, checked before a run allocates anything.  A step of the
-# pendulum keeps two Python floats (about 64 bytes); an exact-model output
-# keeps a state of 16 bytes per basis state, and the batched propagation
-# holds one more array of that size while it runs (320 MB at the limit).
+# pendulum keeps two Python floats (about 64 bytes).  The quantum models
+# propagate and measure their outputs in blocks of fock.OUTPUT_CHUNK_WORK
+# (2^16) states x dimension, 1 MB, and keep six numbers per output, so the
+# output budget bounds their run time rather than their memory.
 STEP_LIMIT = 10_000_000
 OUTPUT_WORK_LIMIT = 10_000_000
 
@@ -195,9 +197,16 @@ def evolve_meanfield(initial: fock.StateVector, params: jj.JJParams, horizon: fl
         for t, u, v in _meanfield_rotations(initial, params, step, n_steps, sample_every):
             psi = _rotate(psi, u, v, jz, jx_off)
             norm = np.linalg.norm(psi)
-            yield t, fock.StateVector(space, psi / norm), abs(norm - 1.0)
+            yield t, psi / norm, abs(norm - 1.0)
 
-    traj = _measured(samples(), lambda st, n1, z: (
+    def chunks():
+        outputs = samples()
+        width = max(fock.OUTPUT_CHUNK_WORK // space.dimension, 1)
+        while block := list(itertools.islice(outputs, width)):
+            t, psi, drift = zip(*block)
+            yield np.array(t), np.array(psi).T, np.array(drift)
+
+    traj = _measured(chunks(), lambda psi, n1, z: (
         params.lam * z.real + 0.5 * params.e_c * (n1 - params.n_bar1) ** 2))
     drift, fid = np.max(traj.norm_drift), np.min(traj.fidelity)
     if not (drift <= NORM_DRIFT_TOL and fid >= 1.0 - FIDELITY_TOL):
@@ -252,22 +261,26 @@ def _rotate(psi, u, v, jz, jx_off):
         2.0 * math.atan2(sin_half, u.real)) / gauge
 
 
-def _measured(samples, energy) -> Trajectory:
-    """Trajectory of (time, state, norm drift) samples, every column measured
-    on the state as it is given; energy(state, <n1>, <a1+ a2>)."""
-    times, n1s, raw_phi, drifts, energies, fids = [], [], [], [], [], []
-    for t, st, drift in samples:
-        n1, z = jj.mean_n1(st), jj.coherence(st)
-        times.append(t)
-        n1s.append(n1)
-        raw_phi.append(np.angle(z) if abs(z) > COHERENCE_FLOOR else np.nan)
-        drifts.append(drift)
-        energies.append(energy(st, n1, z))
-        fids.append(jj.best_fit_product(st)[2])
-    return Trajectory(times=np.array(times), n1=np.array(n1s),
-                      phi=_unwrap_keeping_nans(np.array(raw_phi)),
-                      norm_drift=np.array(drifts), energy=np.array(energies),
-                      fidelity=np.array(fids))
+def _measured(chunks, energy) -> Trajectory:
+    """Trajectory of (times, psi, drift) chunks: psi is a (dimension, outputs)
+    block of states, every column measured as it is given, and drift the
+    columns' norm drift (None: their own |norm - 1|).  A column whose norm
+    misses 1 by more than 1e-12 raises ContractViolationError.  energy(psi,
+    <n1>, <a1+ a2>) gives a block's energy column; phi is unwrapped once,
+    over the whole run."""
+    columns = []
+    for t, psi, drift in chunks:
+        norm, n1, z = jj.sector_moments(psi)
+        deviation = np.abs(norm - 1.0)
+        if not np.all(deviation <= 1e-12):
+            raise ContractViolationError(
+                f"state norm deviates from 1 by {np.max(deviation)!r} > 1e-12")
+        columns.append((t, n1, np.where(np.abs(z) > COHERENCE_FLOOR, np.angle(z), np.nan),
+                        deviation if drift is None else drift, energy(psi, n1, z),
+                        jj.product_fit(psi, n1, z)[2]))
+    times, n1s, raw_phi, drifts, energies, fids = map(np.concatenate, zip(*columns))
+    return Trajectory(times=times, n1=n1s, phi=_unwrap_keeping_nans(raw_phi),
+                      norm_drift=drifts, energy=energies, fidelity=fids)
 
 
 # -- exact evolution -----------------------------------------------------------
@@ -284,9 +297,9 @@ def evolve_exact(initial: fock.StateVector, params: jj.JJParams, horizon: float,
                         "outputs x dimension")
     hamiltonian = jj.build_jj_hamiltonian(params, space, kind, state=initial)
     times = [i * horizon / n_out for i in range(n_out + 1)] if n_out else [0.0]
-    states = fock.evolve_unitary_sampled(initial, hamiltonian, times, tol)
-    return _measured(((t, st, abs(st.norm() - 1.0)) for t, st in zip(times, states)),
-                     lambda st, n1, z: fock.expectation(st, hamiltonian).real)
+    chunks = fock.evolve_unitary_chunks(initial, hamiltonian, times, tol)
+    return _measured(((t, psi, None) for t, psi in chunks), lambda psi, n1, z: (
+        np.sum(np.conj(psi) * hamiltonian.apply(psi), axis=0).real))
 
 
 # -- classical pendulum --------------------------------------------------------

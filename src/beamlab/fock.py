@@ -17,15 +17,16 @@ Any amplitude an operator would push above a truncation cutoff is dropped;
 boundary so simulations can verify the drop is negligible.
 
 Evolution under a fixed Hamiltonian uses one exact Hermitian
-eigendecomposition and one batched propagation to all output times; a
-restarted short-iterate Lanczos propagator carries the self-consistent
-flow's SU(2) rotation from one output to the next in O(N) work.  hbar = 1
+eigendecomposition and batched propagation to the output times, a block
+of OUTPUT_CHUNK_WORK entries at a time; a restarted short-iterate Lanczos
+propagator carries the self-consistent flow's SU(2) rotation from one
+output to the next in O(N) work.  hbar = 1
 throughout: times are inverse energies in the caller's unit.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,6 +44,9 @@ HERMITIAN_TOL = 1e-12
 # Work budget of one eigendecomposition in dimension^2: it holds 8 to 16
 # bytes per entry for the eigenvectors, plus a dense copy unless tridiagonal.
 EIG_WORK_LIMIT = 25_000_000
+# Entries (dimension x output times) of one propagated block; a block holds
+# 16 bytes per entry, so 1 MB, whatever the number of outputs.
+OUTPUT_CHUNK_WORK = 2 ** 16
 
 
 def check_work(work, limit: float, what: str) -> None:
@@ -398,13 +402,26 @@ def evolve_unitary(state: StateVector, hamiltonian: LinearOperator, t: float,
 
 def evolve_unitary_sampled(state: StateVector, hamiltonian: LinearOperator,
                            times: Iterable[float], tol: float = 1e-10) -> list[StateVector]:
-    """States exp(-i H t)|psi> at the given non-decreasing, finite times.
+    """States exp(-i H t)|psi> at the given non-decreasing, finite times,
+    one per column of the :func:`evolve_unitary_chunks` blocks."""
+    return [StateVector(state.space, psi[:, j])
+            for _, psi in evolve_unitary_chunks(state, hamiltonian, times, tol)
+            for j in range(psi.shape[1])]
 
-    Every output comes from t = 0 through the eigendecomposition of H, all
-    times in one matrix product, so no error accumulates from step to step.
-    `tol` must be positive; the eigendecomposition leaves only roundoff,
-    with no truncation error for it to bound.  Raises ResourceLimitError
-    when dimension^2 exceeds EIG_WORK_LIMIT.
+
+def evolve_unitary_chunks(state: StateVector, hamiltonian: LinearOperator,
+                          times: Iterable[float], tol: float = 1e-10
+                          ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (times, psi) blocks in time order: psi is (dimension, outputs),
+    column j is exp(-i H times[j])|psi>, and a block holds about
+    OUTPUT_CHUNK_WORK entries (at least one output).
+
+    Every output comes from t = 0 through the eigendecomposition of H, the
+    times of a block in one matrix product, so no error accumulates from
+    step to step.  `tol` must be positive; the eigendecomposition leaves
+    only roundoff, with no truncation error for it to bound.  The arguments
+    are checked, and the eigendecomposition done, before this returns;
+    raises ResourceLimitError when dimension^2 exceeds EIG_WORK_LIMIT.
     """
     if tol <= 0:
         raise ContractViolationError("tol must be positive")
@@ -418,8 +435,10 @@ def evolve_unitary_sampled(state: StateVector, hamiltonian: LinearOperator,
         raise ContractViolationError("output times must be non-decreasing")
     w, v = _eigendecomposition(hamiltonian)
     c0 = _real_or_complex_matmul(v.conj().T, state.amplitudes[:, None])
-    psi = _real_or_complex_matmul(v, np.exp(-1j * np.outer(w, times)) * c0)
-    return [StateVector(state.space, psi[:, j]) for j in range(len(times))]
+    width = max(OUTPUT_CHUNK_WORK // state.space.dimension, 1)
+    blocks = (times[i:i + width] for i in range(0, len(times), width))
+    return ((t, _real_or_complex_matmul(v, np.exp(-1j * np.outer(w, t)) * c0))
+            for t in blocks)
 
 
 def _real_or_complex_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -20,6 +20,10 @@ The coherent product configuration with n pairs (on average) on electrode
 1 and relative phase label phi distributes each of N pairs over the two
 electrode modes; its number statistics are binomial, Var(n1) = N p (1-p)
 with p = n/N.
+
+Trajectories are measured a block of states at a time, one state per
+column (`sector_moments`, `product_fit`); `mean_n1`, `coherence` and
+`best_fit_product` are their calls on a single state.
 """
 
 from __future__ import annotations
@@ -83,24 +87,35 @@ def sector_space(params: JJParams) -> fock.FockSpace:
     return fock.FockSpace.fixed_sector(params.n_total)
 
 
-def binomial_weights(n_total: int, p: float) -> np.ndarray:
-    """Binomial pmf over k = 0..N, built by the multiplicative recurrence
-    from the mode in extended precision.
+def binomial_weights(n_total: int, p) -> np.ndarray:
+    """Binomial pmf over k = 0..N for a scalar p, or one column per entry of
+    a vector p, shape (N + 1, len(p)).
 
-    Accurate to ~N*eps_longdouble relatively, so the number moments of the
-    product configuration reproduce the binomial identities to ~1e-12 even
-    at N of a few thousand (a log-gamma construction loses four orders).
+    Each column is built outward from its mode in extended precision, by a
+    masked cumulative product of the recurrence ratios up and down, so it
+    stays inside the longdouble range for N up to 1e6 and is accurate to
+    ~N*eps_longdouble relatively: the number moments of the product
+    configuration reproduce the binomial identities to ~1e-12 even at N of
+    a few thousand (a log-gamma construction loses four orders).  Every sum
+    runs along one column alone, so a column is the same whatever else is
+    in the batch.  p = 0 and p = 1 give the Fock states.
     """
-    w = np.zeros(n_total + 1, dtype=np.longdouble)
-    k0 = min(int(p * (n_total + 1)), n_total)
-    w[k0] = 1.0
-    ratio = np.longdouble(p) / np.longdouble(1.0 - p)
-    for k in range(k0, n_total):        # upward: w_{k+1}/w_k
-        w[k + 1] = w[k] * ratio * np.longdouble(n_total - k) / np.longdouble(k + 1)
-    for k in range(k0, 0, -1):          # downward: w_{k-1}/w_k
-        w[k - 1] = w[k] / ratio * np.longdouble(k) / np.longdouble(n_total - k + 1)
-    w /= w.sum()
-    return w.astype(float)
+    ps = np.atleast_1d(np.asarray(p, dtype=float))
+    k = np.arange(n_total, dtype=np.longdouble)        # the step k -> k + 1
+    above = k >= np.minimum((ps * (n_total + 1)).astype(int), n_total)[:, None]
+    w = np.ones((len(ps), n_total + 1), dtype=np.longdouble)
+    with np.errstate(divide="ignore"):
+        ratio = (ps.astype(np.longdouble) / (1.0 - ps).astype(np.longdouble))[:, None]
+        f = ratio * (n_total - k)
+        f /= k + 1                                     # w[k + 1] / w[k]
+        f[~above] = 1
+        np.cumprod(f, axis=1, out=w[:, 1:])
+        np.multiply(ratio, n_total - k, out=f)
+        np.divide(k + 1, f, out=f)                     # w[k] / w[k + 1]
+    f[above] = 1
+    w[:, :-1] *= np.cumprod(f[:, ::-1], axis=1)[:, ::-1]
+    w /= w.sum(axis=1, keepdims=True)
+    return w[0].astype(float) if np.ndim(p) == 0 else w.astype(float).T
 
 
 def product_state(n_total: int, n: float, phi: float,
@@ -174,36 +189,68 @@ def build_jj_hamiltonian(params: JJParams, space: fock.FockSpace, kind: str,
     return fock.LinearOperator(space, matrix, hermitian=True, _skip_check=True)
 
 
+def sector_moments(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Norm, <n1> and <a1+ a2> of every column of a (N + 1, columns) block
+    of sector states, each measured on the column as it is given.
+
+    Each column is summed on its own, as a contiguous row, in one order
+    whatever the block width.
+    """
+    rows = np.ascontiguousarray(psi.T)
+    n_tot = rows.shape[1] - 1
+    k = np.arange(n_tot + 1, dtype=float)
+    prob = np.abs(rows) ** 2
+    # <a1+ a2> = sum_k conj(psi_{k+1}) psi_k sqrt((k+1)(N-k))
+    amp = np.sqrt((k[:-1] + 1.0) * (n_tot - k[:-1]))
+    return (np.sqrt(np.sum(prob, axis=1)), np.sum(prob * k, axis=1),
+            np.sum(np.conj(rows[:, 1:]) * rows[:, :-1] * amp, axis=1))
+
+
+def product_fit(psi: np.ndarray, n1: np.ndarray, z: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Moment-matched member of the product family for every column of a
+    (N + 1, columns) block, given the columns' <n1> and <a1+ a2>.
+
+    Returns arrays (n_fit, phi_fit, fidelity): n_fit is <n1> clamped to
+    [0, N] (an endpoint is the Fock state), phi_fit = -arg<a1+ a2> (0 where
+    |<a1+ a2>| <= 1e-12), and fidelity the squared overlap with the
+    normalized product state |n_fit, phi_fit>, at most 1.  Like the
+    moments, a column's result does not depend on the rest of the block.
+    """
+    rows = np.ascontiguousarray(psi.T)
+    n_tot = rows.shape[1] - 1
+    n_fit = np.clip(n1, 0.0, float(n_tot))
+    phi_fit = np.where(np.abs(z) > 1e-12, -np.angle(z), 0.0)
+    weights = binomial_weights(n_tot, n_fit / max(n_tot, 1)).T
+    fit = np.sqrt(weights) * np.exp(1j * np.outer(phi_fit, np.arange(n_tot + 1)))
+    overlap = np.sum(np.conj(fit) * rows, axis=1)
+    fid = np.abs(overlap) ** 2 / np.sum(weights, axis=1)
+    return n_fit, phi_fit, np.minimum(fid, 1.0)
+
+
+def _sector_column(state: fock.StateVector, what: str) -> np.ndarray:
+    if state.space.kind != "fixed_sector":
+        raise ContractViolationError(f"{what}() expects a sector state")
+    return state.amplitudes[:, None]
+
+
 def coherence(state: fock.StateVector) -> complex:
     """<a1+ a2> on a sector state; its argument is the extracted relative phase."""
-    space = state.space
-    if space.kind != "fixed_sector":
-        raise ContractViolationError("coherence() expects a sector state")
-    n_tot = space.n_total
-    k = np.arange(n_tot, dtype=float)
-    amp = np.sqrt((k + 1.0) * (n_tot - k))
-    psi = state.amplitudes
-    # <a1+ a2> = sum_k conj(psi_{k+1}) psi_k sqrt((k+1)(N-k))
-    return complex(np.sum(np.conj(psi[1:]) * psi[:-1] * amp))
+    return complex(sector_moments(_sector_column(state, "coherence"))[2][0])
 
 
 def mean_n1(state: fock.StateVector) -> float:
-    k = np.arange(state.space.n_total + 1, dtype=float)
-    return float(k @ state.probabilities())
+    return float(sector_moments(_sector_column(state, "mean_n1"))[1][0])
 
 
 def best_fit_product(state: fock.StateVector) -> tuple[float, float, float]:
-    """Moment-matched member of the product family and the squared overlap.
+    """Moment-matched member of the product family and the squared overlap:
+    :func:`product_fit` of the one state.
 
     Returns (n_fit, phi_fit, fidelity).  For an exact product state the
     match is exact: n_fit = <n1> and phi_fit = -arg<a1+ a2> recover the
     construction labels and the fidelity is 1 up to roundoff.
     """
-    space = state.space
-    n_tot = space.n_total
-    n_fit = min(max(mean_n1(state), 0.0), float(n_tot))
-    z = coherence(state)
-    phi_fit = -float(np.angle(z)) if abs(z) > 1e-12 else 0.0
-    fit = product_state(n_tot, n_fit, phi_fit, space)
-    fid = abs(fit.overlap(state)) ** 2
-    return n_fit, phi_fit, float(min(fid, 1.0))
+    psi = _sector_column(state, "best_fit_product")
+    n_fit, phi_fit, fid = product_fit(psi, *sector_moments(psi)[1:])
+    return float(n_fit[0]), float(phi_fit[0]), float(fid[0])

@@ -384,3 +384,63 @@ def test_work_budgets_refuse_before_running():
         dyn.pendulum_trajectory(0.1, 0.0, 1.0, 1.0, 1.0 / (dyn.STEP_LIMIT + 1))
     with pytest.raises(ResourceLimitError):
         dyn.model_compare(params, 3.0, 0.0, 1e308)
+
+
+def test_measured_block_matches_single_states_and_keeps_its_nans():
+    # random sector states, then |0, N>, |N, 0> and a state on even k only,
+    # the last three with <a1+ a2> = 0
+    n_total = 20
+    rng = np.random.default_rng(5)
+    psi = rng.standard_normal((n_total + 1, 7)) + 1j * rng.standard_normal((n_total + 1, 7))
+    even = np.where(np.arange(n_total + 1) % 2 == 0, rng.standard_normal(n_total + 1), 0)
+    edges = np.stack([np.eye(n_total + 1)[0], np.eye(n_total + 1)[-1], even], axis=1)
+    psi = np.concatenate([psi, edges], axis=1)
+    psi /= np.linalg.norm(psi, axis=0)
+    times = np.arange(psi.shape[1], dtype=float)
+    traj = dyn._measured([(times[:4], psi[:, :4], None), (times[4:], psi[:, 4:], None)],
+                         lambda block, n1, z: n1)
+    space = fock.FockSpace.fixed_sector(n_total)
+    states = [fock.StateVector(space, psi[:, j]) for j in range(psi.shape[1])]
+    z = np.array([jj.coherence(st) for st in states])
+    assert np.array_equal(np.isnan(traj.phi), np.abs(z) <= dyn.COHERENCE_FLOOR)
+    assert np.sum(np.isnan(traj.phi)) == 3
+    assert np.allclose(traj.n1, [jj.mean_n1(st) for st in states], rtol=0, atol=1e-12)
+    assert np.allclose(traj.fidelity, [jj.best_fit_product(st)[2] for st in states],
+                       rtol=0, atol=1e-12)
+    assert np.all(traj.norm_drift <= 1e-15)
+
+
+def test_exact_run_refuses_a_column_off_the_unit_sphere(monkeypatch):
+    params = jj.JJParams(e_c=0.4, lam=0.3, n_total=30, n_bar1=15.0)
+    initial = displaced_initial(params, 0.3)
+    chunks = fock.evolve_unitary_chunks
+
+    def one_column_stretched(*args, **kwargs):
+        for i, (times, psi) in enumerate(chunks(*args, **kwargs)):
+            if i == 1:
+                psi[:, -1] *= 1.0 + 1e-9
+            yield times, psi
+
+    dyn.evolve_exact(initial, params, horizon=2.0, dt_out=0.05)
+    monkeypatch.setattr(fock, "OUTPUT_CHUNK_WORK", 31 * 10)
+    monkeypatch.setattr(fock, "evolve_unitary_chunks", one_column_stretched)
+    with pytest.raises(ContractViolationError, match="norm deviates"):
+        dyn.evolve_exact(initial, params, horizon=2.0, dt_out=0.05)
+
+
+def test_trajectories_do_not_depend_on_the_output_chunk(monkeypatch):
+    params = jj.JJParams(e_c=0.4, lam=0.3, n_total=30, n_bar1=15.0)
+    initial = displaced_initial(params, 0.3, n0=17.0)
+    runs = []
+    for work in (fock.OUTPUT_CHUNK_WORK, 31, 31 * 7):
+        monkeypatch.setattr(fock, "OUTPUT_CHUNK_WORK", work)
+        runs.append((dyn.evolve_exact(initial, params, 3.0, 0.05),
+                     dyn.evolve_meanfield(initial, params, 3.0, 0.005, sample_every=10)))
+    (exact, mf), others = runs[0], runs[1:]
+    for other_exact, other_mf in others:
+        for name in ("times", "n1", "phi", "norm_drift", "energy", "fidelity"):
+            # measurement runs along each column alone; only the propagation's
+            # matrix product may round differently for another block width
+            assert np.allclose(getattr(other_exact, name), getattr(exact, name),
+                               rtol=1e-13, atol=1e-13), name
+            assert np.array_equal(getattr(other_mf, name), getattr(mf, name)), name

@@ -357,6 +357,26 @@ def test_evolve_sampled_matches_single_calls():
         assert np.max(np.abs(snap.amplitudes - direct.amplitudes)) < 1e-10
 
 
+def test_propagation_comes_in_bounded_blocks(monkeypatch):
+    space = fock.FockSpace.fixed_sector(9)
+    hop = fock.hopping_operator(space, 0, 1)
+    h = (0.7 * (hop + hop.dagger())).marked_hermitian()
+    state = fock.basis_state(space, (3, 6))
+    times = np.linspace(0.0, 2.0, 23)
+    # the arguments are checked when the blocks are asked for, not when read
+    with pytest.raises(ContractViolationError):
+        fock.evolve_unitary_chunks(state, h, times[::-1])
+    monkeypatch.setattr(fock, "OUTPUT_CHUNK_WORK", 10 * 4 + 3)
+    blocks = list(fock.evolve_unitary_chunks(state, h, times))
+    assert [len(t) for t, _ in blocks] == [4, 4, 4, 4, 4, 3]
+    assert all(psi.shape == (10, len(t)) for t, psi in blocks)
+    assert np.array_equal(np.concatenate([t for t, _ in blocks]), times)
+    psi = np.concatenate([psi for _, psi in blocks], axis=1)
+    for j, t in enumerate(times):
+        direct = fock.evolve_unitary(state, h, t)
+        assert np.max(np.abs(psi[:, j] - direct.amplitudes)) < 1e-13
+
+
 def test_boundary_weight_monitor():
     space = fock.FockSpace.truncated([8, 8])
     hop = fock.hopping_operator(space, 0, 1)

@@ -219,3 +219,69 @@ def test_coherence_and_best_fit_roundtrip():
     assert n_fit == pytest.approx(17.0, abs=1e-10)
     assert phi_fit == pytest.approx(-1.2, abs=1e-12)
     assert fid == pytest.approx(1.0, abs=1e-12)
+
+
+def test_vector_binomial_weights_match_the_pmf_and_the_scalar_call():
+    from scipy.stats import binom
+
+    ps = np.array([1e-3, 0.013, 0.3, 0.5, 0.77, 0.999])
+    for n_total in (1, 2, 7, 200, 1999, 20000):
+        block = jj.binomial_weights(n_total, ps)
+        assert block.shape == (n_total + 1, len(ps))
+        k = np.arange(n_total + 1)
+        for j, p in enumerate(ps):
+            # bit for bit, so a fidelity never depends on its batch
+            assert np.array_equal(jj.binomial_weights(n_total, p), block[:, j])
+            want = binom.pmf(k, n_total, p)
+            seen = want > 1e-200
+            rel = np.abs(block[seen, j] - want[seen]) / want[seen]
+            assert np.max(rel) <= 1e-12, (n_total, p)
+    assert np.array_equal(jj.binomial_weights(5, np.array([0.0, 1.0])),
+                          np.eye(6)[:, [0, 5]])
+
+
+def _sector_block(n_total, columns, seed):
+    """Random normalized sector states as columns, then three edge columns:
+    |0, N>, |N, 0> and a state on even k only, whose <a1+ a2> is 0."""
+    rng = np.random.default_rng(seed)
+    psi = (rng.standard_normal((n_total + 1, columns))
+           + 1j * rng.standard_normal((n_total + 1, columns)))
+    even = np.zeros(n_total + 1, dtype=complex)
+    even[::2] = rng.standard_normal(len(even[::2]))
+    edges = np.stack([np.eye(n_total + 1)[0], np.eye(n_total + 1)[-1], even], axis=1)
+    psi = np.concatenate([psi, edges], axis=1)
+    return psi / np.linalg.norm(psi, axis=0)
+
+
+def test_block_measurement_matches_single_states_and_an_independent_oracle():
+    from scipy.stats import binom
+
+    n_total = 30
+    psi = _sector_block(n_total, 9, seed=11)
+    space = fock.FockSpace.fixed_sector(n_total)
+    norm, n1, z = jj.sector_moments(psi)
+    n_fit, phi_fit, fid = jj.product_fit(psi, n1, z)
+    k = np.arange(n_total + 1)
+    amp = np.sqrt((k[:-1] + 1.0) * (n_total - k[:-1]))
+    for j in range(psi.shape[1]):
+        # a column measures the same alone as in the block, bit for bit
+        state = fock.StateVector(space, psi[:, j])
+        assert n1[j] == jj.mean_n1(state)
+        assert z[j] == jj.coherence(state)
+        assert (n_fit[j], phi_fit[j], fid[j]) == jj.best_fit_product(state)
+        # oracle: explicit sums and the scipy pmf
+        col = psi[:, j]
+        want_n1 = sum(kk * abs(a) ** 2 for kk, a in enumerate(col))
+        want_z = np.vdot(col[1:], col[:-1] * amp)
+        assert abs(norm[j] - 1.0) <= 1e-12
+        assert abs(n1[j] - want_n1) <= 1e-12
+        assert abs(z[j] - want_z) <= 1e-12
+        phi = -np.angle(want_z) if abs(want_z) > 1e-12 else 0.0
+        weights = binom.pmf(k, n_total, min(max(want_n1, 0.0), n_total) / n_total)
+        want_fid = abs(np.vdot(np.sqrt(weights) * np.exp(1j * k * phi), col)) ** 2
+        assert abs(fid[j] - want_fid) <= 1e-12
+    # the edge columns: Fock endpoints fit exactly, and the even-k state
+    # has no coherence, so its phase label is 0
+    assert np.array_equal(n_fit[-3:-1], [0.0, n_total])
+    assert np.allclose(fid[-3:-1], 1.0, atol=1e-15)
+    assert np.all(np.abs(z[-3:]) < 1e-12) and np.all(phi_fit[-3:] == 0.0)
