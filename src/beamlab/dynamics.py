@@ -6,7 +6,9 @@ Three dynamical models run from matched initial data:
 * the self-consistent (state-dependent) flow, which is linear in the SU(2)
   generators and so reduces exactly to one rotation of the state driven
   by its Bloch vector (the (z, phi) equations of the bosonic junction);
-  a sixth-order composition of exact rotations integrates it,
+  a sixth-order composition of exact rotations integrates the rotation,
+  and its Euler angles turn the initial state through one fixed Jx
+  eigendecomposition,
 * the classical pendulum  phidd = -omega^2 sin(phi).
 
 Conventions (frozen):
@@ -49,9 +51,10 @@ FIDELITY_TOL = 1e-6
 
 # Work budgets, checked before a run allocates anything.  A step of the
 # pendulum keeps two Python floats (about 64 bytes).  The quantum models
-# propagate and measure their outputs in blocks of fock.OUTPUT_CHUNK_WORK
-# (2^16) states x dimension, 1 MB, and keep six numbers per output, so the
-# output budget bounds their run time rather than their memory.
+# hold one fock.EIG_WORK_LIMIT eigendecomposition, propagate and measure
+# their outputs in blocks of fock.OUTPUT_CHUNK_WORK (2^16) states x
+# dimension, 1 MB, and keep six numbers per output, so the output budget
+# bounds their run time rather than their memory.
 STEP_LIMIT = 10_000_000
 OUTPUT_WORK_LIMIT = 10_000_000
 
@@ -170,16 +173,23 @@ def evolve_meanfield(initial: fock.StateVector, params: jj.JJParams, horizon: fl
     """Integrate the state-dependent flow i d|psi>/dt = H[psi]|psi>.
 
     Up to a constant H[psi] = E_C (<Jz> + N/2 - nbar1) Jz + lam Jx, with
-    Jz = n1 - N/2, so the flow is one SU(2) rotation (`_meanfield_rotations`);
-    it is applied to the carried vector at every output step, and every
-    column is measured on that vector.  Raises IntegrationFailureError when
-    the initial state is off the product family, or when the run's norm
-    drift or product fidelity misses NORM_DRIFT_TOL or FIDELITY_TOL.
+    Jz = n1 - N/2, so the flow is one SU(2) rotation U(t)
+    (`_meanfield_rotations`).  Every output is
+    exp(-i alpha Jz) exp(-i beta Jx) exp(-i gamma Jz)|psi0>, with
+    (alpha, beta, gamma) the Euler angles of U(t) and the Jx turn taken
+    through one cached eigendecomposition of the fixed real tridiagonal
+    Jx, whose budget fock.EIG_WORK_LIMIT bounds N, while OUTPUT_WORK_LIMIT
+    bounds outputs x (N + 1); every column is measured on the propagated
+    vector.  Raises IntegrationFailureError when the initial state is off
+    the product family, or when the run's norm drift or product fidelity
+    misses NORM_DRIFT_TOL or FIDELITY_TOL.
     """
     if dt <= 0:
         raise ContractViolationError("dt must be positive")
     if horizon < 0:
         raise ContractViolationError("horizon must be >= 0")
+    if sample_every < 1:
+        raise ContractViolationError("sample_every must be >= 1")
     space = initial.space
     if space.kind != "fixed_sector" or space.n_total != params.n_total:
         raise ContractViolationError("initial state must live on the parameter sector")
@@ -189,22 +199,30 @@ def evolve_meanfield(initial: fock.StateVector, params: jj.JJParams, horizon: fl
             f"initial product fidelity {fid0} is below 1 - {FIDELITY_TOL}")
     n_steps = _step_count(horizon, dt)
     step = horizon / n_steps if n_steps else 0.0
+    # outputs counted as evolve_exact counts them, t = 0 aside
+    fock.check_work(n_steps / sample_every * space.dimension, OUTPUT_WORK_LIMIT,
+                    "outputs x dimension")
     jz = np.arange(space.dimension, dtype=float) - 0.5 * params.n_total
-    jx_off = jj.tunneling_offdiagonal(params.n_total, 1.0)
+    hop = fock.hopping_operator(space, 0, 1)
+    jx = (0.5 * (hop + hop.dagger())).marked_hermitian()
+    fock._eigendecomposition(jx)        # budget checked before the rotations run
+    rotations = _meanfield_rotations(initial, params, step, n_steps, sample_every)
+    width = max(fock.OUTPUT_CHUNK_WORK // space.dimension, 1)
 
-    def samples():
-        psi = initial.amplitudes
-        for t, u, v in _meanfield_rotations(initial, params, step, n_steps, sample_every):
-            psi = _rotate(psi, u, v, jz, jx_off)
-            norm = np.linalg.norm(psi)
-            yield t, psi / norm, abs(norm - 1.0)
+    def turned(rot):
+        # U = Rz(alpha) Rx(beta) Rz(gamma) has first column
+        # (e^{-i(alpha+gamma)/2} cos(beta/2), -i e^{i(alpha-gamma)/2} sin(beta/2))
+        beta = 2.0 * np.arctan2(np.abs(rot["v"]), np.abs(rot["u"]))
+        plus, minus = -2.0 * np.angle(rot["u"]), 2.0 * np.angle(1j * rot["v"])
+        alpha, gamma = 0.5 * (plus + minus), 0.5 * (plus - minus)
+        psi = np.exp(-1j * np.outer(jz, gamma)) * initial.amplitudes[:, None]
+        psi = fock.tridiagonal_expm_apply(jx, psi, beta)
+        return rot["t"], np.exp(-1j * np.outer(jz, alpha)) * psi
 
-    def chunks():
-        outputs = samples()
-        width = max(fock.OUTPUT_CHUNK_WORK // space.dimension, 1)
-        while block := list(itertools.islice(outputs, width)):
-            t, psi, drift = zip(*block)
-            yield np.array(t), np.array(psi).T, np.array(drift)
+    def chunks():       # the rotations are drawn a block of outputs at a time
+        while len(rot := np.fromiter(itertools.islice(rotations, width), dtype=[
+                ("t", float), ("u", complex), ("v", complex)])):
+            yield turned(rot)
 
     traj = _measured(chunks(), lambda psi, n1, z: (
         params.lam * z.real + 0.5 * params.e_c * (n1 - params.n_bar1) ** 2))
@@ -217,7 +235,7 @@ def evolve_meanfield(initial: fock.StateVector, params: jj.JJParams, horizon: fl
 
 def _meanfield_rotations(initial, params, step, n_steps, sample_every):
     """Yield (t, u, v) at t = 0 and at every output step: (u, v) is the first
-    column of the SU(2) matrix of the rotation since the previous output.
+    column of the SU(2) matrix U(t) of the rotation since t = 0.
 
     The Bloch vector (Re zeta, Im zeta, jz), zeta = <a1+ a2>, obeys
     d<J>/dt = B x <J> with B = (lam, 0, E_C (jz + N/2 - nbar1)).  A Strang
@@ -242,42 +260,23 @@ def _meanfield_rotations(initial, params, step, n_steps, sample_every):
             zeta, jz = complex(zeta.real, c * zeta.imag - sn * jz), sn * zeta.imag + c * jz
         if (s + 1) % sample_every == 0 or s + 1 == n_steps:
             yield (s + 1) * step, u, v
-            u, v = 1.0 + 0.0j, 0.0j
-
-
-def _rotate(psi, u, v, jz, jx_off):
-    """exp(-i theta n.J) psi for the SU(2) matrix exp(-i theta n.sigma / 2)
-    with first column (u, v) = (cos - i n_z sin, (n_y - i n_x) sin)(theta/2).
-    The gauge exp(-i phi Jz), phi = arg(n_x + i n_y), turns n.J into the
-    real tridiagonal n_z Jz + |n_xy| Jx."""
-    if u.real < 0.0:    # -U is the same rotation; the state gains a global phase
-        u, v = -u, -v
-    sin_half = math.hypot(abs(v), u.imag)
-    if sin_half == 0.0:
-        return psi
-    gauge = np.exp(1j * cmath.phase(1j * v) * jz)
-    return fock.tridiagonal_expm_apply(
-        (-u.imag / sin_half) * jz, (abs(v) / sin_half) * jx_off, gauge * psi,
-        2.0 * math.atan2(sin_half, u.real)) / gauge
 
 
 def _measured(chunks, energy) -> Trajectory:
-    """Trajectory of (times, psi, drift) chunks: psi is a (dimension, outputs)
-    block of states, every column measured as it is given, and drift the
-    columns' norm drift (None: their own |norm - 1|).  A column whose norm
-    misses 1 by more than 1e-12 raises ContractViolationError.  energy(psi,
-    <n1>, <a1+ a2>) gives a block's energy column; phi is unwrapped once,
-    over the whole run."""
+    """Trajectory of (times, psi) chunks: psi is a (dimension, outputs) block
+    of states, every column measured as it is given, its norm drift its own
+    |norm - 1|.  A column whose norm misses 1 by more than 1e-12 raises
+    ContractViolationError.  energy(psi, <n1>, <a1+ a2>) gives a block's
+    energy column; phi is unwrapped once, over the whole run."""
     columns = []
-    for t, psi, drift in chunks:
+    for t, psi in chunks:
         norm, n1, z = jj.sector_moments(psi)
         deviation = np.abs(norm - 1.0)
         if not np.all(deviation <= 1e-12):
             raise ContractViolationError(
                 f"state norm deviates from 1 by {np.max(deviation)!r} > 1e-12")
         columns.append((t, n1, np.where(np.abs(z) > COHERENCE_FLOOR, np.angle(z), np.nan),
-                        deviation if drift is None else drift, energy(psi, n1, z),
-                        jj.product_fit(psi, n1, z)[2]))
+                        deviation, energy(psi, n1, z), jj.product_fit(psi, n1, z)[2]))
     times, n1s, raw_phi, drifts, energies, fids = map(np.concatenate, zip(*columns))
     return Trajectory(times=times, n1=n1s, phi=_unwrap_keeping_nans(raw_phi),
                       norm_drift=drifts, energy=energies, fidelity=fids)
@@ -287,8 +286,7 @@ def _measured(chunks, energy) -> Trajectory:
 
 
 def evolve_exact(initial: fock.StateVector, params: jj.JJParams, horizon: float,
-                 dt_out: float, kind: str = "bose_hubbard",
-                 tol: float = 1e-10) -> Trajectory:
+                 dt_out: float, kind: str = "bose_hubbard") -> Trajectory:
     """Exact unitary evolution sampled on a uniform output grid."""
     if dt_out <= 0:
         raise ContractViolationError("dt_out must be positive")
@@ -297,9 +295,9 @@ def evolve_exact(initial: fock.StateVector, params: jj.JJParams, horizon: float,
                         "outputs x dimension")
     hamiltonian = jj.build_jj_hamiltonian(params, space, kind, state=initial)
     times = [i * horizon / n_out for i in range(n_out + 1)] if n_out else [0.0]
-    chunks = fock.evolve_unitary_chunks(initial, hamiltonian, times, tol)
-    return _measured(((t, psi, None) for t, psi in chunks), lambda psi, n1, z: (
-        np.sum(np.conj(psi) * hamiltonian.apply(psi), axis=0).real))
+    return _measured(fock.evolve_unitary_chunks(initial, hamiltonian, times),
+                     lambda psi, n1, z: (
+                         np.sum(np.conj(psi) * hamiltonian.apply(psi), axis=0).real))
 
 
 # -- classical pendulum --------------------------------------------------------

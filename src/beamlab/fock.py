@@ -17,11 +17,13 @@ Any amplitude an operator would push above a truncation cutoff is dropped;
 boundary so simulations can verify the drop is negligible.
 
 Evolution under a fixed Hamiltonian uses one exact Hermitian
-eigendecomposition and batched propagation to the output times, a block
-of OUTPUT_CHUNK_WORK entries at a time; a restarted short-iterate Lanczos
-propagator carries the self-consistent flow's SU(2) rotation from one
-output to the next in O(N) work.  hbar = 1
-throughout: times are inverse energies in the caller's unit.
+eigendecomposition, cached on the operator, and batched propagation to
+the output times, a block of OUTPUT_CHUNK_WORK entries at a time.
+:func:`tridiagonal_expm_apply` turns every column of a block through its
+own time, by dot products of contiguous rows that give a column the same
+bits in any block and at any BLAS thread count; the self-consistent flow
+applies its Euler angles with it.  hbar = 1 throughout: times are inverse
+energies in the caller's unit.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     ContractViolationError,
-    IntegrationFailureError,
     ResourceLimitError,
     UnsupportedOperatorError,
 )
@@ -252,6 +253,7 @@ class LinearOperator:
         self.matrix = matrix
         self.hermitian = hermitian
         self._eig = None
+        self._rows = None
         if hermitian and not _skip_check:
             if self.hermiticity_defect() > HERMITIAN_TOL:
                 raise ContractViolationError("operator marked hermitian is not")
@@ -393,24 +395,24 @@ def variance(state: StateVector, op: LinearOperator) -> float:
 # -- evolution ---------------------------------------------------------------
 
 
-def evolve_unitary(state: StateVector, hamiltonian: LinearOperator, t: float,
-                   tol: float = 1e-10) -> StateVector:
+def evolve_unitary(state: StateVector, hamiltonian: LinearOperator,
+                   t: float) -> StateVector:
     """Return exp(-i H t)|psi> (hbar = 1): :func:`evolve_unitary_sampled` at
     the one time t."""
-    return evolve_unitary_sampled(state, hamiltonian, [t], tol)[0]
+    return evolve_unitary_sampled(state, hamiltonian, [t])[0]
 
 
 def evolve_unitary_sampled(state: StateVector, hamiltonian: LinearOperator,
-                           times: Iterable[float], tol: float = 1e-10) -> list[StateVector]:
+                           times: Iterable[float]) -> list[StateVector]:
     """States exp(-i H t)|psi> at the given non-decreasing, finite times,
     one per column of the :func:`evolve_unitary_chunks` blocks."""
     return [StateVector(state.space, psi[:, j])
-            for _, psi in evolve_unitary_chunks(state, hamiltonian, times, tol)
+            for _, psi in evolve_unitary_chunks(state, hamiltonian, times)
             for j in range(psi.shape[1])]
 
 
 def evolve_unitary_chunks(state: StateVector, hamiltonian: LinearOperator,
-                          times: Iterable[float], tol: float = 1e-10
+                          times: Iterable[float]
                           ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (times, psi) blocks in time order: psi is (dimension, outputs),
     column j is exp(-i H times[j])|psi>, and a block holds about
@@ -418,13 +420,10 @@ def evolve_unitary_chunks(state: StateVector, hamiltonian: LinearOperator,
 
     Every output comes from t = 0 through the eigendecomposition of H, the
     times of a block in one matrix product, so no error accumulates from
-    step to step.  `tol` must be positive; the eigendecomposition leaves
-    only roundoff, with no truncation error for it to bound.  The arguments
-    are checked, and the eigendecomposition done, before this returns;
-    raises ResourceLimitError when dimension^2 exceeds EIG_WORK_LIMIT.
+    step to step.  The arguments are checked, and the eigendecomposition
+    done, before this returns; raises ResourceLimitError when dimension^2
+    exceeds EIG_WORK_LIMIT.
     """
-    if tol <= 0:
-        raise ContractViolationError("tol must be positive")
     _require_hermitian(hamiltonian)
     if state.space != hamiltonian.space:
         raise ContractViolationError("state and Hamiltonian live on different spaces")
@@ -468,96 +467,39 @@ def _eigendecomposition(op: LinearOperator):
     return op._eig
 
 
-def tridiagonal_expm_apply(diag: np.ndarray, off: np.ndarray, vec: np.ndarray,
-                           t: float, tol: float = 1e-11) -> np.ndarray:
-    """exp(-i t H) vec for a real symmetric tridiagonal H given by its
-    diagonals, via the Lanczos propagator with a slice-based matvec.
+def tridiagonal_expm_apply(op: LinearOperator, psi: np.ndarray,
+                           times: np.ndarray) -> np.ndarray:
+    """exp(-i times[j] H) psi[:, j] for every column of a (dimension,
+    columns) block, H the Hermitian `op`, through its cached
+    eigendecomposition: one time per column.
 
-    The self-consistent flow applies its rotation between two outputs
-    with it, once per output; each rotation is another H, for which a
-    full eigendecomposition would dominate the cost.
+    The self-consistent flow turns its block of outputs about Jx with it.
+    Both basis changes are :func:`_row_dots`, so, given the
+    eigendecomposition, a column comes out with the same bits in a block of
+    any width and at any BLAS thread count.  Any
+    Hermitian H works; the name stays because the benchmark's span list
+    (perfbench/spans.py) wraps this kernel by name.
     """
-    d = np.asarray(diag, dtype=float)
-    e = np.asarray(off, dtype=float)
+    _require_hermitian(op)
+    w, v = _eigendecomposition(op)
+    if op._rows is None:        # V^T and conj(V): the rows the dot products run along
+        op._rows = np.ascontiguousarray(v.T), np.ascontiguousarray(v.conj())
+    columns, rows = op._rows
+    # psi + V (exp(-i t w) - 1) V^H psi, so a column with t = 0 comes back
+    # unchanged
+    c = np.expm1(-1j * np.outer(w, times)) * _row_dots(columns, psi)
+    return psi + _row_dots(rows, c)
 
-    def matvec(v):
-        out = d * v
-        out[:-1] += e * v[1:]
-        out[1:] += e * v[:-1]
-        return out
 
-    return _lanczos_expm_apply(matvec, vec, t, tol)
-
-
-def _lanczos_expm_apply(matrix, vec: np.ndarray, t: float, tol: float,
-                        m_max: int = 40) -> np.ndarray:
-    """Restarted Lanczos approximation of exp(-i t H) vec for Hermitian H.
-
-    Short iterates with full reorthogonalization; each restart grows the
-    basis only until the standard residual estimate meets the proportional
-    error budget tol * dt / |t|, halving the substep if the maximum basis
-    size is not enough.  Raises IntegrationFailureError when even a substep
-    of 1e-15 |t| misses the budget.
-    """
-    if t == 0.0:
-        return vec.copy()
-    apply = matrix if callable(matrix) else matrix.__matmul__
-    sign = 1.0 if t >= 0 else -1.0
-    total = abs(float(t))
-    remaining = total
-    dt = remaining
-    w = vec.astype(complex)
-    n = len(w)
-    m_cap = min(m_max, n)
-    while remaining > 0.0:
-        dt = min(dt, remaining)
-        beta0 = np.linalg.norm(w)
-        V = np.empty((n, m_cap + 1), dtype=complex)
-        alphas = np.zeros(m_cap)
-        betas = np.zeros(m_cap + 1)
-        V[:, 0] = w / beta0
-        m_eff = 0
-        invariant = False
-        y = None
-        for j in range(m_cap):
-            q = apply(V[:, j])
-            a = np.real(np.vdot(V[:, j], q))
-            q -= a * V[:, j]
-            if j > 0:
-                q -= betas[j] * V[:, j - 1]
-            # full reorthogonalization keeps the small problem faithful
-            q -= V[:, :j + 1] @ (V[:, :j + 1].conj().T @ q)
-            b = np.linalg.norm(q)
-            alphas[j] = a
-            betas[j + 1] = b
-            m_eff = j + 1
-            if b < 1e-14 * max(1.0, abs(a)):
-                invariant = True
-                break
-            V[:, j + 1] = q / b
-            if j >= 1:
-                ew, ev = eigh_tridiagonal(alphas[:m_eff], betas[1:m_eff])
-                y = ev @ (np.exp(-1j * sign * dt * ew) * ev[0, :])
-                if betas[m_eff] * abs(y[-1]) * dt <= tol * dt / total:
-                    break
-        if invariant:
-            dt = remaining
-            ew, ev = eigh_tridiagonal(alphas[:m_eff], betas[1:m_eff])
-            y = ev @ (np.exp(-1j * sign * dt * ew) * ev[0, :])
-        else:
-            while True:
-                ew, ev = eigh_tridiagonal(alphas[:m_eff], betas[1:m_eff])
-                y = ev @ (np.exp(-1j * sign * dt * ew) * ev[0, :])
-                err = betas[m_eff] * abs(y[-1]) * dt
-                if err <= tol * dt / total:
-                    break
-                if dt <= 1e-15 * total:
-                    raise IntegrationFailureError(
-                        f"Lanczos step error {err:.2e} above the budget "
-                        f"{tol * dt / total:.2e} at the smallest substep {dt:.2e}")
-                dt *= 0.5
-        w = V[:, :m_eff] @ (beta0 * y)
-        remaining -= dt
-        if remaining > 0.0:
-            dt = min(dt * 2.0, remaining)
-    return w
+def _row_dots(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """conj(a) @ z for complex columns z, every entry one dot product of a
+    row of the C-contiguous `a` with a contiguous copy of a column (of its
+    real and imaginary parts apart when `a` is real).  OpenBLAS sums such a
+    dot product in an order fixed by its length, on one thread below 10,000
+    entries (EIG_WORK_LIMIT keeps the dimension at 5,000 or less); a matrix
+    product's order also depends on the block width and the thread count."""
+    if np.iscomplexobj(a):
+        return np.vecdot(a[:, None], np.ascontiguousarray(z.T))
+    parts = np.ascontiguousarray(np.stack([z.real.T, z.imag.T], axis=1))
+    return np.ascontiguousarray(np.vecdot(a[:, None], parts.reshape(-1, z.shape[0]))
+                                ).view(complex)

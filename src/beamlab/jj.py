@@ -7,8 +7,9 @@ differ in the charging part:
 * ``mean_field``:    E_C (<n1> - nbar1)(n1 - nbar1) (Hartree, state-dependent)
 
 Everything is tridiagonal in the sector basis k = n1, so evolution uses
-the tridiagonal eigensolver, which reads that structure from the matrix,
-and the self-consistent flow's rotations use the tridiagonal Lanczos kernel.
+the tridiagonal eigensolver, which reads that structure from the matrix:
+once for the exact model's Hamiltonian, and once for the tunneling
+generator Jx that the self-consistent flow's rotations turn about.
 
 E_C is taken directly as an input energy; nbar1 may be non-integer (it is
 an average).  With lam > 0 the phase-locked configuration of the tunneling

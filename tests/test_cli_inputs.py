@@ -218,6 +218,10 @@ OVER_BUDGET = [
     ("fluctuations", ["--n-bar1-values", "1e308,1.5e308,1.7e308"]),
     ("jj-evolve", ["--model", "bose_hubbard", "--n-total", "6000", "--e-c", "0.01",
                    "--lam", "0.001", "--horizon", "23.57", "--dt", "0.2357"]),
+    ("jj-evolve", ["--model", "mean_field", "--n-total", "6000", "--e-c", "0.01",
+                   "--lam", "0.001", "--horizon", "23.57", "--dt", "0.2357"]),
+    ("jj-evolve", ["--model", "mean_field", "--n-total", "1000", "--e-c", "0.01",
+                   "--lam", "0.001", "--horizon", "1", "--dt", "1e-4"]),
 ]
 DEFECTS += [(name, None, argv) for name, argv in OVER_BUDGET]
 

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import quad, solve_ivp
+from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 from scipy.special import ellipk
 
 import beamlab.dynamics as dyn
@@ -32,15 +39,18 @@ def displaced_initial(params, amplitude, n0=None):
 
 
 def test_meanfield_zero_tunneling_linear_phase():
-    params = jj.JJParams(e_c=0.3, lam=0.0, n_total=20, n_bar1=8.0)
-    space = jj.sector_space(params)
-    initial = jj.product_state(20, 12.0, 0.4, space)
-    traj = dyn.evolve_meanfield(initial, params, horizon=3.0, dt=0.01)
-    assert np.allclose(traj.n1, 12.0, atol=1e-9)
-    # phase advances linearly at rate E_C (n - nbar1)
-    rate = params.e_c * (12.0 - 8.0)
-    want = traj.phi[0] + rate * traj.times
-    assert np.max(np.abs(traj.phi - want)) < 1e-8
+    # lam = 0: U(t) is a pure z-turn, Euler angle beta = 0, so the Jx
+    # eigenvectors enter only as V V^T = 1; N = 41 is a half-integer spin
+    for n_total, n_bar1, n0, every in ((20, 8.0, 12.0, 1), (41, 17.5, 23.0, 7)):
+        params = jj.JJParams(e_c=0.3, lam=0.0, n_total=n_total, n_bar1=n_bar1)
+        initial = jj.product_state(n_total, n0, 0.4, jj.sector_space(params))
+        traj = dyn.evolve_meanfield(initial, params, horizon=3.0, dt=0.01,
+                                    sample_every=every)
+        assert np.allclose(traj.n1, n0, rtol=0, atol=1e-12)
+        # phase advances linearly at rate E_C (n - nbar1)
+        want = traj.phi[0] + params.e_c * (n0 - n_bar1) * traj.times
+        assert np.max(np.abs(traj.phi - want)) < 1e-11
+        assert np.max(np.abs(traj.fidelity - 1.0)) <= 1e-13
 
 
 def test_meanfield_symmetric_point_is_stationary():
@@ -97,17 +107,20 @@ def test_meanfield_correlation_matrix_closure():
     psi_vec = initial.amplitudes.copy()
     k = np.arange(n_tot + 1, dtype=float)
     off = jj.tunneling_offdiagonal(n_tot, params.lam)
+
+    def propagate(n1, vec, t):
+        # oracle: scipy's truncated-Taylor action of the sparse exponential
+        h = sp.diags([off, jj.charging_diagonal(params, "mean_field", n1), off],
+                     [-1, 0, 1], format="csr")
+        return expm_multiply(-1j * t * h, vec, traceA=0.0)
+
     step = 0.005
     worst = 0.0
     for s in range(int(round(4.0 / step))):
         n1 = float(k @ np.abs(psi_vec) ** 2)
-        half = fock.tridiagonal_expm_apply(
-            jj.charging_diagonal(params, "mean_field", n1), off, psi_vec,
-            step / 2, 1e-11)
+        half = propagate(n1, psi_vec, step / 2)
         n1h = float(k @ np.abs(half) ** 2) / float(np.vdot(half, half).real)
-        psi_vec = fock.tridiagonal_expm_apply(
-            jj.charging_diagonal(params, "mean_field", n1h), off, psi_vec,
-            step, 1e-11)
+        psi_vec = propagate(n1h, psi_vec, step)
         if (s + 1) % 100 == 0:
             state = fock.StateVector(space, psi_vec / np.linalg.norm(psi_vec))
             omega_state = pol.omega_from_state(state, (0, 1)).matrix
@@ -163,6 +176,107 @@ def test_meanfield_checks_its_invariants_after_the_run(monkeypatch):
         dyn.evolve_meanfield(initial, params, horizon=1.0, dt=0.01)
 
 
+def _spin_operators(n_total):
+    k = np.arange(n_total + 1, dtype=float)
+    jz = np.diag(k - 0.5 * n_total)
+    off = np.sqrt((k[:-1] + 1.0) * (n_total - k[:-1]))
+    raise_ = np.diag(off, -1)                    # k -> k + 1
+    jx = 0.5 * (raise_ + raise_.T)
+    return jx, -1j * (jz @ jx - jx @ jz), jz     # [Jz, Jx] = i Jy
+
+
+def _rotated_oracle(initial, u, v):
+    """exp(-i theta n.J)|psi0> for the SU(2) matrix with first column
+    (u, v) = (cos - i n_z sin, (n_y - i n_x) sin)(theta / 2), by dense expm."""
+    jx, jy, jz = _spin_operators(initial.space.n_total)
+    sin_half = np.hypot(abs(v), u.imag)
+    scale = 2.0 * np.arctan2(sin_half, u.real) / sin_half if sin_half else 0.0
+    gen = scale * (-v.imag * jx + v.real * jy - u.imag * jz)
+    return fock.StateVector(initial.space, expm(-1j * gen) @ initial.amplitudes)
+
+
+def test_euler_path_at_beta_pi_matches_a_dense_rotation(monkeypatch):
+    # hand-set columns of U: the identity, three with u = 0 (beta = pi, where
+    # alpha + gamma drops out), one with |u| = 1e-300 and a generic turn
+    params = jj.JJParams(e_c=0.6, lam=0.3, n_total=12, n_bar1=6.0)
+    initial = displaced_initial(params, 0.7, n0=4.0)
+    columns = [(1.0 + 0.0j, 0.0j), (0.0j, -1j), (0.0j, 1.0 + 0.0j),
+               (0.0j, np.exp(0.8j)), (1e-300j, -1j), (np.exp(0.3j) / np.sqrt(2), 0.5 - 0.5j)]
+    monkeypatch.setattr(dyn, "_meanfield_rotations", lambda *args: (
+        (float(i), u, v) for i, (u, v) in enumerate(columns)))
+    traj = dyn.evolve_meanfield(initial, params, horizon=1.0, dt=0.1)
+    want = [_rotated_oracle(initial, u, v) for u, v in columns]
+    assert np.allclose(traj.n1, [jj.mean_n1(st) for st in want], rtol=0, atol=1e-12)
+    assert np.allclose(np.exp(1j * traj.phi), [np.exp(1j * np.angle(jj.coherence(st)))
+                                               for st in want], rtol=0, atol=1e-12)
+    assert np.allclose(traj.fidelity, [jj.best_fit_product(st)[2] for st in want],
+                       rtol=0, atol=1e-12)
+    # exp(-i pi Jx) reflects the charge distribution, k -> N - k
+    assert traj.n1[1] == pytest.approx(params.n_total - jj.mean_n1(initial), abs=1e-12)
+
+
+def test_euler_path_starts_on_the_measured_initial_state():
+    params = jj.JJParams(e_c=0.4, lam=0.3, n_total=30, n_bar1=15.0)
+    initial = displaced_initial(params, 0.3, n0=17.0)
+    traj = dyn.evolve_meanfield(initial, params, horizon=1.0, dt=0.01)
+    z = jj.coherence(initial)
+    energy = (params.lam * z.real
+              + 0.5 * params.e_c * (jj.mean_n1(initial) - params.n_bar1) ** 2)
+    assert (traj.times[0], traj.n1[0], traj.phi[0], traj.energy[0], traj.fidelity[0]) == (
+        0.0, jj.mean_n1(initial), np.angle(z), energy, jj.best_fit_product(initial)[2])
+    assert traj.norm_drift[0] == abs(initial.norm() - 1.0)
+
+
+def test_half_integer_spin_does_not_see_the_sign_of_u(monkeypatch):
+    # odd N: -U acts as minus the representation of U, a global phase only
+    params = jj.JJParams(e_c=0.7, lam=0.4, n_total=31, n_bar1=13.0)
+    initial = displaced_initial(params, 0.9, n0=17.0)
+    plain = dyn.evolve_meanfield(initial, params, horizon=6.0, dt=0.01, sample_every=20)
+    rotations = dyn._meanfield_rotations
+    monkeypatch.setattr(dyn, "_meanfield_rotations", lambda *args: (
+        (t, -u, -v) for t, u, v in rotations(*args)))
+    flipped = dyn.evolve_meanfield(initial, params, horizon=6.0, dt=0.01, sample_every=20)
+    assert np.ptp(plain.n1) > 1.0
+    for name in ("times", "n1", "phi", "norm_drift", "energy", "fidelity"):
+        assert np.allclose(getattr(flipped, name), getattr(plain, name),
+                           rtol=0, atol=1e-12), name
+
+
+def test_jx_of_the_flow_has_the_spin_spectrum(monkeypatch):
+    # the flow's Jx is a spin-N/2 component: eigenvalues m = -N/2, ..., N/2
+    seen = []
+    eigendecomposition = fock._eigendecomposition
+    monkeypatch.setattr(fock, "_eigendecomposition",
+                        lambda op: seen.append(op) or eigendecomposition(op))
+    for n_total in (1, 2, 31, 200, 1200):
+        params = jj.JJParams(e_c=0.2, lam=0.1, n_total=n_total, n_bar1=n_total / 2)
+        initial = jj.product_state(n_total, n_total / 2, 0.0, jj.sector_space(params))
+        dyn.evolve_meanfield(initial, params, horizon=0.1, dt=0.1)
+        w = np.sort(seen[-1]._eig[0])
+        assert np.max(np.abs(w - (np.arange(n_total + 1) - 0.5 * n_total))) <= 1e-10
+
+
+def test_meanfield_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # dimension 101 x 287 outputs: there a threaded BLAS matrix product
+    # rounds differently at one and at two threads
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        out = tmp_path / f"threads{threads}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "beamlab.cli", "jj-evolve", "--n-total", "100",
+             "--e-c", "0.2", "--lam", "0.1", "--phi0", "2.0", "--horizon", "20",
+             "--dt", "0.07", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0].count(b"\n") > 286
+    assert reports[0] == reports[1]
+
+
 def test_meanfield_argument_validation():
     params = canonical_params()
     initial = displaced_initial(params, 0.1)
@@ -170,6 +284,8 @@ def test_meanfield_argument_validation():
         dyn.evolve_meanfield(initial, params, horizon=1.0, dt=0.0)
     with pytest.raises(ContractViolationError):
         dyn.evolve_meanfield(initial, params, horizon=-1.0, dt=0.01)
+    with pytest.raises(ContractViolationError):
+        dyn.evolve_meanfield(initial, params, horizon=1.0, dt=0.01, sample_every=0)
     other = jj.JJParams(e_c=0.2, lam=0.1, n_total=100, n_bar1=50.0)
     with pytest.raises(ContractViolationError):
         dyn.evolve_meanfield(initial, other, horizon=1.0, dt=0.01)
@@ -373,6 +489,22 @@ def test_trajectory_validation():
                        norm_drift=[0.0, 0.0], energy=[0.0, 0.0])
 
 
+def test_meanfield_output_budget_counts_the_sampled_outputs(monkeypatch):
+    params = jj.JJParams(e_c=0.2, lam=0.1, n_total=4, n_bar1=2.0)
+    initial = jj.product_state(4, 2.0, 0.0, jj.sector_space(params))
+    dt = 4.0 / dyn.OUTPUT_WORK_LIMIT        # 2.5e6 steps of 5 states
+    with pytest.raises(ResourceLimitError, match="outputs x dimension"):
+        dyn.evolve_meanfield(initial, params, 1.0, dt)
+
+    def past_the_budget(op):
+        raise LookupError("the run got past its budget checks")
+
+    # every second step sampled: within the budget, so the run goes on to Jx
+    monkeypatch.setattr(fock, "_eigendecomposition", past_the_budget)
+    with pytest.raises(LookupError):
+        dyn.evolve_meanfield(initial, params, 1.0, dt, sample_every=2)
+
+
 def test_work_budgets_refuse_before_running():
     params = jj.JJParams(e_c=0.2, lam=0.1, n_total=4, n_bar1=2.0)
     initial = jj.product_state(4, 2.0, 0.0, jj.sector_space(params))
@@ -397,7 +529,7 @@ def test_measured_block_matches_single_states_and_keeps_its_nans():
     psi = np.concatenate([psi, edges], axis=1)
     psi /= np.linalg.norm(psi, axis=0)
     times = np.arange(psi.shape[1], dtype=float)
-    traj = dyn._measured([(times[:4], psi[:, :4], None), (times[4:], psi[:, 4:], None)],
+    traj = dyn._measured([(times[:4], psi[:, :4]), (times[4:], psi[:, 4:])],
                          lambda block, n1, z: n1)
     space = fock.FockSpace.fixed_sector(n_total)
     states = [fock.StateVector(space, psi[:, j]) for j in range(psi.shape[1])]

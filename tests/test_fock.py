@@ -3,13 +3,13 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beamlab.fock as fock
 from beamlab.errors import (
     ContractViolationError,
-    IntegrationFailureError,
     ResourceLimitError,
     UnsupportedOperatorError,
 )
@@ -238,9 +238,6 @@ def test_evolve_requires_hermitian():
     state = fock.basis_state(space, (1,))
     with pytest.raises(ContractViolationError):
         fock.evolve_unitary(state, a, 1.0)
-    with pytest.raises(ContractViolationError):
-        fock.evolve_unitary(state, fock.ladder_operator(space, 0, "number"),
-                            1.0, tol=0.0)
 
 
 def test_sector_rabi_oscillation():
@@ -272,38 +269,6 @@ def _random_hermitian_operator(space, rng, density=0.2):
     return fock.LinearOperator(space, m.tocsr(), hermitian=True)
 
 
-def test_krylov_agrees_with_eigendecomposition():
-    rng = np.random.default_rng(11)
-    space = fock.FockSpace.truncated([149])  # dim 150
-    for trial in range(3):
-        h = _random_hermitian_operator(space, rng)
-        z = rng.standard_normal(150) + 1j * rng.standard_normal(150)
-        state = fock.StateVector(space, z, normalize=True)
-        dense = fock.evolve_unitary(state, h, 2.3)
-        kry = fock._lanczos_expm_apply(h.matrix, state.amplitudes, 2.3, 1e-12)
-        assert np.max(np.abs(dense.amplitudes - kry)) < 1e-8
-        assert abs(np.linalg.norm(kry) - 1.0) < 1e-9
-
-
-def test_krylov_raises_when_the_budget_is_out_of_reach():
-    # A two-vector basis cannot meet tol = 1e-300 even at the smallest
-    # substep: the step must fail, not be accepted and then crawl forward.
-    rng = np.random.default_rng(5)
-    h = _random_hermitian_operator(fock.FockSpace.truncated([29]), rng)
-    z = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-    calls = []
-
-    def matvec(v):
-        calls.append(1)
-        if len(calls) > 10_000:
-            raise RuntimeError("crawling at the smallest substep")
-        return h.matrix @ v
-
-    with pytest.raises(IntegrationFailureError):
-        fock._lanczos_expm_apply(matvec, z / np.linalg.norm(z), 1.0, 1e-300,
-                                 m_max=2)
-
-
 def test_krylov_path_conserves_above_dense_limit():
     # tridiagonal sector Hamiltonian at N = 2500 exercises the sparse path
     n_tot = 2500
@@ -315,7 +280,7 @@ def test_krylov_path_conserves_above_dense_limit():
     amps = np.exp(-0.5 * (k - n_tot / 2) ** 2 / 50.0).astype(complex)
     state = fock.StateVector(sector, amps, normalize=True)
     e0 = fock.expectation(state, h).real
-    out = fock.evolve_unitary(state, h, 0.5, tol=1e-11)
+    out = fock.evolve_unitary(state, h, 0.5)
     assert abs(out.norm() - 1.0) < 1e-9
     e1 = fock.expectation(out, h).real
     assert abs(e1 - e0) <= 1e-8 * abs(e0)
@@ -403,12 +368,23 @@ def test_tridiagonal_expm_matches_dense():
     e = rng.standard_normal(59)
     vec = rng.standard_normal(60) + 1j * rng.standard_normal(60)
     vec /= np.linalg.norm(vec)
-    dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    w, v = np.linalg.eigh(dense)
-    for t in (0.0, 0.3, 2.7, -1.1):
-        want = v @ (np.exp(-1j * w * t) * (v.conj().T @ vec))
-        got = fock.tridiagonal_expm_apply(d, e, vec, t, tol=1e-12)
-        assert np.max(np.abs(want - got)) < 1e-9
+    space = fock.FockSpace.truncated([59])
+    tridiagonal = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    times = np.array([0.0, 0.3, 2.7, -1.1])
+    block = np.stack([vec, vec[::-1], 1j * vec, vec], axis=1)
+    # a real tridiagonal H (real eigenvectors) and a complex, wider one
+    for op in (fock.LinearOperator(space, sp.csr_matrix(tridiagonal), hermitian=True),
+               _random_hermitian_operator(space, rng)):
+        w, v = np.linalg.eigh(op.to_dense())
+        got = fock.tridiagonal_expm_apply(op, block, times)
+        assert got.shape == block.shape
+        for j, t in enumerate(times):
+            want = v @ (np.exp(-1j * w * t) * (v.conj().T @ block[:, j]))
+            assert np.max(np.abs(want - got[:, j])) < 1e-12
+            # the same bits alone as in the block
+            alone = fock.tridiagonal_expm_apply(op, block[:, j:j + 1], times[j:j + 1])
+            assert np.array_equal(alone[:, 0], got[:, j])
+        assert np.array_equal(got[:, 0], vec)
 
 
 def test_evolution_is_deterministic():
@@ -462,8 +438,9 @@ def test_eigen_propagator_above_2000_matches_lanczos():
     state = fock.StateVector(h.space, amps, normalize=True)
     times = [0.0, 0.4, 1.3, 3.0]
     for t, out in zip(times, fock.evolve_unitary_sampled(state, h, times)):
-        want = fock._lanczos_expm_apply(h.matrix, state.amplitudes, t, 1e-9)
-        assert np.max(np.abs(out.amplitudes - want)) < 1e-8
+        # oracle: scipy's truncated-Taylor action of the sparse exponential
+        want = expm_multiply(-1j * t * h.matrix, state.amplitudes)
+        assert np.max(np.abs(out.amplitudes - want)) < 1e-11
         assert abs(out.norm() - 1.0) < 1e-12
 
 
