@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -192,20 +193,42 @@ def _bound_chunk(task):
     return entanglement.bound_rows(seed, range(start, stop), cutoff, photons)
 
 
+START_METHOD = "fork" if sys.platform == "linux" else "spawn"
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _parallel_bound_rows(seed, samples, cutoff, photons, workers):
+    """`bound_rows(seed, range(samples), cutoff, photons)`, split into
+    `workers` contiguous tasks mapped over a pool of at most one process
+    per usable CPU.
+
+    Each row draws from its own `rng_for(seed, index)`, so the rows do not
+    depend on the split or on the process that computes them, and the
+    report is byte-identical at every --workers.  On Linux the pool forks
+    the CLI process, so its workers start with numpy, scipy and beamlab
+    loaded; a spawned worker imports them afresh, which costs more than
+    its share of a neg-sweep pool's work.  Elsewhere, where fork is
+    missing or unsafe, the pool spawns.
+    """
     entanglement.check_sample_work(samples, cutoff)
     if workers <= 1 or samples < 2 * workers:
         return entanglement.bound_rows(seed, range(samples), cutoff, photons)
     bounds = np.linspace(0, samples, workers + 1, dtype=int)
     tasks = [(seed, int(a), int(b), cutoff, photons)
              for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-    with get_context("spawn").Pool(workers) as pool:
+    with get_context(START_METHOD).Pool(min(workers, _usable_cpus())) as pool:
         chunks = pool.map(_bound_chunk, tasks)
     return [row for chunk in chunks for row in chunk]
 
 
 SEED = Param("seed", _integer, REQUIRED, "master seed for the run")
-WORKERS = Param("workers", _integer, 1, "worker processes", "[1, inf)", source="flag")
+WORKERS = Param("workers", _integer, 1, "worker tasks, at most one process per CPU",
+                "[1, inf)", source="flag")
 IGNORED_SEED = Param("seed", _integer, None, "ignored: deterministic", source="flag")
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +45,100 @@ def test_bound_check_deterministic_across_runs_and_workers(tmp_path):
     assert run(args + ["--out", str(paths[2]), "--workers", "2"]) == 0
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+POOLED_RUNS = {
+    "bound-check": ["bound-check", "--seed", "7", "--samples", "12", "--cutoff", "1",
+                    "--mixtures", "2"],
+    "neg-sweep": ["neg-sweep", "--seed", "11", "--samples", "8", "--k-max", "2"],
+}
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+@pytest.mark.parametrize("subcommand", sorted(POOLED_RUNS))
+def test_pooled_reports_match_serial_under_each_start_method(
+        tmp_path, monkeypatch, subcommand, method):
+    started = []
+    get_context = cli.get_context
+
+    def recording_context(name):
+        started.append(name)
+        return get_context(name)
+
+    monkeypatch.setattr(cli, "START_METHOD", method)
+    monkeypatch.setattr(cli, "get_context", recording_context)
+    blobs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.csv"
+        assert run(POOLED_RUNS[subcommand] + ["--workers", workers,
+                                              "--out", str(out)]) == 0
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
+    assert started and set(started) == {method}
+
+
+class _SerialContext:
+    """Stands in for a multiprocessing context: records the pool size and
+    maps in this process."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+
+    def Pool(self, processes):  # noqa: N802 - mirrors multiprocessing
+        self.sizes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, tasks):
+        return [func(task) for task in tasks]
+
+
+def test_pool_starts_at_most_one_process_per_usable_cpu(tmp_path, monkeypatch):
+    sizes = []
+    monkeypatch.setattr(cli, "get_context", lambda name: _SerialContext(sizes))
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    argv = ["bound-check", "--seed", "5", "--samples", "400", "--cutoff", "1"]
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    assert run(argv + ["--out", str(serial)]) == 0
+    assert run(argv + ["--workers", "200", "--out", str(pooled)]) == 0
+    assert sizes == [3]
+    assert pooled.read_bytes() == serial.read_bytes()
+
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 5)
+    assert run(argv + ["--workers", "7", "--out", str(pooled)]) == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert run(argv + ["--workers", "2", "--out", str(pooled)]) == 0
+    assert sizes == [3, 5, 1]
+    # below two samples per task the run stays serial, whatever the CPUs
+    assert run(argv + ["--workers", "201", "--out", str(pooled)]) == 0
+    assert sizes == [3, 5, 1]
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
+def test_neg_sweep_cli_pool_with_blas_threads_matches_serial(tmp_path):
+    # the pool forks a process whose BLAS has started two threads
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path,
+           "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
+    blobs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "beamlab.cli", "neg-sweep", "--seed", "3",
+             "--samples", "20", "--k-max", "3", "--workers", workers,
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        blobs.append(out.read_bytes())
+    assert blobs[0].count(b"\n") > 60
+    assert blobs[0] == blobs[1]
 
 
 def test_bound_check_json_and_csv_agree(tmp_path):
