@@ -337,6 +337,8 @@ def pendulum_trajectory(phi0: float, phidot0: float, omega: float, horizon: floa
         raise ContractViolationError("dt must be positive")
     if horizon < 0:
         raise ContractViolationError("horizon must be >= 0")
+    if sample_every < 1:
+        raise ContractViolationError("sample_every must be >= 1")
     stride = int(sample_every)
     n_steps = _step_count(horizon, dt)
     if n_steps:

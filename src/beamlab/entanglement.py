@@ -40,8 +40,7 @@ BOUND_TOL = 1e-9
 SAMPLE_WORK_LIMIT = 10_000_000
 # bound_rows evaluates samples in chunks of about this many states x
 # dimension: the Gamma step holds about 150 bytes per entry, so a chunk
-# peaks near 80 MB.  A chunk holds at least two states, because einsum sums
-# a single column in another order; from two on, rows do not depend on it.
+# peaks near 80 MB.
 CHUNK_WORK = 2 ** 19
 
 
@@ -99,22 +98,25 @@ def _lowered(space: fock.FockSpace, beam_a: tuple[int, int],
     return out
 
 
+def _beam_numbers(space: fock.FockSpace, beam_a: tuple[int, int],
+                  beam_b: tuple[int, int]) -> list[np.ndarray]:
+    """Photon numbers of beam a and of beam b for every basis state."""
+    return [sum(map(space.number_diagonal, beam)) for beam in (beam_a, beam_b)]
+
+
 def _gammas_and_moments(space: fock.FockSpace, beam_a: tuple[int, int],
                         beam_b: tuple[int, int], psi: np.ndarray):
     """(n_samples, 4, 4) Gamma stack plus moment arrays for the state columns
     psi (dimension, n_samples) of `space`.  Reductions run per column in a
-    fixed order (einsum, not BLAS), so values do not depend on batch width
-    from two columns on; einsum sums a single column in another order.
-    """
-    na_diag = space.number_diagonal(beam_a[0]) + space.number_diagonal(beam_a[1])
-    nb_diag = space.number_diagonal(beam_b[0]) + space.number_diagonal(beam_b[1])
+    fixed order (einsum and a running sum over the basis, not BLAS), so a
+    state gets the same values alone and in a batch of any width; only the
+    last row of each running sum is kept."""
+    na_diag, nb_diag = _beam_numbers(space, beam_a, beam_b)
     probs = np.abs(psi) ** 2
-    n_a = np.einsum("d,ds->s", na_diag, probs)
-    n_b = np.einsum("d,ds->s", nb_diag, probs)
-    n_ab = np.einsum("d,ds->s", na_diag * nb_diag, probs)
+    n_a, n_b, n_ab = (np.add.accumulate(w[:, None] * probs, axis=0)[-1].copy()
+                      for w in (na_diag, nb_diag, na_diag * nb_diag))
     lowered = _lowered(space, beam_a, beam_b, psi)
-    gammas = np.einsum("cds,rds->src", lowered.conj(), lowered)
-    return gammas, n_a, n_b, n_ab
+    return np.einsum("cds,rds->src", lowered.conj(), lowered), n_a, n_b, n_ab
 
 
 def gamma_from_state(state: fock.StateVector, beam_a: tuple[int, int] = (0, 1),
@@ -225,18 +227,28 @@ def check_bound(state: fock.StateVector, beam_a: tuple[int, int] = (0, 1),
 # -- random-state sampling ----------------------------------------------------
 
 
+def _draw(rng: np.random.Generator, support: np.ndarray, dimension: int) -> np.ndarray:
+    """Complex-Gaussian amplitudes on the basis indices `support`, normalized
+    over the support and zero elsewhere in a vector of `dimension`."""
+    z = rng.standard_normal(support.size) + 1j * rng.standard_normal(support.size)
+    amps = np.zeros(dimension, dtype=complex)
+    amps[support] = z / np.linalg.norm(z)
+    return amps
+
+
 def haar_state(space: fock.FockSpace, rng: np.random.Generator) -> fock.StateVector:
     """Complex-Gaussian amplitudes normalized to 1 (Haar on the truncated space)."""
-    z = rng.standard_normal(space.dimension) + 1j * rng.standard_normal(space.dimension)
-    return fock.StateVector(space, z, normalize=True)
+    return fock.StateVector(space, _draw(rng, np.arange(space.dimension), space.dimension))
 
 
 def _sector_indices(space: fock.FockSpace, beam_a: tuple[int, int],
                     beam_b: tuple[int, int], k_a: int, k_b: int) -> np.ndarray:
     """Basis indices with exactly k_a photons in beam a and k_b in beam b."""
-    na = space.number_diagonal(beam_a[0]) + space.number_diagonal(beam_a[1])
-    nb = space.number_diagonal(beam_b[0]) + space.number_diagonal(beam_b[1])
-    return np.nonzero((na == k_a) & (nb == k_b))[0]
+    na, nb = _beam_numbers(space, beam_a, beam_b)
+    idx = np.nonzero((na == k_a) & (nb == k_b))[0]
+    if idx.size == 0:
+        raise DomainError(f"no basis states with beam photon numbers ({k_a}, {k_b})")
+    return idx
 
 
 def sector_state(space: fock.FockSpace, beam_a: tuple[int, int],
@@ -244,12 +256,7 @@ def sector_state(space: fock.FockSpace, beam_a: tuple[int, int],
                  rng: np.random.Generator) -> fock.StateVector:
     """Haar-random state with exactly k_a photons in beam a and k_b in beam b."""
     idx = _sector_indices(space, beam_a, beam_b, k_a, k_b)
-    if idx.size == 0:
-        raise DomainError(f"no basis states with beam photon numbers ({k_a}, {k_b})")
-    z = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
-    amps = np.zeros(space.dimension, dtype=complex)
-    amps[idx] = z
-    return fock.StateVector(space, amps, normalize=True)
+    return fock.StateVector(space, _draw(rng, idx, space.dimension))
 
 
 class BeamSampler:
@@ -272,13 +279,8 @@ class BeamSampler:
         dim = self.space.dimension
         support = (np.arange(dim) if photons_per_beam is None else _sector_indices(
             self.space, self.beam_a, self.beam_b, photons_per_beam, photons_per_beam))
-        n = support.size
-        psi = np.zeros((dim, len(indices)), dtype=complex)
-        for col, i in enumerate(indices):
-            rng = rng_for(master_seed, i)
-            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            psi[support, col] = z / np.linalg.norm(z)
-        return psi
+        draws = [_draw(rng_for(master_seed, i), support, dim) for i in indices]
+        return np.reshape(draws, (len(indices), dim)).T
 
     def gammas_and_moments(self, psi: np.ndarray):
         """(n_samples, 4, 4) Gamma stack plus moment arrays for state columns."""
@@ -289,30 +291,31 @@ class BeamSampler:
         return np.linalg.eigvalsh(partial_transpose(gammas / n_ab[:, None, None]))
 
 
+def _rows(indices: range, cutoff: int, gammas: np.ndarray, n_a: np.ndarray,
+          n_b: np.ndarray, n_ab: np.ndarray) -> list[dict]:
+    """Report rows, one per index, from a Gamma stack and its moments."""
+    if np.any(n_ab <= 0.0):
+        raise NormalizationUndefinedError("sampled state with <n_a n_b> = 0")
+    stats = _bound_stats(gammas, n_a, n_b, n_ab)
+    columns = [c.tolist() for c in (n_a, n_b, n_ab, stats.negativity, stats.bound_exact,
+                                     stats.bound_approx, stats.satisfied)]
+    return [{"seed": int(i), "cutoff": int(cutoff), "n_a": a, "n_b": b, "n_ab": ab,
+             "negativity": neg, "bound_exact": exact, "bound_approx": approx, "satisfied": ok}
+            for i, a, b, ab, neg, exact, approx, ok in zip(indices, *columns)]
+
+
 def bound_rows(master_seed: int, indices: range, cutoff: int,
                photons_per_beam: int | None = None) -> list[dict]:
     """Report rows (one per sampled state) for the bound-checking sweeps."""
     check_sample_work(len(indices), cutoff)
     sampler = BeamSampler(cutoff)
     n = len(indices)
-    count = min(-(-n * sampler.space.dimension // CHUNK_WORK), n // 2) or 1
+    count = min(-(-n * sampler.space.dimension // CHUNK_WORK), n) or 1
     bounds = np.linspace(0, n, count + 1, dtype=int)
     rows = []
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        chunk = indices[start:stop]
-        psi = sampler.sample_states(master_seed, chunk, photons_per_beam)
-        gammas, n_a, n_b, n_ab = sampler.gammas_and_moments(psi)
-        if np.any(n_ab <= 0.0):
-            raise NormalizationUndefinedError("sampled state with <n_a n_b> = 0")
-        stats = _bound_stats(gammas, n_a, n_b, n_ab)
-        rows += [{
-            "seed": int(i), "cutoff": int(cutoff),
-            "n_a": float(n_a[col]), "n_b": float(n_b[col]), "n_ab": float(n_ab[col]),
-            "negativity": float(stats.negativity[col]),
-            "bound_exact": float(stats.bound_exact[col]),
-            "bound_approx": float(stats.bound_approx[col]),
-            "satisfied": bool(stats.satisfied[col]),
-        } for col, i in enumerate(chunk)]
+        psi = sampler.sample_states(master_seed, indices[start:stop], photons_per_beam)
+        rows += _rows(indices[start:stop], cutoff, *sampler.gammas_and_moments(psi))
     return rows
 
 
@@ -321,18 +324,12 @@ def mixture_rows(master_seed: int, indices: range, cutoff: int) -> list[dict]:
     index; each draws both components and the weight from its own RNG."""
     check_sample_work(len(indices), cutoff)
     space = fock.FockSpace.truncated([cutoff] * 4)
-    rows = []
+    mixes = []
     for i in indices:
         rng = rng_for(master_seed, i)
         g1 = gamma_from_state(haar_state(space, rng))
         g2 = gamma_from_state(haar_state(space, rng))
         w = float(rng.uniform())
-        mix = gamma_from_mixture([(w, g1), (1.0 - w, g2)])
-        rep = bound_report(mix)
-        rows.append({
-            "seed": int(i), "cutoff": int(cutoff),
-            "n_a": mix.n_a, "n_b": mix.n_b, "n_ab": mix.n_ab,
-            "negativity": rep.negativity, "bound_exact": rep.bound_exact,
-            "bound_approx": rep.bound_approx, "satisfied": rep.satisfied,
-        })
-    return rows
+        mixes.append(gamma_from_mixture([(w, g1), (1.0 - w, g2)]))
+    moments = (np.array([getattr(m, key) for m in mixes]) for key in ("n_a", "n_b", "n_ab"))
+    return _rows(indices, cutoff, np.reshape([m.gamma for m in mixes], (-1, 4, 4)), *moments)

@@ -300,6 +300,14 @@ def test_pendulum_fixed_point_is_zero():
     assert np.max(np.abs(traj.phidot)) == 0.0
 
 
+def test_pendulum_argument_validation():
+    for bad in ({"dt": 0.0}, {"horizon": -1.0}, {"sample_every": 0},
+                {"sample_every": -1}):
+        with pytest.raises(ContractViolationError):
+            dyn.pendulum_trajectory(**{"phi0": 0.1, "phidot0": 0.0, "omega": 1.0,
+                                       "horizon": 1.0, "dt": 0.01, **bad})
+
+
 def test_pendulum_harmonic_limit():
     omega = 1.7
     traj = dyn.pendulum_trajectory(0.01, 0.0, omega, horizon=10.0 / omega,

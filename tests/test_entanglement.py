@@ -7,6 +7,7 @@ import beamlab.entanglement as ent
 import beamlab.fock as fock
 from beamlab.errors import (
     ContractViolationError,
+    DomainError,
     NormalizationUndefinedError,
     ResourceLimitError,
 )
@@ -233,16 +234,33 @@ def test_bound_rows_independent_of_chunking():
 
 
 def test_sector_sampler_matches_single_state_path():
-    sampler = ent.BeamSampler(2)
-    psi = sampler.sample_states(42, range(5), photons_per_beam=2)
-    gammas, n_a, n_b, n_ab = sampler.gammas_and_moments(psi)
-    for col in range(5):
-        state = fock.StateVector(sampler.space, psi[:, col])
-        corr = ent.gamma_from_state(state)
-        assert np.allclose(corr.gamma, gammas[col], atol=1e-12)
-        assert corr.n_a == pytest.approx(n_a[col])
-        rep = ent.check_bound(state)
-        assert rep.bound_exact == pytest.approx(1.0, rel=1e-12)   # 2/k with k=2
+    # one draw and one summation order: a state rebuilt from its seed gives
+    # its sampled row's Gamma, moments and bound bit for bit
+    for cutoff, photons in ((2, None), (3, None), (2, 2), (3, 3)):
+        sampler = ent.BeamSampler(cutoff)
+        psi = sampler.sample_states(42, range(7), photons_per_beam=photons)
+        gammas, n_a, n_b, n_ab = sampler.gammas_and_moments(psi)
+        rows = ent.bound_rows(42, range(7), cutoff, photons_per_beam=photons)
+        for col in range(7):
+            rng = rng_for(42, col)
+            state = (ent.haar_state(sampler.space, rng) if photons is None else
+                     ent.sector_state(sampler.space, (0, 1), (2, 3), photons, photons, rng))
+            assert np.array_equal(state.amplitudes, psi[:, col])
+            corr = ent.gamma_from_state(state)
+            assert np.array_equal(corr.gamma, gammas[col])
+            assert (corr.n_a, corr.n_b, corr.n_ab) == (n_a[col], n_b[col], n_ab[col])
+            assert (corr.n_a, corr.n_b, corr.n_ab) == (
+                rows[col]["n_a"], rows[col]["n_b"], rows[col]["n_ab"])
+            rep = ent.check_bound(state)
+            assert rep.negativity == rows[col]["negativity"]
+            assert rep.bound_exact == rows[col]["bound_exact"]
+            if photons is not None:
+                assert rep.bound_exact == pytest.approx(2.0 / photons, rel=1e-12)
+
+
+def test_empty_sector_is_refused_before_sampling():
+    with pytest.raises(DomainError, match="no basis states with beam photon numbers"):
+        ent.bound_rows(1, range(3), 1, photons_per_beam=3)
 
 
 def test_sampling_is_seeded_per_index():
@@ -318,5 +336,22 @@ def test_bound_rows_do_not_depend_on_the_chunk_width(monkeypatch):
     sector = ent.bound_rows(4, range(3, 13), 2, photons_per_beam=2)
     monkeypatch.setattr(ent, "CHUNK_WORK", 3 * 16)      # widths 2, 3, 2, 3 at cutoff 1
     assert ent.bound_rows(4, range(3, 13), 1) == whole
-    monkeypatch.setattr(ent, "CHUNK_WORK", 1)           # the least width, 2
+    monkeypatch.setattr(ent, "CHUNK_WORK", 1)           # one state per chunk
     assert ent.bound_rows(4, range(3, 13), 2, photons_per_beam=2) == sector
+
+
+def test_mixture_rows_equal_per_index_bound_reports():
+    space = four_mode_space(2)
+    rows = ent.mixture_rows(9, range(4, 10), 2)
+    assert ent.mixture_rows(9, range(0), 2) == []
+    for row, i in zip(rows, range(4, 10), strict=True):
+        rng = rng_for(9, i)
+        g1 = ent.gamma_from_state(ent.haar_state(space, rng))
+        g2 = ent.gamma_from_state(ent.haar_state(space, rng))
+        w = float(rng.uniform())
+        mix = ent.gamma_from_mixture([(w, g1), (1.0 - w, g2)])
+        rep = ent.bound_report(mix)
+        assert row == {
+            "seed": i, "cutoff": 2, "n_a": mix.n_a, "n_b": mix.n_b, "n_ab": mix.n_ab,
+            "negativity": rep.negativity, "bound_exact": rep.bound_exact,
+            "bound_approx": rep.bound_approx, "satisfied": rep.satisfied}
