@@ -210,10 +210,10 @@ def _parallel_bound_rows(seed, samples, cutoff, photons, workers):
     Each row draws from its own `rng_for(seed, index)`, so the rows do not
     depend on the split or on the process that computes them, and the
     report is byte-identical at every --workers.  On Linux the pool forks
-    the CLI process, so its workers start with numpy, scipy and beamlab
-    loaded; a spawned worker imports them afresh, which costs more than
-    its share of a neg-sweep pool's work.  Elsewhere, where fork is
-    missing or unsafe, the pool spawns.
+    the CLI process, so its workers start with numpy and beamlab loaded; a
+    spawned worker imports them afresh, which costs more than its share of
+    a neg-sweep pool's work.  Elsewhere, where fork is missing or unsafe,
+    the pool spawns.  No process of these runs loads scipy.
     """
     entanglement.check_sample_work(samples, cutoff)
     if workers <= 1 or samples < 2 * workers:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -83,25 +84,42 @@ class TwoBeamCorrelation:
         return self.gamma / self.n_ab
 
 
-def _lowered(space: fock.FockSpace, beam_a: tuple[int, int],
-             beam_b: tuple[int, int], psi: np.ndarray) -> np.ndarray:
-    """The four a_mu b_mu' psi (row 2*mu + mu') for state columns psi: index
-    shifts by stride_mu + stride_mu' weighted sqrt(n_mu) * sqrt(n_mu'), the
-    two roots as a product of ladder matrices forms them, bit for bit."""
+# Index shifts of the four lowering products and the beam-number diagonals
+# of one (space, beam a, beam b); every array is read-only.
+_Plan = namedtuple("_Plan", ["shifts", "n_a", "n_b", "n_ab"])
+
+
+def _plan(space: fock.FockSpace, beam_a, beam_b) -> _Plan:
+    return _cached_plan(space, tuple(beam_a), tuple(beam_b))
+
+
+@lru_cache(maxsize=4)       # a run works on one space at a time
+def _cached_plan(space: fock.FockSpace, beam_a: tuple[int, int],
+                 beam_b: tuple[int, int]) -> _Plan:
+    """a_mu b_mu' (row 2*mu + mu') moves the amplitude at src to dst =
+    src - stride_mu - stride_mu', weighted sqrt(n_mu) * sqrt(n_mu'), the two
+    roots as a product of ladder matrices forms them, bit for bit."""
     strides = space._strides()
-    out = np.zeros((4, *psi.shape), dtype=complex)
-    for row, (mu, mup) in enumerate(product(beam_a, beam_b)):
+    shifts = []
+    for mu, mup in product(beam_a, beam_b):
         n_mu, n_mup = space.number_diagonal(mu), space.number_diagonal(mup)
         src = np.nonzero((n_mu > 0) & (n_mup > 0))[0]
-        weight = np.sqrt(n_mu[src]) * np.sqrt(n_mup[src])
-        out[row, src - strides[mu] - strides[mup]] = weight[:, None] * psi[src]
+        shifts.append((src, src - strides[mu] - strides[mup],
+                       np.sqrt(n_mu[src]) * np.sqrt(n_mup[src])))
+    n_a, n_b = (sum(map(space.number_diagonal, beam)) for beam in (beam_a, beam_b))
+    plan = _Plan(tuple(shifts), n_a, n_b, n_a * n_b)
+    for array in (*(a for shift in shifts for a in shift), *plan[1:]):
+        array.flags.writeable = False
+    return plan
+
+
+def _lowered(space: fock.FockSpace, beam_a: tuple[int, int],
+             beam_b: tuple[int, int], psi: np.ndarray) -> np.ndarray:
+    """The four a_mu b_mu' psi (row 2*mu + mu') for state columns psi."""
+    out = np.zeros((4, *psi.shape), dtype=complex)
+    for row, (src, dst, weight) in enumerate(_plan(space, beam_a, beam_b).shifts):
+        out[row, dst] = weight[:, None] * psi[src]
     return out
-
-
-def _beam_numbers(space: fock.FockSpace, beam_a: tuple[int, int],
-                  beam_b: tuple[int, int]) -> list[np.ndarray]:
-    """Photon numbers of beam a and of beam b for every basis state."""
-    return [sum(map(space.number_diagonal, beam)) for beam in (beam_a, beam_b)]
 
 
 def _gammas_and_moments(space: fock.FockSpace, beam_a: tuple[int, int],
@@ -111,10 +129,10 @@ def _gammas_and_moments(space: fock.FockSpace, beam_a: tuple[int, int],
     fixed order (einsum and a running sum over the basis, not BLAS), so a
     state gets the same values alone and in a batch of any width; only the
     last row of each running sum is kept."""
-    na_diag, nb_diag = _beam_numbers(space, beam_a, beam_b)
+    plan = _plan(space, beam_a, beam_b)
     probs = np.abs(psi) ** 2
     n_a, n_b, n_ab = (np.add.accumulate(w[:, None] * probs, axis=0)[-1].copy()
-                      for w in (na_diag, nb_diag, na_diag * nb_diag))
+                      for w in (plan.n_a, plan.n_b, plan.n_ab))
     lowered = _lowered(space, beam_a, beam_b, psi)
     return np.einsum("cds,rds->src", lowered.conj(), lowered), n_a, n_b, n_ab
 
@@ -244,8 +262,8 @@ def haar_state(space: fock.FockSpace, rng: np.random.Generator) -> fock.StateVec
 def _sector_indices(space: fock.FockSpace, beam_a: tuple[int, int],
                     beam_b: tuple[int, int], k_a: int, k_b: int) -> np.ndarray:
     """Basis indices with exactly k_a photons in beam a and k_b in beam b."""
-    na, nb = _beam_numbers(space, beam_a, beam_b)
-    idx = np.nonzero((na == k_a) & (nb == k_b))[0]
+    plan = _plan(space, beam_a, beam_b)
+    idx = np.nonzero((plan.n_a == k_a) & (plan.n_b == k_b))[0]
     if idx.size == 0:
         raise DomainError(f"no basis states with beam photon numbers ({k_a}, {k_b})")
     return idx

@@ -24,6 +24,9 @@ own time, by dot products of contiguous rows that give a column the same
 bits in any block and at any BLAS thread count; the self-consistent flow
 applies its Euler angles with it.  hbar = 1 throughout: times are inverse
 energies in the caller's unit.
+
+scipy is imported where a sparse matrix or the tridiagonal eigensolver is
+used, not when this module loads, so the beam subcommands never load it.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     ContractViolationError,
@@ -259,6 +260,7 @@ class LinearOperator:
                 raise ContractViolationError("operator marked hermitian is not")
 
     def hermiticity_defect(self) -> float:
+        import scipy.sparse as sp
         d = self.matrix - _adjoint_matrix(self.matrix)
         if sp.issparse(d):
             return float(np.max(np.abs(d.data))) if d.nnz else 0.0
@@ -268,6 +270,7 @@ class LinearOperator:
     def tridiagonal(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(diagonal, lower off-diagonal) as real vectors when the matrix is
         real with bandwidth <= 1, else None."""
+        import scipy.sparse as sp
         m = sp.coo_matrix(self.matrix)
         if np.any((np.abs(m.row - m.col) > 1) & (m.data != 0)) or np.any(m.data.imag):
             return None
@@ -277,6 +280,7 @@ class LinearOperator:
         return self.matrix @ vec
 
     def to_dense(self) -> np.ndarray:
+        import scipy.sparse as sp
         if sp.issparse(self.matrix):
             return np.asarray(self.matrix.todense(), dtype=complex)
         return np.asarray(self.matrix, dtype=complex)
@@ -315,6 +319,7 @@ class LinearOperator:
 
 
 def _adjoint_matrix(m):
+    import scipy.sparse as sp
     if sp.issparse(m):
         return m.conjugate().transpose().tocsr()
     return np.conjugate(np.asarray(m)).T
@@ -327,6 +332,7 @@ def ladder_operator(space: FockSpace, mode: int, kind: str) -> LinearOperator:
     adjoint, so raising off the top of the truncation drops the amplitude.
     On fixed-sector spaces only "number" is available.
     """
+    import scipy.sparse as sp
     if not 0 <= mode < space.mode_count:
         raise ContractViolationError(f"mode {mode} out of range")
     if kind not in ("annihilate", "create", "number"):
@@ -359,6 +365,7 @@ def hopping_operator(space: FockSpace, dest: int, source: int) -> LinearOperator
     Available on both space kinds; on a fixed sector it is the only
     off-diagonal primitive (it conserves the total quantum number).
     """
+    import scipy.sparse as sp
     if dest == source:
         return ladder_operator(space, dest, "number")
     if space.kind == "fixed_sector":
@@ -454,6 +461,12 @@ def _require_hermitian(op: LinearOperator):
             raise ContractViolationError(
                 "Hamiltonian must be marked hermitian (use marked_hermitian())")
         raise ContractViolationError("Hamiltonian is not Hermitian")
+
+
+def eigh_tridiagonal(d: np.ndarray, e: np.ndarray):
+    """scipy.linalg.eigh_tridiagonal(d, e), scipy imported on the first call."""
+    from scipy.linalg import eigh_tridiagonal as solve
+    return solve(d, e)
 
 
 def _eigendecomposition(op: LinearOperator):

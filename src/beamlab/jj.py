@@ -33,7 +33,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fock
 from .errors import ChargeRegimeWarning, ContractViolationError, DomainError
@@ -173,6 +172,7 @@ def build_jj_hamiltonian(params: JJParams, space: fock.FockSpace, kind: str,
     The mean-field kind evaluates <n1> on the supplied state; pass the
     instantaneous state when integrating self-consistently.
     """
+    import scipy.sparse as sp
     if space.kind != "fixed_sector" or space.n_total != params.n_total:
         raise ContractViolationError(
             f"space must be the fixed sector with N = {params.n_total}")

@@ -141,6 +141,52 @@ def test_neg_sweep_cli_pool_with_blas_threads_matches_serial(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+SCIPY_FREE_RUNS = r"""
+import sys
+from beamlab import cli
+
+def scipy_loaded():
+    return any(name.partition(".")[0] == "scipy" for name in sys.modules)
+
+bound_chunk = cli._bound_chunk
+
+def checked_chunk(task):        # what each forked pool worker runs
+    rows = bound_chunk(task)
+    assert not scipy_loaded(), "a pool worker loaded scipy"
+    return rows
+
+if cli.START_METHOD == "fork":
+    cli._bound_chunk = checked_chunk
+out, scene = sys.argv[1:]
+for argv in (["bound-check", "--seed", "1", "--samples", "20", "--cutoff", "1",
+              "--mixtures", "3"],
+             ["neg-sweep", "--seed", "2", "--samples", "8", "--k-max", "2",
+              "--workers", "1"],
+             ["neg-sweep", "--seed", "2", "--samples", "8", "--k-max", "2",
+              "--workers", "2"],
+             ["tomography", "--config", scene]):
+    assert cli.main(argv + ["--out", out]) == 0, argv
+    assert not scipy_loaded(), argv
+assert cli.main(["compare", "--n-total", "4", "--e-c", "10", "--lam", "1",
+                 "--out", out]) == 0
+assert scipy_loaded()
+"""
+
+
+def test_beam_subcommands_never_load_scipy(tmp_path):
+    # a fresh process: the test session itself has scipy loaded
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"stokes": {"i": 1.0, "m": 0.2, "c": 0.0, "s": 0.1},
+                                 "shots": 100, "seed": 4}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_RUNS, str(tmp_path / "out.csv"), str(scene)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_bound_check_json_and_csv_agree(tmp_path):
     base = ["bound-check", "--seed", "3", "--samples", "25", "--cutoff", "1"]
     cpath, jpath = tmp_path / "b.csv", tmp_path / "b.json"

@@ -296,6 +296,38 @@ def test_index_shift_products_equal_sparse_ladder_products():
         assert corr.n_ab * scale == pytest.approx(n_ab[col], rel=1e-12)
 
 
+def test_lowering_plan_is_cached_per_beam_assignment():
+    # two assignments on one space in turn: a plan keyed on the space alone
+    # would hand the second one the first one's shifts
+    ent._cached_plan.cache_clear()
+    space = fock.FockSpace.truncated([1, 2, 3, 2])
+    rng = np.random.default_rng(5)
+    psi = (rng.standard_normal((space.dimension, 3))
+           + 1j * rng.standard_normal((space.dimension, 3)))
+    ann = [fock.ladder_operator(space, m, "annihilate").matrix for m in range(4)]
+    number = [space.number_diagonal(m) for m in range(4)]
+    for beam_a, beam_b in (((2, 0), (3, 1)), ((0, 1), (2, 3)), ((2, 0), (3, 1))):
+        sparse = np.stack([(ann[mu] @ ann[mup]).tocsr() @ psi
+                           for mu in beam_a for mup in beam_b])
+        assert np.array_equal(ent._lowered(space, beam_a, beam_b, psi), sparse)
+        plan = ent._plan(space, beam_a, beam_b)
+        n_a, n_b = (number[m] + number[n] for m, n in (beam_a, beam_b))
+        assert np.array_equal(plan.n_a, n_a) and np.array_equal(plan.n_b, n_b)
+        assert np.array_equal(plan.n_ab, n_a * n_b)
+    assert ent._cached_plan.cache_info().misses == 2
+    assert ent._plan(space, [0, 1], [2, 3]) is ent._plan(space, (0, 1), (2, 3))
+    for array in (*(a for shift in plan.shifts for a in shift), *plan[1:]):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        plan.n_a[0] = 1.0
+
+    state = ent.haar_state(four_mode_space(2), rng_for(9, 0))
+    listed = ent.gamma_from_state(state, [0, 1], [2, 3])
+    tupled = ent.gamma_from_state(state, (0, 1), (2, 3))
+    assert np.array_equal(listed.gamma, tupled.gamma)
+    assert (listed.n_a, listed.n_b, listed.n_ab) == (tupled.n_a, tupled.n_b, tupled.n_ab)
+
+
 def test_partial_transpose_of_a_stack_matches_index_oracle():
     rng = np.random.default_rng(3)
     stack = rng.standard_normal((3, 2, 4, 4)) + 1j * rng.standard_normal((3, 2, 4, 4))
