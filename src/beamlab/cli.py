@@ -109,9 +109,11 @@ class Param:
     `check` takes a JSON value (a config entry, or flag text read by
     `_flag_value`) and returns the typed value, raising ValueError that says
     what the value must be.  `default` is a value, None (optional), REQUIRED,
-    or a function of the values resolved before it.  `interval` bounds the
-    value, e.g. "[1, inf)".  `source` "flag" marks an execution detail and
-    "config" a structured scene value; neither is echoed.
+    or a function of the values resolved before it, whose result is checked
+    as a given value is.  `interval` bounds the value, e.g. "[1, inf)"; an
+    end may name a parameter resolved before it, e.g. "[0, n_total]".
+    `source` "flag" marks an execution detail and "config" a structured
+    scene value; neither is echoed.
     """
 
     name: str
@@ -122,8 +124,8 @@ class Param:
     source: str = "both"
 
 
-def _inside(value: float, interval: str) -> bool:
-    lo, hi = (float(end) for end in interval[1:-1].split(","))
+def _inside(value: float, interval: str, values: dict) -> bool:
+    lo, hi = (float(values.get(end.strip(), end)) for end in interval[1:-1].split(","))
     above = lo < value if interval[0] == "(" else lo <= value
     below = value < hi if interval[-1] == ")" else value <= hi
     return above and below
@@ -148,7 +150,8 @@ def _load_config_file(path: str, allowed: set[str]) -> dict:
 
 def resolve(table: tuple[Param, ...], args) -> dict:
     """Validated values for every parameter in `table`: flag, else config
-    file, else default.  A JSON null counts as not given."""
+    file, else default.  A JSON null counts as not given.  An error names
+    the flag or config key, or says that the value was derived."""
     file = {}
     if args.config:
         file = _load_config_file(
@@ -159,16 +162,22 @@ def resolve(table: tuple[Param, ...], args) -> dict:
         raw = file.get(p.name) if flag is None else flag
         if raw is None and p.default is REQUIRED:
             raise BeamlabError(f"missing required parameter '{p.name}'")
-        if raw is None:
-            values[p.name] = p.default(values) if callable(p.default) else p.default
+        if raw is None and not callable(p.default):
+            values[p.name] = p.default
             continue
-        where = (f"{args.config}: {p.name}" if flag is None
-                 else "--" + p.name.replace("_", "-"))
+        derived = raw is None
+        if derived:
+            raw = p.default(values)
+        dashed = "--" + p.name.replace("_", "-")
+        where = f"{args.config}: {p.name}" if flag is None else dashed
         try:
             value = p.check(raw if flag is None else _flag_value(flag))
-            if p.interval and not _inside(value, p.interval):
+            if p.interval and not _inside(value, p.interval, values):
                 raise ValueError(f"must be in {p.interval}")
         except (ValueError, OverflowError) as exc:
+            if derived:
+                raise BeamlabError(f"{dashed} was not given, and its derived "
+                                   f"value {raw!r} {exc}") from None
             raise BeamlabError(f"{where} {exc}, got {raw!r}") from None
         values[p.name] = value
     return values
@@ -210,10 +219,12 @@ def _parallel_bound_rows(seed, samples, cutoff, photons, workers):
     Each row draws from its own `rng_for(seed, index)`, so the rows do not
     depend on the split or on the process that computes them, and the
     report is byte-identical at every --workers.  On Linux the pool forks
-    the CLI process, so its workers start with numpy and beamlab loaded; a
-    spawned worker imports them afresh, which costs more than its share of
-    a neg-sweep pool's work.  Elsewhere, where fork is missing or unsafe,
-    the pool spawns.  No process of these runs loads scipy.
+    the CLI process just after it has loaded `numpy.random` and built the
+    run's plan, so its workers start with numpy, `numpy.random`, beamlab
+    and the plan, and a task loads and builds nothing.  A spawned worker
+    imports them afresh, which costs more than its share of a neg-sweep
+    pool's work.  Elsewhere, where fork is missing or unsafe, the pool
+    spawns.  No process of these runs loads scipy.
     """
     entanglement.check_sample_work(samples, cutoff)
     if workers <= 1 or samples < 2 * workers:
@@ -221,6 +232,7 @@ def _parallel_bound_rows(seed, samples, cutoff, photons, workers):
     bounds = np.linspace(0, samples, workers + 1, dtype=int)
     tasks = [(seed, int(a), int(b), cutoff, photons)
              for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+    entanglement.prepare_bound_rows(cutoff)
     with get_context(START_METHOD).Pool(min(workers, _usable_cpus())) as pool:
         chunks = pool.map(_bound_chunk, tasks)
     return [row for chunk in chunks for row in chunk]
@@ -294,10 +306,16 @@ def _jj_params(v: dict) -> jj.JJParams:
     return jj.JJParams(**{p.name: v[p.name] for p in JUNCTION})
 
 
-def _rate(v: dict) -> float:
-    """The junction's time scale: plasma frequency or tunneling rate."""
+def _rate(v: dict, flag: str) -> float:
+    """The junction's time scale, plasma frequency or tunneling rate, from
+    which the default of `flag` is derived."""
     params = _jj_params(v)
-    return max(jj.derived_constants(params).omega, abs(params.lam), 1e-12)
+    with np.errstate(over="ignore"):
+        rate = max(jj.derived_constants(params).omega, abs(params.lam), 1e-12)
+    if not math.isfinite(rate):
+        raise BeamlabError(f"{flag} was not given, and the junction rate it is "
+                           "derived from is infinite at these --e-c and --lam")
+    return rate
 
 
 JUNCTION = (
@@ -312,10 +330,13 @@ JUNCTION = (
     Param("model", _one_of("mean_field", "bose_hubbard"), "mean_field",
           "junction model"),
     *JUNCTION,
-    Param("n0", _number, lambda v: v["n_bar1"], "initial pairs on electrode 1"),
+    Param("n0", _number, lambda v: v["n_bar1"], "initial pairs on electrode 1",
+          "[0, n_total]"),
     Param("phi0", _number, 0.0, "phase label of the initial product state"),
-    Param("horizon", _number, lambda v: 10.0 / _rate(v), "end time", "[0, inf)"),
-    Param("dt", _number, lambda v: 0.01 / _rate(v), "output spacing"),
+    Param("horizon", _number, lambda v: 10.0 / _rate(v, "--horizon"), "end time",
+          "[0, inf)"),
+    Param("dt", _number, lambda v: 0.01 / _rate(v, "--dt"), "output spacing",
+          "(0, inf)"),
     IGNORED_SEED,
 ))
 def run_jj_evolve(args):
@@ -334,7 +355,7 @@ def run_jj_evolve(args):
     Param("horizon", _number, lambda v: 10.0 / v["omega"] if v["omega"] > 0 else 10.0,
           "end time", "[0, inf)"),
     Param("dt", _number, lambda v: 0.01 / v["omega"] if v["omega"] > 0 else 0.01,
-          "output spacing"),
+          "output spacing", "(0, inf)"),
     Param("e_c", _number, None, "charging energy, to reconstruct n1"),
     Param("n_bar1", _number, None, "background pairs, to reconstruct n1"),
     IGNORED_SEED,
@@ -368,9 +389,11 @@ def run_fluctuations(args):
 
 @command("compare", "exact vs self-consistent vs pendulum", (
     *JUNCTION,
-    Param("n0", _number, lambda v: v["n_bar1"] + 1.0, "initial pairs on electrode 1"),
+    Param("n0", _number, lambda v: v["n_bar1"] + 1.0, "initial pairs on electrode 1",
+          "[0, n_total]"),
     Param("phi0", _number, 0.0, "initial displacement from the locked phase"),
-    Param("horizon", _number, lambda v: 20.0 / _rate(v), "end time", "(0, inf)"),
+    Param("horizon", _number, lambda v: 20.0 / _rate(v, "--horizon"), "end time",
+          "(0, inf)"),
     IGNORED_SEED,
 ))
 def run_compare(args):

@@ -339,6 +339,9 @@ def pendulum_trajectory(phi0: float, phidot0: float, omega: float, horizon: floa
         raise ContractViolationError("horizon must be >= 0")
     if sample_every < 1:
         raise ContractViolationError("sample_every must be >= 1")
+    if not math.isfinite(0.5 * phidot0 * phidot0 + omega * omega):
+        raise DomainError(f"omega = {omega!r} and phidot0 = {phidot0!r} put the "
+                          "pendulum energy beyond the float range")
     stride = int(sample_every)
     n_steps = _step_count(horizon, dt)
     if n_steps:
@@ -500,8 +503,12 @@ def model_compare(params: jj.JJParams, n0: float, phi0: float, horizon: float,
     (phi0, E_C (n0 - nbar1)) with the matched linearized frequency.
     The exact run's fock.EIG_WORK_LIMIT bounds N.
     """
-    omega_match = meanfield_matched_omega(params)
+    with np.errstate(over="ignore"):
+        omega_match = meanfield_matched_omega(params)
     rate = max(omega_match, abs(params.lam), 1e-12)
+    if not math.isfinite(rate):
+        raise DomainError(f"e_c = {params.e_c!r} and lam = {params.lam!r} make the "
+                          "junction rate infinite")
     if dt_out is None:
         dt_out = 0.1 / rate
     if dt_mf is None:

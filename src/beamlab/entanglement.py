@@ -309,6 +309,15 @@ class BeamSampler:
         return np.linalg.eigvalsh(partial_transpose(gammas / n_ab[:, None, None]))
 
 
+def prepare_bound_rows(cutoff: int) -> None:
+    """Load numpy.random, which numpy loads on first use, and build the plan
+    that `bound_rows` reads at `cutoff`; a process forked afterwards starts
+    with both."""
+    import numpy.random  # noqa: F401
+    sampler = BeamSampler(cutoff)
+    _plan(sampler.space, sampler.beam_a, sampler.beam_b)
+
+
 def _rows(indices: range, cutoff: int, gammas: np.ndarray, n_a: np.ndarray,
           n_b: np.ndarray, n_ab: np.ndarray) -> list[dict]:
     """Report rows, one per index, from a Gamma stack and its moments."""

@@ -173,18 +173,59 @@ assert scipy_loaded()
 """
 
 
+def run_fresh(script, *args):
+    """Run `script` in a fresh interpreter that imports beamlab from src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_beam_subcommands_never_load_scipy(tmp_path):
     # a fresh process: the test session itself has scipy loaded
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps({"stokes": {"i": 1.0, "m": 0.2, "c": 0.0, "s": 0.1},
                                  "shots": 100, "seed": 4}))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_FREE_RUNS, str(tmp_path / "out.csv"), str(scene)],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
-        timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    run_fresh(SCIPY_FREE_RUNS, tmp_path / "out.csv", scene)
+
+
+WARM_WORKER_RUNS = r"""
+import sys
+from beamlab import cli, entanglement
+
+bound_chunk = cli._bound_chunk
+
+def checked_chunk(task):        # what each forked pool worker runs
+    modules = set(sys.modules)
+    misses = entanglement._cached_plan.cache_info().misses
+    rows = bound_chunk(task)
+    loaded = sorted(set(sys.modules) - modules)
+    assert not loaded, f"a pool worker loaded {loaded}"
+    assert entanglement._cached_plan.cache_info().misses == misses, \
+        "a pool worker built a plan"
+    return rows
+
+cli._bound_chunk = checked_chunk
+assert "numpy.random" not in sys.modules, "import beamlab.cli loaded numpy.random"
+out = sys.argv[1]
+assert cli.main(["pendulum", "--omega", "1", "--horizon", "1", "--dt", "0.1",
+                 "--out", out]) == 0
+assert "numpy.random" not in sys.modules, "pendulum loaded numpy.random"
+for argv in (["neg-sweep", "--seed", "2", "--samples", "8", "--k-max", "3",
+              "--workers", "2"],
+             ["bound-check", "--seed", "1", "--samples", "20", "--cutoff", "2",
+              "--mixtures", "3", "--workers", "2"]):
+    assert cli.main(argv + ["--out", out]) == 0, argv
+"""
+
+
+@pytest.mark.skipif(cli.START_METHOD != "fork", reason="workers fork on Linux only")
+def test_forked_workers_load_and_build_nothing(tmp_path):
+    # a fresh process, whose numpy has not loaded numpy.random yet
+    run_fresh(WARM_WORKER_RUNS, tmp_path / "out.csv")
 
 
 def test_bound_check_json_and_csv_agree(tmp_path):

@@ -202,6 +202,21 @@ DEFECTS = [
     ("pendulum", {"omega": 1, "horizon": INF}, []),
     ("fluctuations", {"n_bar1_values": [1.0, 1.0, 1.0]}, []),
 ]
+# A default derived from other values is checked as a given value is, and
+# the message says that it was derived.
+DERIVED = [
+    ("compare", ["--n-total", "1", "--e-c", "1", "--lam", "1"],
+     "--n0 was not given, and its derived value 1.5 must be in [0, n_total]"),
+    ("jj-evolve", ["--n-total", "100", "--e-c", "1e300", "--lam", "1e300"],
+     "--horizon was not given, and the junction rate it is derived from is "
+     "infinite at these --e-c and --lam"),
+    ("jj-evolve", ["--n-total", "100", "--e-c", "1e300", "--lam", "1e300",
+                   "--horizon", "1"],
+     "--dt was not given, and the junction rate it is derived from is "
+     "infinite at these --e-c and --lam"),
+    ("pendulum", ["--omega", "1e-320", "--horizon", "1"],
+     "--dt was not given, and its derived value inf must be a finite number"),
+]
 JUNCTION_FLAGS = ["--e-c", "0.2", "--lam", "0.1", "--n-total", "4"]
 # Work beyond a budget is refused before anything is allocated or any pool
 # starts, so each of these exits within a second.
@@ -224,6 +239,16 @@ OVER_BUDGET = [
                    "--lam", "0.001", "--horizon", "1", "--dt", "1e-4"]),
 ]
 DEFECTS += [(name, None, argv) for name, argv in OVER_BUDGET]
+# Cases added after the tables above go at the end, so that the ids of the
+# cases before them stay as they are.
+DEFECTS += [
+    ("pendulum", None, ["--omega", "1e200"]),
+    ("pendulum", None, ["--omega", "1", "--phidot0", "1e200"]),
+    ("compare", None, ["--n-total", "20", "--e-c", "1e308", "--lam", "1"]),
+    ("compare", None, ["--n-total", "20", "--e-c", "1e308", "--lam", "1",
+                       "--horizon", "1"]),
+]
+DEFECTS += [(name, None, argv) for name, argv, _ in DERIVED]
 
 
 @pytest.mark.parametrize("name,config,argv", DEFECTS)
@@ -232,6 +257,11 @@ def test_cli_defect_inputs_exit_1_with_one_line(tmp_path, name, config, argv):
     assert code == 1
     assert_clean_outcome(code, err)
     assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("name,argv,message", DERIVED)
+def test_cli_names_a_derived_default_that_fails(tmp_path, name, argv, message):
+    assert run_cli(tmp_path, name, None, argv) == (1, f"error: {message}\n")
 
 
 @pytest.mark.parametrize("name,argv", OVER_BUDGET)
