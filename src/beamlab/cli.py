@@ -7,7 +7,8 @@ is byte-identical across repeats and --workers settings.
 
 Exit codes: 0 success; 1 usage, domain or configuration error; 2 a bound
 or invariant violated by a sampled state, which would falsify the
-implementation rather than the run.
+implementation rather than the run.  Exit 1 writes one stderr line,
+``error: ...``; else each distinct warning is one line, ``warning: ...``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -428,18 +430,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        vars(args).update(resolve(args.table, args))
-        rows, extra = args.func(args)
-        config = {"subcommand": args.subcommand,
-                  **{p.name: getattr(args, p.name) for p in args.table
-                     if p.source == "both"},
-                  "format": args.format}
-        reports.emit_report(rows, args.format, args.out, config=config, extra=extra)
-    except BeamlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            args = build_parser().parse_args(argv)
+            vars(args).update(resolve(args.table, args))
+            rows, extra = args.func(args)
+            config = {"subcommand": args.subcommand,
+                      **{p.name: getattr(args, p.name) for p in args.table
+                         if p.source == "both"},
+                      "format": args.format}
+            reports.emit_report(rows, args.format, args.out, config=config, extra=extra)
+        except BeamlabError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
     if any(row.get("satisfied") is False for row in rows or ()):
         return EXIT_VIOLATION
     return EXIT_OK

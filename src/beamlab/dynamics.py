@@ -5,10 +5,10 @@ Three dynamical models run from matched initial data:
 * exact unitary evolution under the quadratic-charging Hamiltonian,
 * the self-consistent (state-dependent) flow, which is linear in the SU(2)
   generators and so reduces exactly to one rotation of the state driven
-  by its Bloch vector (the (z, phi) equations of the bosonic junction);
-  a sixth-order composition of exact rotations integrates the rotation,
-  and its Euler angles turn the initial state through one fixed Jx
-  eigendecomposition,
+  by its Bloch vector (the (z, phi) equations of the bosonic junction):
+  a classical spin, integrated by a sixth-order composition of exact
+  rotations, whose outputs are read from the Bloch vector without
+  building a state,
 * the classical pendulum  phidd = -omega^2 sin(phi).
 
 Conventions (frozen):
@@ -50,10 +50,10 @@ NORM_DRIFT_TOL = 1e-9
 FIDELITY_TOL = 1e-6
 
 # Work budgets, checked before a run allocates anything.  A step of the
-# pendulum keeps two Python floats (about 64 bytes).  The quantum models
-# hold one fock.EIG_WORK_LIMIT eigendecomposition, propagate and measure
+# pendulum keeps two Python floats (about 64 bytes).  The exact model holds
+# one fock.EIG_WORK_LIMIT eigendecomposition; both quantum models measure
 # their outputs in blocks of fock.OUTPUT_CHUNK_WORK (2^16) states x
-# dimension, 1 MB, and keep six numbers per output, so the output budget
+# dimension, 1 MB, and keep a few numbers per output, so the output budget
 # bounds their run time rather than their memory.
 STEP_LIMIT = 10_000_000
 OUTPUT_WORK_LIMIT = 10_000_000
@@ -131,6 +131,15 @@ def _unwrap_keeping_nans(raw: np.ndarray) -> np.ndarray:
     return out
 
 
+def _trajectory(blocks) -> Trajectory:
+    """Trajectory of (times, n1, <a1+ a2>, norm drift, energy, fidelity)
+    blocks; phi = arg <a1+ a2> is unwrapped once, over the whole run."""
+    times, n1, z, drift, energy, fid = map(np.concatenate, zip(*blocks))
+    phi = np.where(np.abs(z) > COHERENCE_FLOOR, np.angle(z), np.nan)
+    return Trajectory(times=times, n1=n1, phi=_unwrap_keeping_nans(phi),
+                      norm_drift=drift, energy=energy, fidelity=fid)
+
+
 def meanfield_matched_omega(params: jj.JJParams) -> float:
     """Linearized frequency of the self-consistent flow about its
     phase-locked configuration; exact at nbar1 = N/2 (elsewhere the locked
@@ -173,16 +182,15 @@ def evolve_meanfield(initial: fock.StateVector, params: jj.JJParams, horizon: fl
     """Integrate the state-dependent flow i d|psi>/dt = H[psi]|psi>.
 
     Up to a constant H[psi] = E_C (<Jz> + N/2 - nbar1) Jz + lam Jx, with
-    Jz = n1 - N/2, so the flow is one SU(2) rotation U(t)
-    (`_meanfield_rotations`).  Every output is
-    exp(-i alpha Jz) exp(-i beta Jx) exp(-i gamma Jz)|psi0>, with
-    (alpha, beta, gamma) the Euler angles of U(t) and the Jx turn taken
-    through one cached eigendecomposition of the fixed real tridiagonal
-    Jx, whose budget fock.EIG_WORK_LIMIT bounds N, while OUTPUT_WORK_LIMIT
-    bounds outputs x (N + 1); every column is measured on the propagated
-    vector.  Raises IntegrationFailureError when the initial state is off
-    the product family, or when the run's norm drift or product fidelity
-    misses NORM_DRIFT_TOL or FIDELITY_TOL.
+    Jz = n1 - N/2: one SU(2) rotation U(t) driven by the Bloch vector
+    (`_meanfield_rotations`), from which every column is read, so no state
+    is built after t = 0.  norm_drift is the SU(2) defect of U; the
+    fidelity, measured on the initial vector against the product state
+    fitted to the back-rotated moments, is lost when U and the Bloch vector
+    drift apart.  OUTPUT_WORK_LIMIT bounds outputs x (N + 1).  Raises
+    IntegrationFailureError when the initial state is off the product
+    family, or when the run's norm drift or product fidelity misses
+    NORM_DRIFT_TOL or FIDELITY_TOL.
     """
     if dt <= 0:
         raise ContractViolationError("dt must be positive")
@@ -202,30 +210,20 @@ def evolve_meanfield(initial: fock.StateVector, params: jj.JJParams, horizon: fl
     # outputs counted as evolve_exact counts them, t = 0 aside
     fock.check_work(n_steps / sample_every * space.dimension, OUTPUT_WORK_LIMIT,
                     "outputs x dimension")
-    jz = np.arange(space.dimension, dtype=float) - 0.5 * params.n_total
-    hop = fock.hopping_operator(space, 0, 1)
-    jx = (0.5 * (hop + hop.dagger())).marked_hermitian()
-    fock._eigendecomposition(jx)        # budget checked before the rotations run
     rotations = _meanfield_rotations(initial, params, step, n_steps, sample_every)
-    width = max(fock.OUTPUT_CHUNK_WORK // space.dimension, 1)
-
-    def turned(rot):
-        # U = Rz(alpha) Rx(beta) Rz(gamma) has first column
-        # (e^{-i(alpha+gamma)/2} cos(beta/2), -i e^{i(alpha-gamma)/2} sin(beta/2))
-        beta = 2.0 * np.arctan2(np.abs(rot["v"]), np.abs(rot["u"]))
-        plus, minus = -2.0 * np.angle(rot["u"]), 2.0 * np.angle(1j * rot["v"])
-        alpha, gamma = 0.5 * (plus + minus), 0.5 * (plus - minus)
-        psi = np.exp(-1j * np.outer(jz, gamma)) * initial.amplitudes[:, None]
-        psi = fock.tridiagonal_expm_apply(jx, psi, beta)
-        return rot["t"], np.exp(-1j * np.outer(jz, alpha)) * psi
-
-    def chunks():       # the rotations are drawn a block of outputs at a time
-        while len(rot := np.fromiter(itertools.islice(rotations, width), dtype=[
-                ("t", float), ("u", complex), ("v", complex)])):
-            yield turned(rot)
-
-    traj = _measured(chunks(), lambda psi, n1, z: (
-        params.lam * z.real + 0.5 * params.e_c * (n1 - params.n_bar1) ** 2))
+    half, width = 0.5 * params.n_total, max(fock.OUTPUT_CHUNK_WORK // space.dimension, 1)
+    blocks = []         # the rotations are drawn a block of outputs at a time
+    while len(rot := np.fromiter(itertools.islice(rotations, width), dtype=[
+            ("t", float), ("u", complex), ("v", complex), ("zeta", complex), ("jz", float)])):
+        u, v, zeta, jz = rot["u"], rot["v"], rot["zeta"], rot["jz"]
+        uu, vv, n1 = np.abs(u) ** 2, np.abs(v) ** 2, jz + half
+        # U^+ (m.sigma) U: the moments at t = 0 of the product state fitted at t
+        zeta0 = u * u * zeta - v * v * np.conj(zeta) - 2.0 * u * v * jz
+        jz0 = jz * (uu - vv) + 2.0 * np.real(np.conj(u) * v * np.conj(zeta))
+        blocks.append((rot["t"], n1, zeta, np.abs(uu + vv - 1.0),
+                       params.lam * zeta.real + 0.5 * params.e_c * (n1 - params.n_bar1) ** 2,
+                       jj.product_fit(initial.amplitudes[:, None], jz0 + half, zeta0)[2]))
+    traj = _trajectory(blocks)
     drift, fid = np.max(traj.norm_drift), np.min(traj.fidelity)
     if not (drift <= NORM_DRIFT_TOL and fid >= 1.0 - FIDELITY_TOL):
         raise IntegrationFailureError(
@@ -234,14 +232,14 @@ def evolve_meanfield(initial: fock.StateVector, params: jj.JJParams, horizon: fl
 
 
 def _meanfield_rotations(initial, params, step, n_steps, sample_every):
-    """Yield (t, u, v) at t = 0 and at every output step: (u, v) is the first
-    column of the SU(2) matrix U(t) of the rotation since t = 0.
-
-    The Bloch vector (Re zeta, Im zeta, jz), zeta = <a1+ a2>, obeys
-    d<J>/dt = B x <J> with B = (lam, 0, E_C (jz + N/2 - nbar1)).  A Strang
-    step Rz(h/2) Rx(h) Rz(h/2) is exact, as jz stands still while z turns,
-    and the _YOSHIDA6 weights compose it to sixth order; the two z-turns
-    that meet between x-turns are merged.
+    """Yield (t, u, v, zeta, jz) at t = 0 and at every output step: (u, v) is
+    the first column of the SU(2) matrix U(t) of the rotation since t = 0,
+    and (Re zeta, Im zeta, jz), zeta = <a1+ a2>, the Bloch vector it turns
+    the initial one into, which obeys d<J>/dt = B x <J> with
+    B = (lam, 0, E_C (jz + N/2 - nbar1)).  A Strang step Rz(h/2) Rx(h) Rz(h/2)
+    is exact, as jz stands still while z turns, and the _YOSHIDA6 weights
+    compose it to sixth order; the two z-turns that meet between x-turns
+    are merged.
     """
     zeta, jz = jj.coherence(initial), jj.mean_n1(initial) - 0.5 * params.n_total
     shift = 0.5 * params.n_total - params.n_bar1
@@ -251,7 +249,7 @@ def _meanfield_rotations(initial, params, step, n_steps, sample_every):
                for h in (0.5 * w * step * params.lam for w in _YOSHIDA6)]
     x_turns.append((1.0, 0.0, 1.0, 0.0))    # none after the last z-turn
     u, v = 1.0 + 0.0j, 0.0j
-    yield 0.0, u, v
+    yield 0.0, u, v, zeta, jz
     for s in range(n_steps):
         for z_angle, (ch, sh, c, sn) in zip(z_angles, x_turns):
             e = cmath.exp(0.5j * z_angle * (jz + shift))    # half angle
@@ -259,30 +257,27 @@ def _meanfield_rotations(initial, params, step, n_steps, sample_every):
             u, v = ch * u - 1j * sh * v, ch * v - 1j * sh * u
             zeta, jz = complex(zeta.real, c * zeta.imag - sn * jz), sn * zeta.imag + c * jz
         if (s + 1) % sample_every == 0 or s + 1 == n_steps:
-            yield (s + 1) * step, u, v
-
-
-def _measured(chunks, energy) -> Trajectory:
-    """Trajectory of (times, psi) chunks: psi is a (dimension, outputs) block
-    of states, every column measured as it is given, its norm drift its own
-    |norm - 1|.  A column whose norm misses 1 by more than 1e-12 raises
-    ContractViolationError.  energy(psi, <n1>, <a1+ a2>) gives a block's
-    energy column; phi is unwrapped once, over the whole run."""
-    columns = []
-    for t, psi in chunks:
-        norm, n1, z = jj.sector_moments(psi)
-        deviation = np.abs(norm - 1.0)
-        if not np.all(deviation <= 1e-12):
-            raise ContractViolationError(
-                f"state norm deviates from 1 by {np.max(deviation)!r} > 1e-12")
-        columns.append((t, n1, np.where(np.abs(z) > COHERENCE_FLOOR, np.angle(z), np.nan),
-                        deviation, energy(psi, n1, z), jj.product_fit(psi, n1, z)[2]))
-    times, n1s, raw_phi, drifts, energies, fids = map(np.concatenate, zip(*columns))
-    return Trajectory(times=times, n1=n1s, phi=_unwrap_keeping_nans(raw_phi),
-                      norm_drift=drifts, energy=energies, fidelity=fids)
+            yield (s + 1) * step, u, v, zeta, jz
 
 
 # -- exact evolution -----------------------------------------------------------
+
+
+def _measured(chunks, hamiltonian) -> Trajectory:
+    """Trajectory of (times, psi) chunks: psi is a (dimension, outputs) block
+    of states, every column measured as it is given, its norm drift its own
+    |norm - 1| and its energy <H>.  A column whose norm misses 1 by more
+    than 1e-12 raises ContractViolationError."""
+    blocks = []
+    for t, psi in chunks:
+        norm, n1, z = jj.sector_moments(psi)
+        drift = np.abs(norm - 1.0)
+        if not np.all(drift <= 1e-12):
+            raise ContractViolationError(
+                f"state norm deviates from 1 by {np.max(drift)!r} > 1e-12")
+        energy = np.sum(np.conj(psi) * hamiltonian.apply(psi), axis=0).real
+        blocks.append((t, n1, z, drift, energy, jj.product_fit(psi, n1, z)[2]))
+    return _trajectory(blocks)
 
 
 def evolve_exact(initial: fock.StateVector, params: jj.JJParams, horizon: float,
@@ -295,9 +290,7 @@ def evolve_exact(initial: fock.StateVector, params: jj.JJParams, horizon: float,
                         "outputs x dimension")
     hamiltonian = jj.build_jj_hamiltonian(params, space, kind, state=initial)
     times = [i * horizon / n_out for i in range(n_out + 1)] if n_out else [0.0]
-    return _measured(fock.evolve_unitary_chunks(initial, hamiltonian, times),
-                     lambda psi, n1, z: (
-                         np.sum(np.conj(psi) * hamiltonian.apply(psi), axis=0).real))
+    return _measured(fock.evolve_unitary_chunks(initial, hamiltonian, times), hamiltonian)
 
 
 # -- classical pendulum --------------------------------------------------------

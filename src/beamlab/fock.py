@@ -21,12 +21,13 @@ eigendecomposition, cached on the operator, and batched propagation to
 the output times, a block of OUTPUT_CHUNK_WORK entries at a time.
 :func:`tridiagonal_expm_apply` turns every column of a block through its
 own time, by dot products of contiguous rows that give a column the same
-bits in any block and at any BLAS thread count; the self-consistent flow
-applies its Euler angles with it.  hbar = 1 throughout: times are inverse
-energies in the caller's unit.
+bits in any block and at any BLAS thread count; nothing in beamlab calls
+it, but the benchmark's span list wraps it by name.  hbar = 1 throughout:
+times are inverse energies in the caller's unit.
 
 scipy is imported where a sparse matrix or the tridiagonal eigensolver is
-used, not when this module loads, so the beam subcommands never load it.
+used, not when this module loads, so the beam subcommands and the
+self-consistent junction never load it.
 """
 
 from __future__ import annotations
@@ -486,11 +487,10 @@ def tridiagonal_expm_apply(op: LinearOperator, psi: np.ndarray,
     columns) block, H the Hermitian `op`, through its cached
     eigendecomposition: one time per column.
 
-    The self-consistent flow turns its block of outputs about Jx with it.
     Both basis changes are :func:`_row_dots`, so, given the
     eigendecomposition, a column comes out with the same bits in a block of
-    any width and at any BLAS thread count.  Any
-    Hermitian H works; the name stays because the benchmark's span list
+    any width and at any BLAS thread count.  Any Hermitian H works.  Nothing
+    in beamlab calls it; it stays because the benchmark's span list
     (perfbench/spans.py) wraps this kernel by name.
     """
     _require_hermitian(op)

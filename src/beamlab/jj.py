@@ -6,10 +6,10 @@ differ in the charging part:
 * ``bose_hubbard``:  E_C (n1 - nbar1)^2            (quadratic, state-independent)
 * ``mean_field``:    E_C (<n1> - nbar1)(n1 - nbar1) (Hartree, state-dependent)
 
-Everything is tridiagonal in the sector basis k = n1, so evolution uses
-the tridiagonal eigensolver, which reads that structure from the matrix:
-once for the exact model's Hamiltonian, and once for the tunneling
-generator Jx that the self-consistent flow's rotations turn about.
+Everything is tridiagonal in the sector basis k = n1, so the exact
+model's evolution uses the tridiagonal eigensolver.  The self-consistent
+flow needs no matrix: it turns the Bloch vector of a product state, the
+Stokes vector of a polarized beam, and stays on the product family.
 
 E_C is taken directly as an input energy; nbar1 may be non-integer (it is
 an average).  With lam > 0 the phase-locked configuration of the tunneling

@@ -141,6 +141,29 @@ def test_neg_sweep_cli_pool_with_blas_threads_matches_serial(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_cli_stderr_is_one_error_line_or_one_line_per_warning(tmp_path):
+    # a fresh process, free of pytest's warning filters; N = 4 puts fewer
+    # than 10 pairs on each electrode, which warns
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONWARNINGS"}
+    junction = ["--n-total", "4", "--e-c", "1", "--lam", "1"]
+    warning = ("warning: n_bar1 = 2.0, N = 4: at least one electrode holds fewer "
+               "than ~10 background pairs; two-level-style derived constants are "
+               "only indicative here\n")
+    for argv, code, stderr in (
+            (["jj-evolve", *junction, "--dt", "0"], 1,
+             "error: --dt must be in (0, inf), got '0'\n"),
+            (["jj-evolve", *junction, "--horizon", "1", "--dt", "0.1"], 0, warning),
+            (["compare", *junction], 0, warning)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "beamlab.cli", *argv, "--out", str(tmp_path / "r.csv")],
+            env={**env, "PYTHONPATH": path}, capture_output=True, text=True,
+            timeout=120)
+        assert (proc.returncode, proc.stderr) == (code, stderr), argv
+
+
 SCIPY_FREE_RUNS = r"""
 import sys
 from beamlab import cli
@@ -164,7 +187,9 @@ for argv in (["bound-check", "--seed", "1", "--samples", "20", "--cutoff", "1",
               "--workers", "1"],
              ["neg-sweep", "--seed", "2", "--samples", "8", "--k-max", "2",
               "--workers", "2"],
-             ["tomography", "--config", scene]):
+             ["tomography", "--config", scene],
+             ["jj-evolve", "--model", "mean_field", "--n-total", "40", "--e-c", "0.2",
+              "--lam", "0.1", "--horizon", "1", "--dt", "0.1"]):
     assert cli.main(argv + ["--out", out]) == 0, argv
     assert not scipy_loaded(), argv
 assert cli.main(["compare", "--n-total", "4", "--e-c", "10", "--lam", "1",
@@ -185,6 +210,7 @@ def run_fresh(script, *args):
 
 
 def test_beam_subcommands_never_load_scipy(tmp_path):
+    # nor does the self-consistent junction, which builds no sparse matrix
     # a fresh process: the test session itself has scipy loaded
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps({"stokes": {"i": 1.0, "m": 0.2, "c": 0.0, "s": 0.1},

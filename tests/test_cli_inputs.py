@@ -234,7 +234,7 @@ OVER_BUDGET = [
     ("jj-evolve", ["--model", "bose_hubbard", "--n-total", "6000", "--e-c", "0.01",
                    "--lam", "0.001", "--horizon", "23.57", "--dt", "0.2357"]),
     ("jj-evolve", ["--model", "mean_field", "--n-total", "6000", "--e-c", "0.01",
-                   "--lam", "0.001", "--horizon", "23.57", "--dt", "0.2357"]),
+                   "--lam", "0.001", "--horizon", "23.57", "--dt", "0.002357"]),
     ("jj-evolve", ["--model", "mean_field", "--n-total", "1000", "--e-c", "0.01",
                    "--lam", "0.001", "--horizon", "1", "--dt", "1e-4"]),
 ]
@@ -271,6 +271,15 @@ def test_cli_refuses_work_beyond_the_budget_at_once(tmp_path, name, argv):
     assert time.perf_counter() - start < 1.0
     assert code == 1 and "exceeds the limit" in err
     assert_clean_outcome(code, err)
+
+
+def test_cli_runs_the_self_consistent_model_past_the_eigensolver_budget(tmp_path):
+    # dimension 6001 is beyond fock.EIG_WORK_LIMIT, which the self-consistent
+    # model, read from its Bloch vector, never meets
+    argv = ["--model", "mean_field", "--n-total", "6000", "--e-c", "0.01",
+            "--lam", "0.001", "--horizon", "23.57", "--dt", "0.2357"]
+    assert run_cli(tmp_path, "jj-evolve", None, argv) == (0, "")
+    assert (tmp_path / "report.csv").read_text().count("\n") == 101 + 2
 
 
 def test_cli_null_config_value_means_not_given(tmp_path):

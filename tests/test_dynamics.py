@@ -39,8 +39,8 @@ def displaced_initial(params, amplitude, n0=None):
 
 
 def test_meanfield_zero_tunneling_linear_phase():
-    # lam = 0: U(t) is a pure z-turn, Euler angle beta = 0, so the Jx
-    # eigenvectors enter only as V V^T = 1; N = 41 is a half-integer spin
+    # lam = 0: U(t) is a pure z-turn, so jz stands still and zeta turns at
+    # the constant rate E_C (n - nbar1); N = 41 is a half-integer spin
     for n_total, n_bar1, n0, every in ((20, 8.0, 12.0, 1), (41, 17.5, 23.0, 7)):
         params = jj.JJParams(e_c=0.3, lam=0.0, n_total=n_total, n_bar1=n_bar1)
         initial = jj.product_state(n_total, n0, 0.4, jj.sector_space(params))
@@ -195,24 +195,39 @@ def _rotated_oracle(initial, u, v):
     return fock.StateVector(initial.space, expm(-1j * gen) @ initial.amplitudes)
 
 
-def test_euler_path_at_beta_pi_matches_a_dense_rotation(monkeypatch):
-    # hand-set columns of U: the identity, three with u = 0 (beta = pi, where
-    # alpha + gamma drops out), one with |u| = 1e-300 and a generic turn
-    params = jj.JJParams(e_c=0.6, lam=0.3, n_total=12, n_bar1=6.0)
-    initial = displaced_initial(params, 0.7, n0=4.0)
-    columns = [(1.0 + 0.0j, 0.0j), (0.0j, -1j), (0.0j, 1.0 + 0.0j),
-               (0.0j, np.exp(0.8j)), (1e-300j, -1j), (np.exp(0.3j) / np.sqrt(2), 0.5 - 0.5j)]
-    monkeypatch.setattr(dyn, "_meanfield_rotations", lambda *args: (
-        (float(i), u, v) for i, (u, v) in enumerate(columns)))
-    traj = dyn.evolve_meanfield(initial, params, horizon=1.0, dt=0.1)
-    want = [_rotated_oracle(initial, u, v) for u, v in columns]
-    assert np.allclose(traj.n1, [jj.mean_n1(st) for st in want], rtol=0, atol=1e-12)
-    assert np.allclose(np.exp(1j * traj.phi), [np.exp(1j * np.angle(jj.coherence(st)))
-                                               for st in want], rtol=0, atol=1e-12)
-    assert np.allclose(traj.fidelity, [jj.best_fit_product(st)[2] for st in want],
-                       rtol=0, atol=1e-12)
-    # exp(-i pi Jx) reflects the charge distribution, k -> N - k
-    assert traj.n1[1] == pytest.approx(params.n_total - jj.mean_n1(initial), abs=1e-12)
+def test_bloch_vector_columns_match_a_dense_rotation():
+    # every column read from the Bloch vector against the state turned by
+    # dense expm with the run's own (u, v), then measured: the plasma leg of
+    # `compare` (N = 200, subsampled), odd N, and an electrode swap whose
+    # rotation comes within 0.013 of the half turn u = 0
+    cases = [(jj.JJParams(e_c=0.2, lam=0.1, n_total=200, n_bar1=100.0), 0.05, 100.0,
+              20.0, 0.01, 250),
+             (jj.JJParams(e_c=0.7, lam=0.4, n_total=31, n_bar1=13.0), 0.9, 17.0,
+              6.0, 0.01, 20),
+             (jj.JJParams(e_c=0.01, lam=1.0, n_total=40, n_bar1=20.0), np.pi, 4.0,
+              6.0, 0.05, 3)]
+    for params, amplitude, n0, horizon, dt, every in cases:
+        initial = displaced_initial(params, amplitude, n0=n0)
+        traj = dyn.evolve_meanfield(initial, params, horizon, dt, sample_every=every)
+        n_steps = int(round(horizon / dt))
+        t, u, v, _, _ = zip(*dyn._meanfield_rotations(initial, params, horizon / n_steps,
+                                                       n_steps, every))
+        psi = np.stack([_rotated_oracle(initial, a, b).amplitudes for a, b in zip(u, v)],
+                       axis=1)
+        norm, n1, z = jj.sector_moments(psi)
+        want = {"times": np.array(t), "n1": n1, "phi": np.exp(1j * np.angle(z)),
+                "norm_drift": np.abs(norm - 1.0), "fidelity": jj.product_fit(psi, n1, z)[2],
+                "energy": params.lam * z.real
+                + 0.5 * params.e_c * (n1 - params.n_bar1) ** 2}
+        got = {name: getattr(traj, name) for name in want}
+        got["phi"] = np.exp(1j * traj.phi)
+        for name in want:
+            # 1e-12 of the column's size: the Bloch vector's rounding grows
+            # with N and with the number of steps
+            scale = max(1.0, np.max(np.abs(want[name])))
+            assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, (
+                params.n_total, name)
+    assert np.ptp(traj.n1) > 31.0 and np.min(np.abs(u)) < 0.013
 
 
 def test_euler_path_starts_on_the_measured_initial_state():
@@ -234,7 +249,7 @@ def test_half_integer_spin_does_not_see_the_sign_of_u(monkeypatch):
     plain = dyn.evolve_meanfield(initial, params, horizon=6.0, dt=0.01, sample_every=20)
     rotations = dyn._meanfield_rotations
     monkeypatch.setattr(dyn, "_meanfield_rotations", lambda *args: (
-        (t, -u, -v) for t, u, v in rotations(*args)))
+        (t, -u, -v, zeta, jz) for t, u, v, zeta, jz in rotations(*args)))
     flipped = dyn.evolve_meanfield(initial, params, horizon=6.0, dt=0.01, sample_every=20)
     assert np.ptp(plain.n1) > 1.0
     for name in ("times", "n1", "phi", "norm_drift", "energy", "fidelity"):
@@ -242,39 +257,30 @@ def test_half_integer_spin_does_not_see_the_sign_of_u(monkeypatch):
                            rtol=0, atol=1e-12), name
 
 
-def test_jx_of_the_flow_has_the_spin_spectrum(monkeypatch):
-    # the flow's Jx is a spin-N/2 component: eigenvalues m = -N/2, ..., N/2
-    seen = []
-    eigendecomposition = fock._eigendecomposition
-    monkeypatch.setattr(fock, "_eigendecomposition",
-                        lambda op: seen.append(op) or eigendecomposition(op))
-    for n_total in (1, 2, 31, 200, 1200):
-        params = jj.JJParams(e_c=0.2, lam=0.1, n_total=n_total, n_bar1=n_total / 2)
-        initial = jj.product_state(n_total, n_total / 2, 0.0, jj.sector_space(params))
-        dyn.evolve_meanfield(initial, params, horizon=0.1, dt=0.1)
-        w = np.sort(seen[-1]._eig[0])
-        assert np.max(np.abs(w - (np.arange(n_total + 1) - 0.5 * n_total))) <= 1e-10
-
-
 def test_meanfield_report_does_not_depend_on_the_blas_thread_count(tmp_path):
-    # dimension 101 x 287 outputs: there a threaded BLAS matrix product
-    # rounds differently at one and at two threads
+    # dimension 101 x 287 outputs, where a threaded BLAS matrix product
+    # rounds differently at one and at two threads, and dimension 5000; at
+    # phi0 = 0 both would stand still
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    reports = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": path,
-               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-        out = tmp_path / f"threads{threads}.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "beamlab.cli", "jj-evolve", "--n-total", "100",
-             "--e-c", "0.2", "--lam", "0.1", "--phi0", "2.0", "--horizon", "20",
-             "--dt", "0.07", "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        reports.append(out.read_bytes())
-    assert reports[0].count(b"\n") > 286
-    assert reports[0] == reports[1]
+    runs = [(["--n-total", "100", "--e-c", "0.2", "--lam", "0.1", "--phi0", "2.0",
+              "--horizon", "20", "--dt", "0.07"], 287),
+            (["--n-total", "4999", "--e-c", "0.01", "--lam", "0.001", "--phi0", "2.0",
+              "--horizon", "23.57", "--dt", "0.2357"], 101)]
+    for argv, outputs in runs:
+        reports = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path,
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            out = tmp_path / f"threads{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "beamlab.cli", "jj-evolve", *argv,
+                 "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            reports.append(out.read_bytes())
+        assert reports[0].count(b"\n") == outputs + 2        # header and column names
+        assert reports[0] == reports[1]
 
 
 def test_meanfield_argument_validation():
@@ -504,11 +510,12 @@ def test_meanfield_output_budget_counts_the_sampled_outputs(monkeypatch):
     with pytest.raises(ResourceLimitError, match="outputs x dimension"):
         dyn.evolve_meanfield(initial, params, 1.0, dt)
 
-    def past_the_budget(op):
+    def past_the_budget(*args):
         raise LookupError("the run got past its budget checks")
 
-    # every second step sampled: within the budget, so the run goes on to Jx
-    monkeypatch.setattr(fock, "_eigendecomposition", past_the_budget)
+    # every second step sampled: within the budget, so the run goes on to
+    # its rotations
+    monkeypatch.setattr(dyn, "_meanfield_rotations", past_the_budget)
     with pytest.raises(LookupError):
         dyn.evolve_meanfield(initial, params, 1.0, dt, sample_every=2)
 
@@ -537,15 +544,18 @@ def test_measured_block_matches_single_states_and_keeps_its_nans():
     psi = np.concatenate([psi, edges], axis=1)
     psi /= np.linalg.norm(psi, axis=0)
     times = np.arange(psi.shape[1], dtype=float)
-    traj = dyn._measured([(times[:4], psi[:, :4]), (times[4:], psi[:, 4:])],
-                         lambda block, n1, z: n1)
     space = fock.FockSpace.fixed_sector(n_total)
+    h = jj.build_jj_hamiltonian(jj.JJParams(e_c=0.3, lam=0.2, n_total=n_total, n_bar1=8.5),
+                                space, "bose_hubbard")
+    traj = dyn._measured([(times[:4], psi[:, :4]), (times[4:], psi[:, 4:])], h)
     states = [fock.StateVector(space, psi[:, j]) for j in range(psi.shape[1])]
     z = np.array([jj.coherence(st) for st in states])
     assert np.array_equal(np.isnan(traj.phi), np.abs(z) <= dyn.COHERENCE_FLOOR)
     assert np.sum(np.isnan(traj.phi)) == 3
     assert np.allclose(traj.n1, [jj.mean_n1(st) for st in states], rtol=0, atol=1e-12)
     assert np.allclose(traj.fidelity, [jj.best_fit_product(st)[2] for st in states],
+                       rtol=0, atol=1e-12)
+    assert np.allclose(traj.energy, [fock.expectation(st, h).real for st in states],
                        rtol=0, atol=1e-12)
     assert np.all(traj.norm_drift <= 1e-15)
 
