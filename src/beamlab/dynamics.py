@@ -9,7 +9,7 @@ Three dynamical models run from matched initial data:
   a classical spin, integrated by a sixth-order composition of exact
   rotations, whose outputs are read from the Bloch vector without
   building a state,
-* the classical pendulum  phidd = -omega^2 sin(phi).
+* the classical pendulum  phidd = -omega^2 sin(phi), in closed form.
 
 Conventions (frozen):
 
@@ -49,8 +49,8 @@ COHERENCE_FLOOR = 1e-12
 NORM_DRIFT_TOL = 1e-9
 FIDELITY_TOL = 1e-6
 
-# Work budgets, checked before a run allocates anything.  A step of the
-# pendulum keeps two Python floats (about 64 bytes).  The exact model holds
+# Work budgets, checked before a run allocates anything.  A pendulum output
+# keeps about eight float64 entries (64 bytes).  The exact model holds
 # one fock.EIG_WORK_LIMIT eigendecomposition; both quantum models measure
 # their outputs in blocks of fock.OUTPUT_CHUNK_WORK (2^16) states x
 # dimension, 1 MB, and keep a few numbers per output, so the output budget
@@ -164,9 +164,9 @@ def displacement_from_locked(phi_estimator: np.ndarray, params: jj.JJParams
     return _unwrap_keeping_nans(wrapped)
 
 
-# 6th-order Yoshida composition (solution A) of a symmetric second-order step:
-# the pendulum's leapfrog and the self-consistent flow's Strang rotation.  It
-# stays symplectic, so the energy error stays bounded instead of drifting.
+# 6th-order Yoshida composition (solution A) of a symmetric second-order step,
+# the self-consistent flow's Strang rotation.  It stays symplectic, so the
+# energy error stays bounded instead of drifting.
 _W1 = -1.17767998417887
 _W2 = 0.235573213359357
 _W3 = 0.784513610477560
@@ -281,14 +281,14 @@ def _measured(chunks, hamiltonian) -> Trajectory:
 
 
 def evolve_exact(initial: fock.StateVector, params: jj.JJParams, horizon: float,
-                 dt_out: float, kind: str = "bose_hubbard") -> Trajectory:
-    """Exact unitary evolution sampled on a uniform output grid."""
+                 dt_out: float) -> Trajectory:
+    """Exact quadratic-charging evolution sampled on a uniform output grid."""
     if dt_out <= 0:
         raise ContractViolationError("dt_out must be positive")
     space = initial.space
     n_out = _step_count(horizon, dt_out, space.dimension, OUTPUT_WORK_LIMIT,
                         "outputs x dimension")
-    hamiltonian = jj.build_jj_hamiltonian(params, space, kind, state=initial)
+    hamiltonian = jj.build_jj_hamiltonian(params, space, "bose_hubbard")
     times = [i * horizon / n_out for i in range(n_out + 1)] if n_out else [0.0]
     return _measured(fock.evolve_unitary_chunks(initial, hamiltonian, times), hamiltonian)
 
@@ -296,31 +296,51 @@ def evolve_exact(initial: fock.StateVector, params: jj.JJParams, horizon: float,
 # -- classical pendulum --------------------------------------------------------
 
 
-def _pendulum_fixed_step(phi0, v0, omega, n_steps, dt, sample_every):
-    w2 = omega * omega
-    phi, v = float(phi0), float(v0)
-    phis = [phi]
-    vs = [v]
-    for s in range(n_steps):
-        for w in _YOSHIDA6:
-            h = w * dt
-            v -= 0.5 * h * w2 * math.sin(phi)
-            phi += h * v
-            v -= 0.5 * h * w2 * math.sin(phi)
-        if (s + 1) % sample_every == 0 or s + 1 == n_steps:
-            phis.append(phi)
-            vs.append(v)
-    return np.array(phis), np.array(vs)
+def _agm(m: float) -> tuple[list[float], list[float]]:
+    """The arithmetic-geometric-mean ladder of parameter 0 <= m < 1
+    (A&S 17.6): a_n, and c_n = c_{n-1}^2 / (4 a_n) = (a_{n-1} - b_{n-1}) / 2,
+    down to c_n <= 1e-15 a_n."""
+    a, b, c = [1.0], math.sqrt(1.0 - m), [math.sqrt(m)]
+    while c[-1] > 1e-15 * a[-1]:
+        a, b = a + [0.5 * (a[-1] + b)], math.sqrt(a[-1] * b)
+        c.append(c[-1] ** 2 / (4.0 * a[-1]))
+    return a, c
+
+
+def _jacobi_am(u: np.ndarray, m: float) -> np.ndarray:
+    """Jacobi amplitude am(u | m), by the backward recurrence of A&S 16.4."""
+    if m == 1.0:        # the Gudermannian, atan(sinh u)
+        return 2.0 * np.arctan(np.tanh(0.5 * u))
+    a, c = _agm(m)
+    phi = 2.0 ** (len(a) - 1) * a[-1] * u
+    for an, cn in zip(a[:0:-1], c[:0:-1]):
+        phi = 0.5 * (phi + np.arcsin(cn / an * np.sin(phi)))
+    return phi
+
+
+def _elliptic_f(x, m: float):
+    """F(x | m), the inverse of am, by descending Landen steps (A&S 17.5):
+    x <- 2x - atan2((a - b) sin x cos x, a cos^2 x + b sin^2 x), written in
+    the next rung's a and c, which keeps it continuous for every real x."""
+    if m == 1.0:        # its inverse, atanh(sin x) for |x| <= pi/2
+        return np.arcsinh(np.tan(x))
+    a, c = _agm(m)
+    for an, cn in zip(a[1:], c[1:]):
+        x = 2.0 * x - np.arctan2(cn * np.sin(2.0 * x), an + cn * np.cos(2.0 * x))
+    return x / (2.0 ** (len(a) - 1) * a[-1])
 
 
 def pendulum_trajectory(phi0: float, phidot0: float, omega: float, horizon: float,
                         dt: float, e_c: float | None = None,
-                        n_bar1: float | None = None, sample_every: int = 1,
-                        energy_tol: float = 1e-9,
-                        max_refinements: int = 12) -> Trajectory:
-    """Integrate phidd = -omega^2 sin(phi) with a fixed-step symplectic
-    composition scheme, halving the step until the relative energy drift is
-    within `energy_tol`.
+                        n_bar1: float | None = None) -> Trajectory:
+    """The pendulum phidd = -omega^2 sin(phi) in closed form on the output
+    grid t_i = i horizon / round(horizon / dt), row 0 being (phi0, phidot0).
+
+    With w = |omega|, p = phi0 mod 2 pi and the conserved q =
+    hypot(w sin(p/2), phidot0/2), a libration (0 < q < w) is sin(phi/2) =
+    (q/w) sn(w t + u0 | (q/w)^2); every other motion (rotation, separatrix,
+    rest, omega = 0) is phi/2 = am(sign(phidot0) q t + F(p/2 | m) | m),
+    m = (w/q)^2 (0 at q = 0).
 
     When `e_c` and `n_bar1` are supplied, n(t) is reconstructed from the
     phase-velocity relation n = nbar1 + phidot / E_C (constant n for
@@ -330,40 +350,35 @@ def pendulum_trajectory(phi0: float, phidot0: float, omega: float, horizon: floa
         raise ContractViolationError("dt must be positive")
     if horizon < 0:
         raise ContractViolationError("horizon must be >= 0")
-    if sample_every < 1:
-        raise ContractViolationError("sample_every must be >= 1")
     if not math.isfinite(0.5 * phidot0 * phidot0 + omega * omega):
         raise DomainError(f"omega = {omega!r} and phidot0 = {phidot0!r} put the "
                           "pendulum energy beyond the float range")
-    stride = int(sample_every)
-    n_steps = _step_count(horizon, dt)
-    if n_steps:
-        n_steps = ((n_steps + stride - 1) // stride) * stride
-    scale = max(abs(0.5 * phidot0 ** 2 - omega ** 2 * math.cos(phi0)),
-                omega ** 2, 1e-30)
-    drift = 0.0
-    for _ in range(max_refinements + 1):
-        fock.check_work(n_steps, STEP_LIMIT, "steps")
-        step = horizon / n_steps if n_steps else 0.0
-        phis, vs = _pendulum_fixed_step(phi0, phidot0, omega, n_steps, step, stride)
-        energy = 0.5 * vs ** 2 - omega ** 2 * np.cos(phis)
-        drift = np.max(np.abs(energy - energy[0])) / scale if n_steps else 0.0
-        if drift <= energy_tol:
-            break
-        n_steps *= 2
-        stride *= 2
+    n_out = _step_count(horizon, dt, what="outputs")
+    times = np.arange(n_out + 1) * (horizon / n_out) if n_out else np.zeros(1)
+    w, turns = abs(omega), 2.0 * math.pi * round(phi0 / (2.0 * math.pi))
+    p = phi0 - turns
+    q = math.hypot(w * math.sin(0.5 * p), 0.5 * phidot0)
+    if 0 < q < w:
+        m = (q / w) ** 2
+        am = _jacobi_am(w * times + _elliptic_f(
+            math.atan2(math.sin(0.5 * p), 0.5 * phidot0 / w), m), m)
+        phi = 2.0 * np.arcsin(np.clip(q / w * np.sin(am), -1.0, 1.0))
+        phidot = 2.0 * q * np.cos(am)
     else:
-        raise IntegrationFailureError(
-            f"pendulum energy drift {drift:.2e} above {energy_tol} after refinement")
-    n_samp = len(phis)
-    times = (np.arange(n_samp) * (horizon / (n_samp - 1))
-             if n_samp > 1 else np.array([0.0]))
+        m, s = (w / q) ** 2 if q else 0.0, float(np.sign(phidot0))
+        am = _jacobi_am(s * q * times + _elliptic_f(0.5 * p, m), m)
+        phi = 2.0 * am
+        # sqrt(1 - m sin^2 am), without its cancellation near the separatrix
+        phidot = 2.0 * s * q * np.hypot(np.cos(am), math.sqrt(1.0 - m) * np.sin(am))
+    phi += turns
+    phi[0], phidot[0] = phi0, phidot0
+    energy = 0.5 * phidot ** 2 - omega ** 2 * np.cos(phi)
     if e_c is not None and n_bar1 is not None:
-        n1 = n_bar1 + vs / e_c if e_c > 0 else np.full(n_samp, float(n_bar1))
+        n1 = n_bar1 + phidot / e_c if e_c > 0 else np.full(len(times), float(n_bar1))
     else:
-        n1 = np.full(n_samp, np.nan)
-    return Trajectory(times=times, n1=n1, phi=phis,
-                      norm_drift=np.zeros(n_samp), energy=energy, phidot=vs)
+        n1 = np.full(len(times), np.nan)
+    return Trajectory(times=times, n1=n1, phi=phi, norm_drift=np.zeros(len(times)),
+                      energy=energy, phidot=phidot)
 
 
 # -- fluctuation scaling -------------------------------------------------------
@@ -485,8 +500,7 @@ class ComparisonRecord:
                 for i, t in enumerate(self.times)]
 
 
-def model_compare(params: jj.JJParams, n0: float, phi0: float, horizon: float,
-                  dt_out: float | None = None, dt_mf: float | None = None
+def model_compare(params: jj.JJParams, n0: float, phi0: float, horizon: float
                   ) -> ComparisonRecord:
     """Run exact, self-consistent, and pendulum dynamics from matched data.
 
@@ -494,7 +508,8 @@ def model_compare(params: jj.JJParams, n0: float, phi0: float, horizon: float,
     the quantum runs start from the product configuration with label
     (locked label - phi0) and mean n0.  The pendulum starts at
     (phi0, E_C (n0 - nbar1)) with the matched linearized frequency.
-    The exact run's fock.EIG_WORK_LIMIT bounds N.
+    The outputs are spaced about 0.1 / rate and the self-consistent steps
+    0.01 / rate.  The exact run's fock.EIG_WORK_LIMIT bounds N.
     """
     with np.errstate(over="ignore"):
         omega_match = meanfield_matched_omega(params)
@@ -502,14 +517,10 @@ def model_compare(params: jj.JJParams, n0: float, phi0: float, horizon: float,
     if not math.isfinite(rate):
         raise DomainError(f"e_c = {params.e_c!r} and lam = {params.lam!r} make the "
                           "junction rate infinite")
-    if dt_out is None:
-        dt_out = 0.1 / rate
-    if dt_mf is None:
-        dt_mf = 0.01 / rate
-    n_out = max(_step_count(horizon, dt_out, params.n_total + 1,
+    n_out = max(_step_count(horizon, 0.1 / rate, params.n_total + 1,
                             OUTPUT_WORK_LIMIT, "outputs x dimension"), 1)
     dt_out = horizon / n_out
-    stride = max(int(round(dt_out / dt_mf)), 1)
+    stride = max(int(round(dt_out / (0.01 / rate))), 1)
     dt_mf = dt_out / stride
     fock.check_work(n_out * stride, STEP_LIMIT, "steps")
 
@@ -517,11 +528,10 @@ def model_compare(params: jj.JJParams, n0: float, phi0: float, horizon: float,
     label0 = locked_phase_label(params) - phi0
     initial = jj.product_state(params.n_total, n0, label0, space)
 
-    exact = evolve_exact(initial, params, horizon, dt_out, "bose_hubbard")
+    exact = evolve_exact(initial, params, horizon, dt_out)
     mf = evolve_meanfield(initial, params, horizon, dt_mf, sample_every=stride)
     pend = pendulum_trajectory(phi0, params.e_c * (n0 - params.n_bar1), omega_match,
-                               horizon, dt_mf, e_c=params.e_c,
-                               n_bar1=params.n_bar1, sample_every=stride)
+                               horizon, dt_out, e_c=params.e_c, n_bar1=params.n_bar1)
     if not (len(exact.times) == len(mf.times) == len(pend.times)):
         raise ContractViolationError("model output grids failed to align")
 

@@ -115,6 +115,7 @@ def binomial_weights(n_total: int, p) -> np.ndarray:
     f[above] = 1
     w[:, :-1] *= np.cumprod(f[:, ::-1], axis=1)[:, ::-1]
     w /= w.sum(axis=1, keepdims=True)
+    w[w < np.longdouble(2) ** -1075] = 0   # casts to 0.0 anyway, but slowly
     return w[0].astype(float) if np.ndim(p) == 0 else w.astype(float).T
 
 

@@ -240,6 +240,7 @@ out = sys.argv[1]
 assert cli.main(["pendulum", "--omega", "1", "--horizon", "1", "--dt", "0.1",
                  "--out", out]) == 0
 assert "numpy.random" not in sys.modules, "pendulum loaded numpy.random"
+assert "scipy" not in sys.modules, "pendulum loaded scipy"
 for argv in (["neg-sweep", "--seed", "2", "--samples", "8", "--k-max", "3",
               "--workers", "2"],
              ["bound-check", "--seed", "1", "--samples", "20", "--cutoff", "2",

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
-from scipy.special import ellipk
+from scipy.special import ellipj, ellipk, ellipkinc
 
 import beamlab.dynamics as dyn
 import beamlab.fock as fock
@@ -307,8 +307,7 @@ def test_pendulum_fixed_point_is_zero():
 
 
 def test_pendulum_argument_validation():
-    for bad in ({"dt": 0.0}, {"horizon": -1.0}, {"sample_every": 0},
-                {"sample_every": -1}):
+    for bad in ({"dt": 0.0}, {"horizon": -1.0}):
         with pytest.raises(ContractViolationError):
             dyn.pendulum_trajectory(**{"phi0": 0.1, "phidot0": 0.0, "omega": 1.0,
                                        "horizon": 1.0, "dt": 0.01, **bad})
@@ -350,19 +349,48 @@ def test_pendulum_energy_drift():
     assert np.max(np.abs(traj.energy - traj.energy[0])) / scale <= 1e-9
 
 
-def test_pendulum_convergence_order_at_least_4():
-    # halving dt must shrink the max trajectory error by >= 2^4
-    omega, phi0, horizon = 1.0, 1.0, 10.0
-    ref = dyn.pendulum_trajectory(phi0, 0.0, omega, horizon, dt=horizon / 51200,
-                                  sample_every=256, energy_tol=1e9)
-    coarse = dyn.pendulum_trajectory(phi0, 0.0, omega, horizon, dt=horizon / 200,
-                                     energy_tol=1e9)
-    fine = dyn.pendulum_trajectory(phi0, 0.0, omega, horizon, dt=horizon / 400,
-                                   sample_every=2, energy_tol=1e9)
-    assert len(ref.phi) == len(coarse.phi) == len(fine.phi)
-    err_coarse = np.max(np.abs(coarse.phi - ref.phi))
-    err_fine = np.max(np.abs(fine.phi - ref.phi))
-    assert err_coarse / err_fine >= 2 ** 4
+def jacobi_pendulum(phi0, phidot0, omega, t):
+    """(phi, phidot, period) of the pendulum from scipy's Jacobi functions:
+    sin(phi/2) = k sn(w t + u0 | k^2) below the separatrix (k < 1), and
+    phi/2 = am(s q t + F(phi0/2 | 1/k^2) | 1/k^2) above it, where
+    k^2 = (phidot0^2/4 + w^2 sin^2(phi0/2)) / w^2 = q^2 / w^2."""
+    w = abs(omega)
+    q2 = (0.5 * phidot0) ** 2 + (w * np.sin(0.5 * phi0)) ** 2
+    if q2 < w ** 2:
+        k = np.sqrt(q2) / w
+        centre = 2.0 * np.pi * np.round(phi0 / (2.0 * np.pi))
+        u0 = ellipkinc(np.arctan2(np.sin(0.5 * (phi0 - centre)) / k,
+                                  0.5 * phidot0 / (k * w)), k * k)
+        sn, cn, _, _ = ellipj(w * t + u0, k * k)
+        return centre + 2.0 * np.arcsin(k * sn), 2.0 * k * w * cn, 4.0 * ellipk(k * k) / w
+    q, m, s = np.sqrt(q2), w ** 2 / q2, np.sign(phidot0)
+    _, _, dn, am = ellipj(s * q * t + ellipkinc(0.5 * phi0, m), m)
+    return 2.0 * am, 2.0 * s * q * dn, 2.0 * ellipk(m) / q
+
+
+def test_pendulum_matches_the_jacobi_oracle():
+    # ten periods of libration, rotation either way, libration about 2 pi
+    # (phi0 = 7), and negative omega, against scipy's elliptic functions
+    cases = [(0.05, 0.0, 1.3), (1.0, 0.0, 1.3), (2.5, 0.0, 1.3), (3.0, 0.0, 1.3),
+             (1.0, 0.4, 1.3), (1.0, 3.0, 1.0), (1.0, -3.0, 1.0), (7.0, 0.5, 1.0),
+             (7.0, 3.0, 1.0), (1.0, 0.2, -1.3)]
+    for phi0, phidot0, omega in cases:
+        horizon = 10.0 * jacobi_pendulum(phi0, phidot0, omega, 0.0)[2]
+        traj = dyn.pendulum_trajectory(phi0, phidot0, omega, horizon, horizon / 4000)
+        phi, phidot, _ = jacobi_pendulum(phi0, phidot0, omega, traj.times)
+        assert (traj.phi[0], traj.phidot[0]) == (phi0, phidot0)
+        assert np.max(np.abs(traj.phi - phi)) <= 1e-11, (phi0, phidot0, omega)
+        assert np.max(np.abs(traj.phidot - phidot)) <= 1e-11, (phi0, phidot0, omega)
+    # the separatrix, free motion at omega = 0, and rest at the top
+    omega = 1.5
+    sep = dyn.pendulum_trajectory(0.0, 2.0 * omega, omega, 10.0 / omega, 0.001)
+    assert np.max(np.abs(sep.phi - 2.0 * np.arcsin(np.tanh(omega * sep.times)))) <= 1e-11
+    assert np.max(np.abs(sep.phidot - 2.0 * omega / np.cosh(omega * sep.times))) <= 1e-11
+    free = dyn.pendulum_trajectory(0.3, -0.7, 0.0, 10.0, 0.01)
+    assert np.max(np.abs(free.phi - (0.3 - 0.7 * free.times))) <= 1e-11
+    assert np.max(np.abs(free.phidot + 0.7)) <= 1e-11
+    top = dyn.pendulum_trajectory(np.pi, 0.0, omega, 100.0, 0.01)
+    assert np.all(top.phi == np.pi) and np.all(top.phidot == 0.0)
 
 
 def test_pendulum_n_reconstruction():
