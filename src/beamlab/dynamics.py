@@ -59,14 +59,32 @@ STEP_LIMIT = 10_000_000
 OUTPUT_WORK_LIMIT = 10_000_000
 
 
-def _step_count(horizon: float, dt: float, per_step: float = 1.0,
-                limit: float = STEP_LIMIT, what: str = "steps") -> int:
-    """round(horizon / dt), at least 1 for a positive horizon; refused when
-    steps x per_step exceed `limit`."""
-    if not horizon > 0:
-        return 0
-    fock.check_work(horizon / dt * per_step, limit, what)
-    return max(int(round(horizon / dt)), 1)
+def _output_times(horizon: float, dt: float, per_output: int = 1,
+                 what: str = "outputs") -> np.ndarray:
+    """The output grid t_i = i horizon / n, n = round(horizon / dt) and at
+    least 1, of every junction model; [0] at horizon = 0, and one output,
+    at the horizon, for dt = inf.  Refused when outputs x per_output exceed
+    OUTPUT_WORK_LIMIT."""
+    if not 0 <= horizon < math.inf:
+        raise ContractViolationError(f"horizon must be finite and >= 0, not {horizon!r}")
+    if not dt > 0:
+        raise ContractViolationError(f"dt must be > 0, not {dt!r}")
+    if horizon == 0:
+        return np.zeros(1)
+    fock.check_work(horizon / dt * per_output, OUTPUT_WORK_LIMIT, what)
+    n = max(int(round(horizon / dt)), 1)
+    return np.arange(n + 1) * horizon / n
+
+
+def _junction_rate(params: jj.JJParams) -> float:
+    """The self-consistent flow's time scale, its matched frequency or the
+    tunneling rate; DomainError where it overflows."""
+    with np.errstate(over="ignore"):
+        rate = max(meanfield_matched_omega(params), abs(params.lam), 1e-12)
+    if not math.isfinite(rate):
+        raise DomainError(f"e_c = {params.e_c!r} and lam = {params.lam!r} make the "
+                          "junction rate infinite")
+    return rate
 
 
 @dataclass
@@ -178,49 +196,48 @@ _YOSHIDA6 = (_W3, _W2, _W1, _W0, _W1, _W2, _W3)
 
 
 def evolve_meanfield(initial: fock.StateVector, params: jj.JJParams, horizon: float,
-                     dt: float, sample_every: int = 1) -> Trajectory:
-    """Integrate the state-dependent flow i d|psi>/dt = H[psi]|psi>.
+                     dt: float) -> Trajectory:
+    """Integrate the state-dependent flow i d|psi>/dt = H[psi]|psi> and
+    report it on the output grid of spacing about `dt` (`_output_times`).
 
     Up to a constant H[psi] = E_C (<Jz> + N/2 - nbar1) Jz + lam Jx, with
     Jz = n1 - N/2: one SU(2) rotation U(t) driven by the Bloch vector
     (`_meanfield_rotations`), from which every column is read, so no state
-    is built after t = 0.  norm_drift is the SU(2) defect of U; the
-    fidelity, measured on the initial vector against the product state
-    fitted to the back-rotated moments, is lost when U and the Bloch vector
-    drift apart.  OUTPUT_WORK_LIMIT bounds outputs x (N + 1).  Raises
-    IntegrationFailureError when the initial state is off the product
-    family, or when the run's norm drift or product fidelity misses
-    NORM_DRIFT_TOL or FIDELITY_TOL.
+    is built after t = 0.  The run picks its own step: each output spacing
+    is cut into the fewest equal steps of at most about 0.01 / rate
+    (`_junction_rate`), so `dt` sets the outputs and not the accuracy.
+    norm_drift is the SU(2) defect of U; the fidelity, measured on the
+    initial vector against the product state fitted to the back-rotated
+    moments, is lost when U and the Bloch vector drift apart.
+    OUTPUT_WORK_LIMIT bounds outputs x (N + 1), and STEP_LIMIT the steps.
+    Raises IntegrationFailureError when the initial state is off the
+    product family, or when the run's norm drift or product fidelity
+    misses NORM_DRIFT_TOL or FIDELITY_TOL.
     """
-    if dt <= 0:
-        raise ContractViolationError("dt must be positive")
-    if horizon < 0:
-        raise ContractViolationError("horizon must be >= 0")
-    if sample_every < 1:
-        raise ContractViolationError("sample_every must be >= 1")
     space = initial.space
+    times = _output_times(horizon, dt, space.dimension, "outputs x dimension")
+    n_out = max(len(times) - 1, 1)
+    stride = max(np.rint(horizon / n_out / (0.01 / _junction_rate(params))), 1.0)
+    fock.check_work(n_out * stride, STEP_LIMIT, "steps")
     if space.kind != "fixed_sector" or space.n_total != params.n_total:
         raise ContractViolationError("initial state must live on the parameter sector")
     fid0 = jj.best_fit_product(initial)[2]
     if fid0 < 1.0 - FIDELITY_TOL:
         raise IntegrationFailureError(
             f"initial product fidelity {fid0} is below 1 - {FIDELITY_TOL}")
-    n_steps = _step_count(horizon, dt)
-    step = horizon / n_steps if n_steps else 0.0
-    # outputs counted as evolve_exact counts them, t = 0 aside
-    fock.check_work(n_steps / sample_every * space.dimension, OUTPUT_WORK_LIMIT,
-                    "outputs x dimension")
-    rotations = _meanfield_rotations(initial, params, step, n_steps, sample_every)
+    rotations = _meanfield_rotations(initial, params, horizon / (n_out * stride),
+                                     len(times) - 1, int(stride))
     half, width = 0.5 * params.n_total, max(fock.OUTPUT_CHUNK_WORK // space.dimension, 1)
     blocks = []         # the rotations are drawn a block of outputs at a time
-    while len(rot := np.fromiter(itertools.islice(rotations, width), dtype=[
-            ("t", float), ("u", complex), ("v", complex), ("zeta", complex), ("jz", float)])):
+    for start in range(0, len(times), width):
+        rot = np.fromiter(itertools.islice(rotations, width), dtype=[
+            ("u", complex), ("v", complex), ("zeta", complex), ("jz", float)])
         u, v, zeta, jz = rot["u"], rot["v"], rot["zeta"], rot["jz"]
         uu, vv, n1 = np.abs(u) ** 2, np.abs(v) ** 2, jz + half
         # U^+ (m.sigma) U: the moments at t = 0 of the product state fitted at t
         zeta0 = u * u * zeta - v * v * np.conj(zeta) - 2.0 * u * v * jz
         jz0 = jz * (uu - vv) + 2.0 * np.real(np.conj(u) * v * np.conj(zeta))
-        blocks.append((rot["t"], n1, zeta, np.abs(uu + vv - 1.0),
+        blocks.append((times[start:start + width], n1, zeta, np.abs(uu + vv - 1.0),
                        params.lam * zeta.real + 0.5 * params.e_c * (n1 - params.n_bar1) ** 2,
                        jj.product_fit(initial.amplitudes[:, None], jz0 + half, zeta0)[2]))
     traj = _trajectory(blocks)
@@ -231,15 +248,15 @@ def evolve_meanfield(initial: fock.StateVector, params: jj.JJParams, horizon: fl
     return traj
 
 
-def _meanfield_rotations(initial, params, step, n_steps, sample_every):
-    """Yield (t, u, v, zeta, jz) at t = 0 and at every output step: (u, v) is
-    the first column of the SU(2) matrix U(t) of the rotation since t = 0,
-    and (Re zeta, Im zeta, jz), zeta = <a1+ a2>, the Bloch vector it turns
-    the initial one into, which obeys d<J>/dt = B x <J> with
-    B = (lam, 0, E_C (jz + N/2 - nbar1)).  A Strang step Rz(h/2) Rx(h) Rz(h/2)
-    is exact, as jz stands still while z turns, and the _YOSHIDA6 weights
-    compose it to sixth order; the two z-turns that meet between x-turns
-    are merged.
+def _meanfield_rotations(initial, params, step, n_out, stride):
+    """Yield (u, v, zeta, jz) at t = 0 and after every `stride` steps, n_out
+    times: (u, v) is the first column of the SU(2) matrix U(t) of the
+    rotation since t = 0, and (Re zeta, Im zeta, jz), zeta = <a1+ a2>, the
+    Bloch vector it turns the initial one into, which obeys
+    d<J>/dt = B x <J> with B = (lam, 0, E_C (jz + N/2 - nbar1)).  A Strang
+    step Rz(h/2) Rx(h) Rz(h/2) is exact, as jz stands still while z turns,
+    and the _YOSHIDA6 weights compose it to sixth order; the two z-turns
+    that meet between x-turns are merged.
     """
     zeta, jz = jj.coherence(initial), jj.mean_n1(initial) - 0.5 * params.n_total
     shift = 0.5 * params.n_total - params.n_bar1
@@ -249,15 +266,15 @@ def _meanfield_rotations(initial, params, step, n_steps, sample_every):
                for h in (0.5 * w * step * params.lam for w in _YOSHIDA6)]
     x_turns.append((1.0, 0.0, 1.0, 0.0))    # none after the last z-turn
     u, v = 1.0 + 0.0j, 0.0j
-    yield 0.0, u, v, zeta, jz
-    for s in range(n_steps):
-        for z_angle, (ch, sh, c, sn) in zip(z_angles, x_turns):
-            e = cmath.exp(0.5j * z_angle * (jz + shift))    # half angle
-            u, v, zeta = u * e.conjugate(), v * e, zeta * (e * e)
-            u, v = ch * u - 1j * sh * v, ch * v - 1j * sh * u
-            zeta, jz = complex(zeta.real, c * zeta.imag - sn * jz), sn * zeta.imag + c * jz
-        if (s + 1) % sample_every == 0 or s + 1 == n_steps:
-            yield (s + 1) * step, u, v, zeta, jz
+    yield u, v, zeta, jz
+    for _ in range(n_out):
+        for _ in range(stride):
+            for z_angle, (ch, sh, c, sn) in zip(z_angles, x_turns):
+                e = cmath.exp(0.5j * z_angle * (jz + shift))    # half angle
+                u, v, zeta = u * e.conjugate(), v * e, zeta * (e * e)
+                u, v = ch * u - 1j * sh * v, ch * v - 1j * sh * u
+                zeta, jz = complex(zeta.real, c * zeta.imag - sn * jz), sn * zeta.imag + c * jz
+        yield u, v, zeta, jz
 
 
 # -- exact evolution -----------------------------------------------------------
@@ -282,14 +299,10 @@ def _measured(chunks, hamiltonian) -> Trajectory:
 
 def evolve_exact(initial: fock.StateVector, params: jj.JJParams, horizon: float,
                  dt_out: float) -> Trajectory:
-    """Exact quadratic-charging evolution sampled on a uniform output grid."""
-    if dt_out <= 0:
-        raise ContractViolationError("dt_out must be positive")
-    space = initial.space
-    n_out = _step_count(horizon, dt_out, space.dimension, OUTPUT_WORK_LIMIT,
-                        "outputs x dimension")
-    hamiltonian = jj.build_jj_hamiltonian(params, space, "bose_hubbard")
-    times = [i * horizon / n_out for i in range(n_out + 1)] if n_out else [0.0]
+    """Exact quadratic-charging evolution on the output grid of spacing
+    about `dt_out` (`_output_times`)."""
+    times = _output_times(horizon, dt_out, initial.space.dimension, "outputs x dimension")
+    hamiltonian = jj.build_jj_hamiltonian(params, initial.space, "bose_hubbard")
     return _measured(fock.evolve_unitary_chunks(initial, hamiltonian, times), hamiltonian)
 
 
@@ -334,7 +347,7 @@ def pendulum_trajectory(phi0: float, phidot0: float, omega: float, horizon: floa
                         dt: float, e_c: float | None = None,
                         n_bar1: float | None = None) -> Trajectory:
     """The pendulum phidd = -omega^2 sin(phi) in closed form on the output
-    grid t_i = i horizon / round(horizon / dt), row 0 being (phi0, phidot0).
+    grid of spacing about `dt` (`_output_times`), row 0 being (phi0, phidot0).
 
     With w = |omega|, p = phi0 mod 2 pi and the conserved q =
     hypot(w sin(p/2), phidot0/2), a libration (0 < q < w) is sin(phi/2) =
@@ -346,15 +359,10 @@ def pendulum_trajectory(phi0: float, phidot0: float, omega: float, horizon: floa
     phase-velocity relation n = nbar1 + phidot / E_C (constant n for
     E_C = 0, where the relation is degenerate); otherwise n1 is NaN.
     """
-    if dt <= 0:
-        raise ContractViolationError("dt must be positive")
-    if horizon < 0:
-        raise ContractViolationError("horizon must be >= 0")
+    times = _output_times(horizon, dt)
     if not math.isfinite(0.5 * phidot0 * phidot0 + omega * omega):
         raise DomainError(f"omega = {omega!r} and phidot0 = {phidot0!r} put the "
                           "pendulum energy beyond the float range")
-    n_out = _step_count(horizon, dt, what="outputs")
-    times = np.arange(n_out + 1) * (horizon / n_out) if n_out else np.zeros(1)
     w, turns = abs(omega), 2.0 * math.pi * round(phi0 / (2.0 * math.pi))
     p = phi0 - turns
     q = math.hypot(w * math.sin(0.5 * p), 0.5 * phidot0)
@@ -507,33 +515,23 @@ def model_compare(params: jj.JJParams, n0: float, phi0: float, horizon: float
     `phi0` is the initial phase displacement from the locked configuration;
     the quantum runs start from the product configuration with label
     (locked label - phi0) and mean n0.  The pendulum starts at
-    (phi0, E_C (n0 - nbar1)) with the matched linearized frequency.
-    The outputs are spaced about 0.1 / rate and the self-consistent steps
-    0.01 / rate.  The exact run's fock.EIG_WORK_LIMIT bounds N.
+    (phi0, E_C (n0 - nbar1)) with the matched linearized frequency.  All
+    three models are given the output spacing 0.1 / rate (`_junction_rate`)
+    and so share one grid (`_output_times`); the self-consistent run steps
+    at most about 0.01 / rate between outputs.  The self-consistent run goes
+    first, as its step budget is the one the exact run does not check.  The
+    exact run's fock.EIG_WORK_LIMIT bounds N.
     """
-    with np.errstate(over="ignore"):
-        omega_match = meanfield_matched_omega(params)
-    rate = max(omega_match, abs(params.lam), 1e-12)
-    if not math.isfinite(rate):
-        raise DomainError(f"e_c = {params.e_c!r} and lam = {params.lam!r} make the "
-                          "junction rate infinite")
-    n_out = max(_step_count(horizon, 0.1 / rate, params.n_total + 1,
-                            OUTPUT_WORK_LIMIT, "outputs x dimension"), 1)
-    dt_out = horizon / n_out
-    stride = max(int(round(dt_out / (0.01 / rate))), 1)
-    dt_mf = dt_out / stride
-    fock.check_work(n_out * stride, STEP_LIMIT, "steps")
-
+    dt = 0.1 / _junction_rate(params)
     space = jj.sector_space(params)
     label0 = locked_phase_label(params) - phi0
     initial = jj.product_state(params.n_total, n0, label0, space)
 
-    exact = evolve_exact(initial, params, horizon, dt_out)
-    mf = evolve_meanfield(initial, params, horizon, dt_mf, sample_every=stride)
-    pend = pendulum_trajectory(phi0, params.e_c * (n0 - params.n_bar1), omega_match,
-                               horizon, dt_out, e_c=params.e_c, n_bar1=params.n_bar1)
-    if not (len(exact.times) == len(mf.times) == len(pend.times)):
-        raise ContractViolationError("model output grids failed to align")
+    mf = evolve_meanfield(initial, params, horizon, dt)
+    exact = evolve_exact(initial, params, horizon, dt)
+    pend = pendulum_trajectory(phi0, params.e_c * (n0 - params.n_bar1),
+                               meanfield_matched_omega(params), horizon, dt,
+                               e_c=params.e_c, n_bar1=params.n_bar1)
 
     disp_exact = displacement_from_locked(exact.phi, params)
     disp_mf = displacement_from_locked(mf.phi, params)

@@ -29,7 +29,9 @@ class NormalizationUndefinedError(DomainError):
 
 
 class IntegrationFailureError(BeamlabError):
-    """A time integration failed its accuracy contract (step too large)."""
+    """A time integration cannot meet its accuracy contract: the initial
+    state is off the product family, or the run missed an invariant's
+    tolerance (norm drift, product fidelity)."""
 
 
 class FitError(BeamlabError):

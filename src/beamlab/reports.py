@@ -29,18 +29,8 @@ def _plain(value):
     return value
 
 
-def sanitize_rows(rows: list[dict]) -> list[dict]:
-    """Plain-Python copies of the rows; enforce a homogeneous column set."""
-    rows = [{k: _plain(v) for k, v in row.items()} for row in rows]
-    if rows:
-        keys = list(rows[0].keys())
-        for row in rows:
-            if list(row.keys()) != keys:
-                raise ContractViolationError("report rows must share one column set")
-    return rows
-
-
 def _cell(value) -> str:
+    value = _plain(value)
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -64,9 +54,14 @@ def emit_report(rows: list[dict] | None, fmt: str, path: str,
     """
     if rows is None and fmt != "json":
         raise ContractViolationError("only a json report may have no rows")
-    rows = None if rows is None else sanitize_rows(rows)
-    if rows and columns is not None and list(rows[0].keys()) != list(columns):
-        raise ContractViolationError("explicit columns disagree with the rows")
+    # the column set is checked before the file opens; cells are converted
+    # as they are written, so the rows are never copied (JSON aside)
+    if rows:
+        keys = list(rows[0])
+        if any(list(row) != keys for row in rows):
+            raise ContractViolationError("report rows must share one column set")
+        if columns is not None and keys != list(columns):
+            raise ContractViolationError("explicit columns disagree with the rows")
     try:
         if fmt == "csv":
             _write_csv(rows, path, config, extra, columns)
@@ -94,6 +89,8 @@ def _write_csv(rows, path, config, extra, columns=None):
 
 
 def _write_json(rows, path, config, extra):
+    if rows is not None:
+        rows = [{k: _plain(v) for k, v in row.items()} for row in rows]
     if config is None and extra is None:
         payload = rows
     else:

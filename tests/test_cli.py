@@ -386,6 +386,23 @@ def test_jj_evolve_exact_model(tmp_path):
     assert max(abs(e - energies[0]) for e in energies) <= 1e-8 * abs(energies[0])
 
 
+def test_jj_evolve_dt_sets_the_outputs_not_the_accuracy(tmp_path):
+    # --dt 1.0 is 142 times the self-consistent step cap 0.01 / rate; the
+    # run cuts each output spacing into steps, so its outputs are those of
+    # the --dt 0.005 run, where once they missed them by 4.78 in n1
+    argv = ["jj-evolve", "--model", "mean_field", "--n-total", "200", "--e-c", "0.2",
+            "--lam", "0.1", "--n0", "101", "--phi0", "0.5", "--horizon", "10"]
+    coarse, fine = tmp_path / "coarse.csv", tmp_path / "fine.csv"
+    assert run(argv + ["--dt", "1.0", "--out", str(coarse)]) == 0
+    assert run(argv + ["--dt", "0.005", "--out", str(fine)]) == 0
+    coarse, fine = reports.load_report(str(coarse))[0], reports.load_report(str(fine))[0]
+    assert (len(coarse), len(fine)) == (11, 2001)
+    shared = fine[::200]
+    assert [r["time"] for r in coarse] == [r["time"] for r in shared]
+    assert max(abs(a["n1"] - b["n1"]) for a, b in zip(coarse, shared)) <= 1e-9
+    assert max(r["n1"] for r in fine) - min(r["n1"] for r in fine) > 20.0
+
+
 def test_fluctuations_cli(tmp_path):
     out = tmp_path / "fluct.csv"
     assert run(["fluctuations", "--n-bar1-values", "25,100,400", "--p", "0.5",

@@ -41,11 +41,10 @@ def displaced_initial(params, amplitude, n0=None):
 def test_meanfield_zero_tunneling_linear_phase():
     # lam = 0: U(t) is a pure z-turn, so jz stands still and zeta turns at
     # the constant rate E_C (n - nbar1); N = 41 is a half-integer spin
-    for n_total, n_bar1, n0, every in ((20, 8.0, 12.0, 1), (41, 17.5, 23.0, 7)):
+    for n_total, n_bar1, n0, dt in ((20, 8.0, 12.0, 0.01), (41, 17.5, 23.0, 0.07)):
         params = jj.JJParams(e_c=0.3, lam=0.0, n_total=n_total, n_bar1=n_bar1)
         initial = jj.product_state(n_total, n0, 0.4, jj.sector_space(params))
-        traj = dyn.evolve_meanfield(initial, params, horizon=3.0, dt=0.01,
-                                    sample_every=every)
+        traj = dyn.evolve_meanfield(initial, params, horizon=3.0, dt=dt)
         assert np.allclose(traj.n1, n0, rtol=0, atol=1e-12)
         # phase advances linearly at rate E_C (n - nbar1)
         want = traj.phi[0] + params.e_c * (n0 - n_bar1) * traj.times
@@ -155,8 +154,7 @@ def test_meanfield_matches_the_full_nonlinear_equation():
         return -1j * jj.build_jj_hamiltonian(params, space, "mean_field",
                                              state).apply(psi)
 
-    traj = dyn.evolve_meanfield(initial, params, horizon=6.0, dt=0.01,
-                                sample_every=20)
+    traj = dyn.evolve_meanfield(initial, params, horizon=6.0, dt=0.2)
     sol = solve_ivp(rhs, (0.0, 6.0), initial.amplitudes, method="DOP853",
                     t_eval=traj.times, rtol=1e-12, atol=1e-12)
     want = [fock.StateVector(space, psi, normalize=True) for psi in sol.y.T]
@@ -195,27 +193,34 @@ def _rotated_oracle(initial, u, v):
     return fock.StateVector(initial.space, expm(-1j * gen) @ initial.amplitudes)
 
 
-def test_bloch_vector_columns_match_a_dense_rotation():
+def test_bloch_vector_columns_match_a_dense_rotation(monkeypatch):
     # every column read from the Bloch vector against the state turned by
     # dense expm with the run's own (u, v), then measured: the plasma leg of
     # `compare` (N = 200, subsampled), odd N, and an electrode swap whose
-    # rotation comes within 0.013 of the half turn u = 0
+    # rotation comes within 0.013 of the half turn u = 0; the last entry of
+    # a case is the stride the run picks, its steps per output (the odd-N
+    # case takes 630 steps, near the 600 of step 0.01 it was set for)
     cases = [(jj.JJParams(e_c=0.2, lam=0.1, n_total=200, n_bar1=100.0), 0.05, 100.0,
-              20.0, 0.01, 250),
+              20.0, 2.5, 354),
              (jj.JJParams(e_c=0.7, lam=0.4, n_total=31, n_bar1=13.0), 0.9, 17.0,
-              6.0, 0.01, 20),
+              3.0, 0.2, 42),
              (jj.JJParams(e_c=0.01, lam=1.0, n_total=40, n_bar1=20.0), np.pi, 4.0,
-              6.0, 0.05, 3)]
-    for params, amplitude, n0, horizon, dt, every in cases:
+              6.0, 0.15, 16)]
+    rotations, picked = dyn._meanfield_rotations, []
+    monkeypatch.setattr(dyn, "_meanfield_rotations",
+                        lambda *args: picked.append(args[2:]) or rotations(*args))
+    for params, amplitude, n0, horizon, dt, stride in cases:
         initial = displaced_initial(params, amplitude, n0=n0)
-        traj = dyn.evolve_meanfield(initial, params, horizon, dt, sample_every=every)
-        n_steps = int(round(horizon / dt))
-        t, u, v, _, _ = zip(*dyn._meanfield_rotations(initial, params, horizon / n_steps,
-                                                       n_steps, every))
+        traj = dyn.evolve_meanfield(initial, params, horizon, dt)
+        n_out = int(round(horizon / dt))
+        args = picked.pop()
+        assert args == (horizon / (n_out * stride), n_out, stride)
+        u, v, _, _ = zip(*rotations(initial, params, *args))
         psi = np.stack([_rotated_oracle(initial, a, b).amplitudes for a, b in zip(u, v)],
                        axis=1)
         norm, n1, z = jj.sector_moments(psi)
-        want = {"times": np.array(t), "n1": n1, "phi": np.exp(1j * np.angle(z)),
+        want = {"times": horizon * np.arange(n_out + 1) / n_out,
+                "n1": n1, "phi": np.exp(1j * np.angle(z)),
                 "norm_drift": np.abs(norm - 1.0), "fidelity": jj.product_fit(psi, n1, z)[2],
                 "energy": params.lam * z.real
                 + 0.5 * params.e_c * (n1 - params.n_bar1) ** 2}
@@ -246,11 +251,11 @@ def test_half_integer_spin_does_not_see_the_sign_of_u(monkeypatch):
     # odd N: -U acts as minus the representation of U, a global phase only
     params = jj.JJParams(e_c=0.7, lam=0.4, n_total=31, n_bar1=13.0)
     initial = displaced_initial(params, 0.9, n0=17.0)
-    plain = dyn.evolve_meanfield(initial, params, horizon=6.0, dt=0.01, sample_every=20)
+    plain = dyn.evolve_meanfield(initial, params, horizon=6.0, dt=0.2)
     rotations = dyn._meanfield_rotations
     monkeypatch.setattr(dyn, "_meanfield_rotations", lambda *args: (
-        (t, -u, -v, zeta, jz) for t, u, v, zeta, jz in rotations(*args)))
-    flipped = dyn.evolve_meanfield(initial, params, horizon=6.0, dt=0.01, sample_every=20)
+        (-u, -v, zeta, jz) for u, v, zeta, jz in rotations(*args)))
+    flipped = dyn.evolve_meanfield(initial, params, horizon=6.0, dt=0.2)
     assert np.ptp(plain.n1) > 1.0
     for name in ("times", "n1", "phi", "norm_drift", "energy", "fidelity"):
         assert np.allclose(getattr(flipped, name), getattr(plain, name),
@@ -290,8 +295,6 @@ def test_meanfield_argument_validation():
         dyn.evolve_meanfield(initial, params, horizon=1.0, dt=0.0)
     with pytest.raises(ContractViolationError):
         dyn.evolve_meanfield(initial, params, horizon=-1.0, dt=0.01)
-    with pytest.raises(ContractViolationError):
-        dyn.evolve_meanfield(initial, params, horizon=1.0, dt=0.01, sample_every=0)
     other = jj.JJParams(e_c=0.2, lam=0.1, n_total=100, n_bar1=50.0)
     with pytest.raises(ContractViolationError):
         dyn.evolve_meanfield(initial, other, horizon=1.0, dt=0.01)
@@ -443,6 +446,17 @@ def test_exact_evolution_conserves_norm_and_energy():
 # -- model comparison --------------------------------------------------------------
 
 
+def test_model_compare_runs_the_three_models_on_one_grid(monkeypatch):
+    runs = []
+    for name in ("evolve_exact", "evolve_meanfield", "pendulum_trajectory"):
+        monkeypatch.setattr(dyn, name, lambda *args, model=getattr(dyn, name), **kw: (
+            runs.append(model(*args, **kw)) or runs[-1]))
+    params = jj.JJParams(e_c=10.0, lam=1.0, n_total=4, n_bar1=2.0)
+    rec = dyn.model_compare(params, n0=3.0, phi0=0.2, horizon=3.0)
+    assert len(runs) == 3 and len(rec.times) > 10
+    assert all(traj.times.tobytes() == rec.times.tobytes() for traj in runs)
+
+
 def test_model_compare_zero_divergence_at_t0():
     params = jj.JJParams(e_c=1.0, lam=0.5, n_total=12, n_bar1=6.0)
     rec = dyn.model_compare(params, n0=7.0, phi0=0.1, horizon=1.0)
@@ -534,18 +548,18 @@ def test_trajectory_validation():
 def test_meanfield_output_budget_counts_the_sampled_outputs(monkeypatch):
     params = jj.JJParams(e_c=0.2, lam=0.1, n_total=4, n_bar1=2.0)
     initial = jj.product_state(4, 2.0, 0.0, jj.sector_space(params))
-    dt = 4.0 / dyn.OUTPUT_WORK_LIMIT        # 2.5e6 steps of 5 states
+    dt = 4.0 / dyn.OUTPUT_WORK_LIMIT        # 2.5e6 outputs of 5 states
     with pytest.raises(ResourceLimitError, match="outputs x dimension"):
         dyn.evolve_meanfield(initial, params, 1.0, dt)
 
     def past_the_budget(*args):
         raise LookupError("the run got past its budget checks")
 
-    # every second step sampled: within the budget, so the run goes on to
-    # its rotations
+    # half as many outputs: within the budget, so the run goes on to its
+    # rotations
     monkeypatch.setattr(dyn, "_meanfield_rotations", past_the_budget)
     with pytest.raises(LookupError):
-        dyn.evolve_meanfield(initial, params, 1.0, dt, sample_every=2)
+        dyn.evolve_meanfield(initial, params, 1.0, 2.0 * dt)
 
 
 def test_work_budgets_refuse_before_running():
@@ -559,6 +573,33 @@ def test_work_budgets_refuse_before_running():
         dyn.pendulum_trajectory(0.1, 0.0, 1.0, 1.0, 1.0 / (dyn.STEP_LIMIT + 1))
     with pytest.raises(ResourceLimitError):
         dyn.model_compare(params, 3.0, 0.0, 1e308)
+    # one output spacing of 1e9 or 1e300, cut into about 1e11 or an
+    # overflowing number of self-consistent steps of 0.01 / rate
+    for span in (1e9, 1e300):
+        with pytest.raises(ResourceLimitError, match="^steps"):
+            dyn.evolve_meanfield(initial, params, span, span)
+
+
+MODELS = {
+    "exact": dyn.evolve_exact,
+    "meanfield": dyn.evolve_meanfield,
+    "pendulum": lambda initial, params, horizon, dt: dyn.pendulum_trajectory(
+        0.3, 0.0, 1.0, horizon, dt),
+}
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_every_model_refuses_a_bad_time_axis(model):
+    params = jj.JJParams(e_c=0.2, lam=0.1, n_total=4, n_bar1=2.0)
+    initial = displaced_initial(params, 0.3, n0=3.0)
+    nan, inf = float("nan"), float("inf")
+    for horizon, dt in ((-1.0, 0.1), (nan, 0.1), (inf, 0.1), (-inf, 0.1),
+                        (1.0, nan), (1.0, 0.0), (1.0, -0.1), (1.0, -inf)):
+        with pytest.raises(ContractViolationError):
+            MODELS[model](initial, params, horizon, dt)
+    # an infinite spacing is one output, at the horizon
+    assert MODELS[model](initial, params, 2.0, inf).times.tolist() == [0.0, 2.0]
+    assert MODELS[model](initial, params, 0.0, 0.1).times.tolist() == [0.0]
 
 
 def test_measured_block_matches_single_states_and_keeps_its_nans():
@@ -613,7 +654,7 @@ def test_trajectories_do_not_depend_on_the_output_chunk(monkeypatch):
     for work in (fock.OUTPUT_CHUNK_WORK, 31, 31 * 7):
         monkeypatch.setattr(fock, "OUTPUT_CHUNK_WORK", work)
         runs.append((dyn.evolve_exact(initial, params, 3.0, 0.05),
-                     dyn.evolve_meanfield(initial, params, 3.0, 0.005, sample_every=10)))
+                     dyn.evolve_meanfield(initial, params, 3.0, 0.05)))
     (exact, mf), others = runs[0], runs[1:]
     for other_exact, other_mf in others:
         for name in ("times", "n1", "phi", "norm_drift", "energy", "fidelity"):

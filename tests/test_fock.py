@@ -269,8 +269,8 @@ def _random_hermitian_operator(space, rng, density=0.2):
     return fock.LinearOperator(space, m.tocsr(), hermitian=True)
 
 
-def test_krylov_path_conserves_above_dense_limit():
-    # tridiagonal sector Hamiltonian at N = 2500 exercises the sparse path
+def test_sector_evolution_at_n2500_conserves_norm_energy_and_number():
+    # a tridiagonal sector Hamiltonian at N = 2500, built from ladder operators
     n_tot = 2500
     sector = fock.FockSpace.fixed_sector(n_tot)
     hop = fock.hopping_operator(sector, 0, 1)
@@ -431,7 +431,7 @@ def test_tridiagonal_structure_is_read_from_the_matrix():
     assert (wide + wide.dagger()).tridiagonal is None
 
 
-def test_eigen_propagator_above_2000_matches_lanczos():
+def test_sampled_evolution_at_n2100_matches_expm_multiply():
     h = _sector_hamiltonian(2100)
     k = np.arange(2101)
     amps = np.exp(-0.5 * (k - 1050) ** 2 / 50.0 + 0.3j * k)

@@ -35,3 +35,17 @@ def test_script_writes_its_report(tmp_path, script, args, reports):
         columns = next(line for line in lines if not line.startswith("#"))
         assert columns.startswith(header)
         assert len(lines) > lines.index(columns) + 1
+
+
+def test_report_digests_prints_one_digest_per_job():
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "report_digests.py")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 14
+    digests = [line.split("  ", 1) for line in lines]
+    assert all(len(d) == 64 and int(d, 16) >= 0 and job for d, job in digests)
+    # the pooled bound-check run writes the serial run's bytes
+    assert digests[4][0] == digests[5][0] and digests[5][1].endswith("--workers 3")
