@@ -40,6 +40,9 @@ JOBS = [
      "--n-bar1", "10"],
     ["fluctuations", "--n-bar1-values", "25,100,400"],
     ["tomography", "--config", "{scene}"],
+    # self-trapped: the charging field, not the rate, sets the step
+    ["jj-evolve", "--n-total", "1000", "--e-c", "1", "--lam", "0.001", "--n0", "900",
+     "--phi0", "0.3", "--horizon", "4"],
 ]
 SCENE = {"stokes": {"i": 1.0, "m": 0.2, "c": 0.0, "s": 0.1}, "seed": 3, "shots": 500}
 

@@ -114,8 +114,8 @@ class Param:
     or a function of the values resolved before it, whose result is checked
     as a given value is.  `interval` bounds the value, e.g. "[1, inf)"; an
     end may name a parameter resolved before it, e.g. "[0, n_total]".
-    `source` "flag" marks an execution detail and "config" a structured
-    scene value; neither is echoed.
+    `source` "flag" marks an execution detail, which is not echoed, and
+    "config" a structured scene value, echoed as the JSON the file gave.
     """
 
     name: str
@@ -150,10 +150,11 @@ def _load_config_file(path: str, allowed: set[str]) -> dict:
     return data
 
 
-def resolve(table: tuple[Param, ...], args) -> dict:
+def resolve(table: tuple[Param, ...], args) -> tuple[dict, dict]:
     """Validated values for every parameter in `table`: flag, else config
-    file, else default.  A JSON null counts as not given.  An error names
-    the flag or config key, or says that the value was derived."""
+    file, else default; and the run's configuration echo.  A JSON null
+    counts as not given.  An error names the flag or config key, or says
+    that the value was derived."""
     file = {}
     if args.config:
         file = _load_config_file(
@@ -182,7 +183,9 @@ def resolve(table: tuple[Param, ...], args) -> dict:
                                    f"value {raw!r} {exc}") from None
             raise BeamlabError(f"{where} {exc}, got {raw!r}") from None
         values[p.name] = value
-    return values
+    echo = {p.name: values[p.name] if p.source == "both" else file[p.name]
+            for p in table if p.source == "both" or file.get(p.name) is not None}
+    return values, echo
 
 
 COMMANDS = {}
@@ -433,12 +436,10 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
             args = build_parser().parse_args(argv)
-            vars(args).update(resolve(args.table, args))
+            values, echo = resolve(args.table, args)
+            vars(args).update(values)
             rows, extra = args.func(args)
-            config = {"subcommand": args.subcommand,
-                      **{p.name: getattr(args, p.name) for p in args.table
-                         if p.source == "both"},
-                      "format": args.format}
+            config = {"subcommand": args.subcommand, **echo, "format": args.format}
             reports.emit_report(rows, args.format, args.out, config=config, extra=extra)
         except BeamlabError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -120,26 +120,18 @@ class Trajectory:
     def rows(self) -> list[dict]:
         """Report rows: the shared columns, then `fidelity` and/or `phidot`
         where the model carries them."""
-        out = []
-        for i, t in enumerate(self.times):
-            row = {
-                "time": float(t),
-                "n1": _none_if_nan(self.n1[i]),
-                "phi": _none_if_nan(self.phi[i]),
-                "norm_drift": float(self.norm_drift[i]),
-                "energy": float(self.energy[i]),
-            }
-            if self.fidelity is not None:
-                row["fidelity"] = _none_if_nan(self.fidelity[i])
-            if self.phidot is not None:
-                row["phidot"] = float(self.phidot[i])
-            out.append(row)
-        return out
+        return _rows({"time": self.times, "n1": self.n1, "phi": self.phi,
+                      "norm_drift": self.norm_drift, "energy": self.energy,
+                      "fidelity": self.fidelity, "phidot": self.phidot})
 
 
-def _none_if_nan(x):
-    x = float(x)
-    return None if math.isnan(x) else x
+def _rows(columns: dict) -> list[dict]:
+    """One report row per index of the equal-length `columns` {name: values},
+    leaving out a None column; a NaN stays, for the report to write as a
+    missing value."""
+    lists = {name: np.asarray(values, dtype=float).tolist()
+             for name, values in columns.items() if values is not None}
+    return [dict(zip(lists, row)) for row in zip(*lists.values())]
 
 
 def _unwrap_keeping_nans(raw: np.ndarray) -> np.ndarray:
@@ -205,7 +197,10 @@ def evolve_meanfield(initial: fock.StateVector, params: jj.JJParams, horizon: fl
     (`_meanfield_rotations`), from which every column is read, so no state
     is built after t = 0.  The run picks its own step: each output spacing
     is cut into the fewest equal steps of at most about 0.01 / rate
-    (`_junction_rate`), so `dt` sets the outputs and not the accuracy.
+    (`_junction_rate`) and of at most 1 / (the largest charging field
+    E_C |n1 - nbar1| that the conserved energy allows), so that no step
+    turns the Bloch vector about z by more than 1 rad; `dt` sets the
+    outputs and not the accuracy.
     norm_drift is the SU(2) defect of U; the fidelity, measured on the
     initial vector against the product state fitted to the back-rotated
     moments, is lost when U and the Bloch vector drift apart.
@@ -216,11 +211,18 @@ def evolve_meanfield(initial: fock.StateVector, params: jj.JJParams, horizon: fl
     """
     space = initial.space
     times = _output_times(horizon, dt, space.dimension, "outputs x dimension")
-    n_out = max(len(times) - 1, 1)
-    stride = max(np.rint(horizon / n_out / (0.01 / _junction_rate(params))), 1.0)
-    fock.check_work(n_out * stride, STEP_LIMIT, "steps")
     if space.kind != "fixed_sector" or space.n_total != params.n_total:
         raise ContractViolationError("initial state must live on the parameter sector")
+    n_out = max(len(times) - 1, 1)
+    spacing = horizon / n_out
+    # (E_C/2)(n1 - nbar1)^2 = energy - lam Re zeta <= energy0 + |lam| N/2
+    energy0 = (params.lam * jj.coherence(initial).real
+               + 0.5 * params.e_c * (jj.mean_n1(initial) - params.n_bar1) ** 2)
+    field = math.sqrt(max(2.0 * params.e_c * (energy0 + 0.5 * abs(params.lam)
+                                              * params.n_total), 0.0))
+    stride = max(np.rint(spacing / (0.01 / _junction_rate(params))),
+                 np.ceil(spacing * field), 1.0)
+    fock.check_work(n_out * stride, STEP_LIMIT, "steps")
     fid0 = jj.best_fit_product(initial)[2]
     if fid0 < 1.0 - FIDELITY_TOL:
         raise IntegrationFailureError(
@@ -410,9 +412,9 @@ class FluctuationReport:
             raise ContractViolationError("fluctuation entries must be positive")
 
     def rows(self) -> list[dict]:
-        return [{"n_bar1": nb, "number_variance": var, "phase_width": width}
-                for nb, var, width in zip(self.n_bar1_values, self.number_variance,
-                                          self.phase_width)]
+        return _rows({"n_bar1": self.n_bar1_values,
+                      "number_variance": self.number_variance,
+                      "phase_width": self.phase_width})
 
 
 def _overlap_magnitude(probs: np.ndarray, delta: float) -> float:
@@ -503,9 +505,7 @@ class ComparisonRecord:
         columns = ("n1_exact", "n1_meanfield", "n1_pendulum", "phi_exact",
                    "phi_meanfield", "phi_pendulum", "div_n1", "div_phi",
                    "fidelity_exact")
-        return [{"time": float(t),
-                 **{c: _none_if_nan(getattr(self, c)[i]) for c in columns}}
-                for i, t in enumerate(self.times)]
+        return _rows({"time": self.times, **{c: getattr(self, c) for c in columns}})
 
 
 def model_compare(params: jj.JJParams, n0: float, phi0: float, horizon: float

@@ -4,7 +4,7 @@ Floats are serialized with ``repr``, the shortest decimal form that parses
 back to the exact binary value, so report files are byte-stable and
 lossless.  NaNs are emitted as missing values (empty CSV cell, JSON null).
 CSV reports carry the effective run configuration in leading ``#`` comment
-lines; JSON reports wrap it alongside the row array.
+lines; a JSON report is one object that holds it next to its rows.
 """
 
 from __future__ import annotations
@@ -40,31 +40,28 @@ def _cell(value) -> str:
     return str(value)
 
 
-def emit_report(rows: list[dict] | None, fmt: str, path: str,
-                config: dict | None = None, extra: dict | None = None,
-                columns: list[str] | None = None) -> None:
+def emit_report(rows: list[dict] | None, fmt: str, path: str, config: dict,
+                extra: dict | None = None) -> None:
     """Write `rows` to `path` as csv or json.
 
     `config` (the effective run configuration) and `extra` (scalar results,
     e.g. fitted exponents) go into the CSV comment header / the JSON
-    envelope; with both omitted the JSON form is a bare array of row
-    objects.  `columns` supplies the CSV header when the row set is empty.
-    A JSON report may have no rows (None): its envelope then holds only
-    `config` and `extra`.
+    object.  A report has at least one row, except that a JSON report may
+    have none (None): its object then holds only `config` and `extra`.
     """
     if rows is None and fmt != "json":
         raise ContractViolationError("only a json report may have no rows")
     # the column set is checked before the file opens; cells are converted
     # as they are written, so the rows are never copied (JSON aside)
-    if rows:
+    if rows is not None:
+        if not rows:
+            raise ContractViolationError("a report needs at least one row")
         keys = list(rows[0])
         if any(list(row) != keys for row in rows):
             raise ContractViolationError("report rows must share one column set")
-        if columns is not None and keys != list(columns):
-            raise ContractViolationError("explicit columns disagree with the rows")
     try:
         if fmt == "csv":
-            _write_csv(rows, path, config, extra, columns)
+            _write_csv(rows, path, config, extra)
         elif fmt == "json":
             _write_json(rows, path, config, extra)
         else:
@@ -73,34 +70,21 @@ def emit_report(rows: list[dict] | None, fmt: str, path: str,
         raise BeamlabError(f"cannot write report to {path}: {exc}") from exc
 
 
-def _write_csv(rows, path, config, extra, columns=None):
-    header = list(rows[0].keys()) if rows else columns
+def _write_csv(rows, path, config, extra):
     with open(path, "w", newline="") as fh:
-        if config is not None:
-            fh.write("# config: " + json.dumps(config, sort_keys=True) + "\r\n")
-        if extra is not None:
-            for key, value in extra.items():
-                fh.write(f"# {key}: " + json.dumps(value, sort_keys=True) + "\r\n")
+        fh.write("# config: " + json.dumps(config, sort_keys=True) + "\r\n")
+        for key, value in (extra or {}).items():
+            fh.write(f"# {key}: " + json.dumps(value, sort_keys=True) + "\r\n")
         writer = csv.writer(fh)
-        if header is not None:
-            writer.writerow(header)
+        writer.writerow(rows[0].keys())
         for row in rows:
             writer.writerow([_cell(v) for v in row.values()])
 
 
 def _write_json(rows, path, config, extra):
+    payload = {"config": config, **(extra or {})}
     if rows is not None:
-        rows = [{k: _plain(v) for k, v in row.items()} for row in rows]
-    if config is None and extra is None:
-        payload = rows
-    else:
-        payload = {}
-        if config is not None:
-            payload["config"] = config
-        if extra is not None:
-            payload.update(extra)
-        if rows is not None:
-            payload["rows"] = rows
+        payload["rows"] = [{k: _plain(v) for k, v in row.items()} for row in rows]
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
@@ -129,10 +113,8 @@ def load_report(path: str):
             text = fh.read()
     except OSError as exc:
         raise BeamlabError(f"cannot read report {path}: {exc}") from exc
-    if text.lstrip().startswith(("[", "{")):
+    if text.lstrip().startswith("{"):
         payload = json.loads(text)
-        if isinstance(payload, list):
-            return payload, {}
         header = {k: v for k, v in payload.items() if k != "rows"}
         return payload["rows"], header
     header = {}
@@ -143,8 +125,6 @@ def load_report(path: str):
             header[key] = json.loads(value)
         elif line:
             lines.append(line)
-    if not lines:
-        return [], header
     reader = csv.reader(lines)
     columns = next(reader)
     rows = [{c: _parse_cell(v) for c, v in zip(columns, record)} for record in reader]

@@ -311,6 +311,10 @@ def test_tomography_scene_file(tmp_path):
     assert payload["true_values"]["i"] == pytest.approx(0.5)
     assert payload["true_values"]["s"] == pytest.approx(0.5)
     assert payload["config"]["seed"] == 5
+    # the report echoes the scene it measured, as the file gave it
+    assert payload["config"]["stokes"] == scene["stokes"]
+    assert payload["config"]["device_maps"] == scene["device_maps"]
+    assert "omega" not in payload["config"]
     assert abs(payload["estimate"]["s"] - 0.5) < 5 * payload["standard_errors"]["s"]
 
     # 5-sigma-ish agreement and byte determinism
@@ -401,6 +405,23 @@ def test_jj_evolve_dt_sets_the_outputs_not_the_accuracy(tmp_path):
     assert [r["time"] for r in coarse] == [r["time"] for r in shared]
     assert max(abs(a["n1"] - b["n1"]) for a, b in zip(coarse, shared)) <= 1e-9
     assert max(r["n1"] for r in fine) - min(r["n1"] for r in fine) > 20.0
+
+
+def test_self_trapped_jj_evolve_steps_by_its_charging_field(tmp_path):
+    # E_C |n1 - nbar1| = 400 turns the Bloch vector about z 40 times faster
+    # than the rate 1 / 0.01 the default --dt is cut by, so the step must
+    # follow the field; steps of 4 rad once put n1 3.7e-6 off
+    argv = ["jj-evolve", "--n-total", "1000", "--e-c", "1", "--lam", "0.001",
+            "--n0", "900", "--phi0", "0.3", "--horizon", "4"]
+    coarse, fine = tmp_path / "coarse.csv", tmp_path / "fine.csv"
+    assert run(argv + ["--out", str(coarse)]) == 0
+    assert run(argv + ["--dt", "0.0005", "--out", str(fine)]) == 0
+    coarse, fine = reports.load_report(str(coarse))[0], reports.load_report(str(fine))[0]
+    assert (len(coarse), len(fine)) == (401, 8001)
+    shared = fine[::20]
+    assert [r["time"] for r in coarse] == [r["time"] for r in shared]
+    assert max(abs(a["n1"] - b["n1"]) for a, b in zip(coarse, shared)) <= 1e-8
+    assert max(r["n1"] for r in fine) - min(r["n1"] for r in fine) > 1e-3
 
 
 def test_fluctuations_cli(tmp_path):

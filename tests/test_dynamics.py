@@ -235,7 +235,7 @@ def test_bloch_vector_columns_match_a_dense_rotation(monkeypatch):
     assert np.ptp(traj.n1) > 31.0 and np.min(np.abs(u)) < 0.013
 
 
-def test_euler_path_starts_on_the_measured_initial_state():
+def test_meanfield_row_zero_is_the_measured_initial_state():
     params = jj.JJParams(e_c=0.4, lam=0.3, n_total=30, n_bar1=15.0)
     initial = displaced_initial(params, 0.3, n0=17.0)
     traj = dyn.evolve_meanfield(initial, params, horizon=1.0, dt=0.01)
@@ -263,9 +263,11 @@ def test_half_integer_spin_does_not_see_the_sign_of_u(monkeypatch):
 
 
 def test_meanfield_report_does_not_depend_on_the_blas_thread_count(tmp_path):
-    # dimension 101 x 287 outputs, where a threaded BLAS matrix product
-    # rounds differently at one and at two threads, and dimension 5000; at
-    # phi0 = 0 both would stand still
+    # dimension 101 x 287 outputs and dimension 5000: the model reads its
+    # rows from the Bloch vector and fits the product state with numpy's
+    # elementwise sums; this keeps out of the report any BLAS product,
+    # which may split its sums across threads; at phi0 = 0 both runs
+    # would stand still
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     runs = [(["--n-total", "100", "--e-c", "0.2", "--lam", "0.1", "--phi0", "2.0",

@@ -9,17 +9,20 @@ from beamlab import reports
 from beamlab.errors import BeamlabError, ContractViolationError
 
 
-def test_empty_rows_header_only_csv(tmp_path):
+def test_empty_csv_raises(tmp_path):
     path = tmp_path / "empty.csv"
-    reports.emit_report([], "csv", str(path), columns=["a", "b"])
-    assert path.read_bytes() == b"a,b\r\n"
+    with pytest.raises(ContractViolationError):
+        reports.emit_report([], "csv", str(path), config={})
+    with pytest.raises(ContractViolationError):
+        reports.emit_report([], "json", str(path), config={})
+    assert not path.exists()
 
 
 def test_single_row_two_lines(tmp_path):
     path = tmp_path / "one.csv"
-    reports.emit_report([{"x": 1, "y": 2.5}], "csv", str(path))
+    reports.emit_report([{"x": 1, "y": 2.5}], "csv", str(path), config={})
     lines = path.read_text().splitlines()
-    assert lines == ["x,y", "1,2.5"]
+    assert lines == ["# config: {}", "x,y", "1,2.5"]
 
 
 def test_csv_json_round_trip_identical_values(tmp_path):
@@ -41,33 +44,25 @@ def test_csv_json_round_trip_identical_values(tmp_path):
     assert json_header["config"] == cfg
 
 
-def test_bare_json_is_array(tmp_path):
-    path = tmp_path / "bare.json"
-    reports.emit_report([{"a": 1}], "json", str(path))
-    assert json.loads(path.read_text()) == [{"a": 1}]
-
-
 def test_rows_must_be_homogeneous(tmp_path):
     with pytest.raises(ContractViolationError):
-        reports.emit_report([{"a": 1}, {"b": 2}], "csv", str(tmp_path / "x.csv"))
-    with pytest.raises(ContractViolationError):
-        reports.emit_report([{"a": 1}], "csv", str(tmp_path / "x.csv"),
-                            columns=["b"])
+        reports.emit_report([{"a": 1}, {"b": 2}], "csv", str(tmp_path / "x.csv"),
+                            config={})
 
 
 def test_io_error_carries_path():
     with pytest.raises(BeamlabError, match="no/such/dir"):
-        reports.emit_report([{"a": 1}], "csv", "/no/such/dir/report.csv")
+        reports.emit_report([{"a": 1}], "csv", "/no/such/dir/report.csv", config={})
 
 
 def test_nan_becomes_missing(tmp_path):
     path = tmp_path / "nan.csv"
-    reports.emit_report([{"v": float("nan")}], "csv", str(path))
+    reports.emit_report([{"v": float("nan")}], "csv", str(path), config={})
     rows, _ = reports.load_report(str(path))
     assert rows == [{"v": None}]
     jpath = tmp_path / "nan.json"
-    reports.emit_report([{"v": float("nan")}], "json", str(jpath))
-    assert json.loads(jpath.read_text()) == [{"v": None}]
+    reports.emit_report([{"v": float("nan")}], "json", str(jpath), config={})
+    assert json.loads(jpath.read_text())["rows"] == [{"v": None}]
 
 
 @settings(deadline=None)
@@ -78,6 +73,6 @@ def test_float_serialization_round_trips_exactly(x):
 
 def test_rfc4180_quoting(tmp_path):
     path = tmp_path / "quote.csv"
-    reports.emit_report([{"text": 'a,"b"\nc'}], "csv", str(path))
+    reports.emit_report([{"text": 'a,"b"\nc'}], "csv", str(path), config={})
     raw = path.read_text()
     assert '"a,""b""\nc"' in raw
