@@ -6,32 +6,66 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 REPORTS = {"negativity_sweep.csv": "seed,cutoff,n_a,n_b,n_ab,negativity,bound_exact",
            "jj_plasma.csv": "time,n1_exact,n1_meanfield,n1_pendulum,phi_exact",
            "jj_dichotomy.csv": "time,n1_exact,n1_meanfield,n1_pendulum,phi_exact",
            "fluctuations.csv": "n_bar1,number_variance,phase_width"}
+# the driver scripts that paper_results.py replaced, the `beamlab` subcommand
+# of each job that now writes their reports, and those reports
+SCRIPTS = [
+    ("jj_model_comparison.py", ["compare", "compare"], ["jj_plasma.csv", "jj_dichotomy.csv"]),
+    ("fluctuation_scaling.py", ["fluctuations"], ["fluctuations.csv"]),
+    ("negativity_bound_sweep.py", ["neg-sweep"], ["negativity_sweep.csv"]),
+]
 
 
-def test_paper_results_writes_the_four_reports(tmp_path):
+@pytest.fixture(scope="module")
+def paper_results(tmp_path_factory):
+    """One run of scripts/paper_results.py: (its output directory, its stdout)."""
+    cwd = tmp_path_factory.mktemp("paper_results")
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "paper_results.py"),
-                           "--out-dir", "out"], cwd=tmp_path, env=env,
+                           "--out-dir", "out"], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    return cwd / "out", proc.stdout
+
+
+def read_report(path: Path) -> tuple[dict, str, int]:
+    """A CSV report's config echo, its column line and its data-row count."""
+    lines = path.read_text().splitlines()
+    config = json.loads(lines[0].removeprefix("# config: "))
+    columns = next(line for line in lines if not line.startswith("#"))
+    return config, columns, len(lines) - lines.index(columns) - 1
+
+
+def test_paper_results_writes_the_four_reports(paper_results):
+    out_dir, stdout = paper_results
     for name, header in REPORTS.items():
-        lines = (tmp_path / "out" / name).read_text().splitlines()
-        config = json.loads(lines[0].removeprefix("# config: "))
+        config, columns, n_rows = read_report(out_dir / name)
         assert "subcommand" in config
-        columns = next(line for line in lines if not line.startswith("#"))
         assert columns.startswith(header)
-        assert len(lines) > lines.index(columns) + 1
-        assert name in proc.stdout
+        assert n_rows > 0
+        assert name in stdout
     # the plasma run starts on the background, not on the CLI's n_bar1 + 1
-    plasma = (tmp_path / "out" / "jj_plasma.csv").read_text().splitlines()[0]
+    plasma = (out_dir / "jj_plasma.csv").read_text().splitlines()[0]
     assert '"n0": 100.0' in plasma
+
+
+@pytest.mark.parametrize("script,args,reports", SCRIPTS)
+def test_script_writes_its_report(paper_results, script, args, reports):
+    out_dir, _ = paper_results
+    assert not (ROOT / "scripts" / script).exists()
+    for name, subcommand in zip(reports, args, strict=True):
+        config, columns, n_rows = read_report(out_dir / name)
+        assert config["subcommand"] == subcommand, (script, name)
+        assert columns.startswith(REPORTS[name]), (script, name)
+        assert n_rows > 0, (script, name)
 
 
 def test_report_digests_prints_one_digest_per_job():
