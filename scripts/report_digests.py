@@ -29,9 +29,11 @@ JOBS = [
      "--dt", "0.01"],
     ["bound-check", "--seed", "5", "--samples", "80", "--cutoff", "2", "--workers", "1"],
     ["bound-check", "--seed", "5", "--samples", "80", "--cutoff", "2", "--workers", "3"],
-    # the benchmark's plasma-compare step
+    # the benchmark's plasma-compare and exact-evolve steps
     ["compare", "--n-total", "200", "--e-c", "0.2", "--lam", "0.1", "--phi0", "0.05",
      "--horizon", "20"],
+    ["jj-evolve", "--model", "bose_hubbard", "--n-total", "1999", "--e-c", "0.01",
+     "--lam", "0.001", "--dt", "0.2357"],
     ["jj-evolve", "--model", "mean_field", *JUNCTION],
     ["jj-evolve", "--model", "bose_hubbard", *JUNCTION],
     ["jj-evolve", "--model", "mean_field", *JUNCTION, "--horizon", "10", "--dt", "1.0"],

@@ -54,7 +54,6 @@ from .jj import (
     DerivedConstants,
     JJParams,
     best_fit_product,
-    build_jj_hamiltonian,
     derived_constants,
     product_state,
 )

@@ -51,12 +51,20 @@ FIDELITY_TOL = 1e-6
 
 # Work budgets, checked before a run allocates anything.  A pendulum output
 # keeps about eight float64 entries (64 bytes).  The exact model holds
-# one fock.EIG_WORK_LIMIT eigendecomposition; both quantum models measure
+# one eigendecomposition of its window, at most (N + 1)^2 <=
+# fock.EIG_WORK_LIMIT entries; both quantum models measure
 # their outputs in blocks of fock.OUTPUT_CHUNK_WORK (2^16) states x
 # dimension, 1 MB, and keep a few numbers per output, so the output budget
 # bounds their run time rather than their memory.
 STEP_LIMIT = 10_000_000
 OUTPUT_WORK_LIMIT = 10_000_000
+# The exact model's number window: the rows whose initial weight exceeds
+# WINDOW_FLOOR, and WINDOW_MARGIN rows more on each side.  A run whose
+# weight on the EDGE_ROWS rows of an inner edge exceeds WINDOW_FLOOR at
+# an output is rerun on the whole sector.
+WINDOW_FLOOR = 1e-32
+WINDOW_MARGIN = 16
+EDGE_ROWS = 4
 
 
 def _output_times(horizon: float, dt: float, per_output: int = 1,
@@ -282,30 +290,72 @@ def _meanfield_rotations(initial, params, step, n_out, stride):
 # -- exact evolution -----------------------------------------------------------
 
 
-def _measured(chunks, hamiltonian) -> Trajectory:
-    """Trajectory of (times, psi) chunks: psi is a (dimension, outputs) block
-    of states, every column measured as it is given, its norm drift its own
-    |norm - 1| and its energy <H>.  A column whose norm misses 1 by more
-    than 1e-12 raises ContractViolationError."""
+def _measured(chunks, d, e, n_total, first=0):
+    """Trajectory of (times, psi) chunks: psi is a block of states on the
+    rows k = first, first + 1, ... of the N = `n_total` sector, one state
+    per column, every column measured as it is given, its norm drift its
+    own |norm - 1| and its energy <H> for the tridiagonal H of diagonal d
+    and off-diagonal e on those rows.  A column whose norm misses 1 by
+    more than 1e-12 raises ContractViolationError.  Returns None, at the
+    first such output, when a window's inner edge (EDGE_ROWS rows next to
+    a row of the sector outside it) holds more weight than WINDOW_FLOOR.
+    """
     blocks = []
+    d, e = d[:, None], e[:, None]
     for t, psi in chunks:
-        norm, n1, z = jj.sector_moments(psi)
+        norm, n1, z = jj.sector_moments(psi, n_total, first)
         drift = np.abs(norm - 1.0)
         if not np.all(drift <= 1e-12):
             raise ContractViolationError(
                 f"state norm deviates from 1 by {np.max(drift)!r} > 1e-12")
-        energy = np.sum(np.conj(psi) * hamiltonian.apply(psi), axis=0).real
-        blocks.append((t, n1, z, drift, energy, jj.product_fit(psi, n1, z)[2]))
+        edges = [psi[:EDGE_ROWS]] if first > 0 else []
+        if first + len(psi) <= n_total:
+            edges.append(psi[-EDGE_ROWS:])
+        if any(np.max(np.sum(np.abs(edge) ** 2, axis=0)) > WINDOW_FLOOR for edge in edges):
+            return None
+        h_psi = d * psi             # the three-term product H psi
+        h_psi[1:] += e * psi[:-1]
+        h_psi[:-1] += e * psi[1:]
+        energy = np.sum(np.conj(psi) * h_psi, axis=0).real
+        blocks.append((t, n1, z, drift, energy,
+                       jj.product_fit(psi, n1, z, n_total, first)[2]))
     return _trajectory(blocks)
 
 
 def evolve_exact(initial: fock.StateVector, params: jj.JJParams, horizon: float,
                  dt_out: float) -> Trajectory:
     """Exact quadratic-charging evolution on the output grid of spacing
-    about `dt_out` (`_output_times`)."""
-    times = _output_times(horizon, dt_out, initial.space.dimension, "outputs x dimension")
-    hamiltonian = jj.build_jj_hamiltonian(params, initial.space, "bose_hubbard")
-    return _measured(fock.evolve_unitary_chunks(initial, hamiltonian, times), hamiltonian)
+    about `dt_out` (`_output_times`).
+
+    The run takes the rows whose initial weight exceeds WINDOW_FLOOR,
+    WINDOW_MARGIN more rows on each side, and evolves the state on that
+    number window, through the eigenpairs of the tridiagonal Hamiltonian
+    restricted to it (`fock.eigh_tridiagonal`).  Should the weight on
+    either inner edge of the window exceed WINDOW_FLOOR at an output, it
+    drops that run and evolves the whole sector instead.  Both budgets,
+    fock.EIG_WORK_LIMIT on (N + 1)^2 and OUTPUT_WORK_LIMIT on outputs x
+    (N + 1), are checked first, for the whole sector.
+    """
+    space = initial.space
+    times = _output_times(horizon, dt_out, space.dimension, "outputs x dimension")
+    if space.kind != "fixed_sector" or space.n_total != params.n_total:
+        raise ContractViolationError(
+            f"initial state must live on the fixed sector with N = {params.n_total}")
+    dim = space.dimension
+    fock.check_work(float(dim) * dim, fock.EIG_WORK_LIMIT,
+                    "eigendecomposition dimension^2")
+    d = jj.charging_diagonal(params)
+    e = jj.tunneling_offdiagonal(params.n_total, params.lam)
+    psi0 = initial.amplitudes
+    support = np.flatnonzero(np.abs(psi0) ** 2 > WINDOW_FLOOR)
+    window = (max(int(support[0]) - WINDOW_MARGIN, 0),
+              min(int(support[-1]) + 1 + WINDOW_MARGIN, dim))
+    for lo, hi in dict.fromkeys([window, (0, dim)]):     # the whole sector once at most
+        pairs = fock.eigh_tridiagonal(d[lo:hi], e[lo:hi - 1])
+        traj = _measured(fock.propagate(*pairs, psi0[lo:hi], times),
+                         d[lo:hi], e[lo:hi - 1], params.n_total, lo)
+        if traj is not None:
+            return traj
 
 
 # -- classical pendulum --------------------------------------------------------

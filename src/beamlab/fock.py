@@ -18,16 +18,18 @@ boundary so simulations can verify the drop is negligible.
 
 Evolution under a fixed Hamiltonian uses one exact Hermitian
 eigendecomposition, cached on the operator, and batched propagation to
-the output times, a block of OUTPUT_CHUNK_WORK entries at a time.
-:func:`tridiagonal_expm_apply` turns every column of a block through its
-own time, by dot products of contiguous rows that give a column the same
-bits in any block and at any BLAS thread count; nothing in beamlab calls
-it, but the benchmark's span list wraps it by name.  hbar = 1 throughout:
-times are inverse energies in the caller's unit.
+the output times, a block of OUTPUT_CHUNK_WORK entries at a time
+(:func:`propagate`, which the exact junction model also runs on its own
+tridiagonal arrays).  :func:`tridiagonal_expm_apply` turns every column of
+a block through its own time, by dot products of contiguous rows that give
+a column the same bits in any block and at any BLAS thread count; nothing
+in beamlab calls it, but the benchmark's span list wraps it by name.
+hbar = 1 throughout: times are inverse energies in the caller's unit.
 
-scipy is imported where a sparse matrix or the tridiagonal eigensolver is
-used, not when this module loads, so the beam subcommands and the
-self-consistent junction never load it.
+scipy is imported where a sparse matrix is built, and where a tridiagonal
+eigensolve has more than DENSE_EIGH_LIMIT rows, not when this module
+loads; so the beam subcommands and both junction models up to that size
+never load it.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ EIG_WORK_LIMIT = 25_000_000
 # Entries (dimension x output times) of one propagated block; a block holds
 # 16 bytes per entry, so 1 MB, whatever the number of outputs.
 OUTPUT_CHUNK_WORK = 2 ** 16
+# Rows up to which eigh_tridiagonal solves the dense matrix with numpy.  On
+# 2 cores a dense solve of 1,200 rows takes 0.2 to 0.3 s, about what
+# importing scipy.linalg takes; above it scipy's tridiagonal stevd is the
+# cheaper (0.3 s at 2,000 rows, where the dense solve takes 0.8 s).
+DENSE_EIGH_LIMIT = 1_200
 
 
 def check_work(work, limit: float, what: str) -> None:
@@ -440,9 +447,16 @@ def evolve_unitary_chunks(state: StateVector, hamiltonian: LinearOperator,
         raise ContractViolationError("output times must be finite")
     if np.any(np.diff(times) < 0):
         raise ContractViolationError("output times must be non-decreasing")
-    w, v = _eigendecomposition(hamiltonian)
-    c0 = _real_or_complex_matmul(v.conj().T, state.amplitudes[:, None])
-    width = max(OUTPUT_CHUNK_WORK // state.space.dimension, 1)
+    return propagate(*_eigendecomposition(hamiltonian), state.amplitudes, times)
+
+
+def propagate(w: np.ndarray, v: np.ndarray, psi0: np.ndarray, times: np.ndarray
+              ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(times, psi) blocks in time order, psi[:, j] = V exp(-i w times[j])
+    V^H psi0 for the eigenpairs (w, V) of a Hermitian H, a block holding
+    about OUTPUT_CHUNK_WORK entries (at least one output)."""
+    c0 = _real_or_complex_matmul(v.conj().T, psi0[:, None])
+    width = max(OUTPUT_CHUNK_WORK // len(psi0), 1)
     blocks = (times[i:i + width] for i in range(0, len(times), width))
     return ((t, _real_or_complex_matmul(v, np.exp(-1j * np.outer(w, t)) * c0))
             for t in blocks)
@@ -464,10 +478,21 @@ def _require_hermitian(op: LinearOperator):
         raise ContractViolationError("Hamiltonian is not Hermitian")
 
 
-def eigh_tridiagonal(d: np.ndarray, e: np.ndarray):
-    """scipy.linalg.eigh_tridiagonal(d, e), scipy imported on the first call."""
-    from scipy.linalg import eigh_tridiagonal as solve
-    return solve(d, e)
+def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ascending eigenvalues, real orthonormal eigenvectors as columns) of
+    the real symmetric tridiagonal matrix of diagonal d and off-diagonal e.
+
+    Up to DENSE_EIGH_LIMIT rows numpy's eigh solves the dense matrix, which
+    loads no scipy; above it scipy.linalg.eigh_tridiagonal does, scipy
+    imported on the first such call.  The choice depends on len(d) alone.
+    """
+    if len(d) > DENSE_EIGH_LIMIT:
+        from scipy.linalg import eigh_tridiagonal as solve
+        return solve(d, e)
+    dense = np.diag(np.asarray(d, dtype=float))
+    rows = np.arange(len(e))
+    dense[rows + 1, rows] = e           # eigh reads the lower triangle
+    return np.linalg.eigh(dense)
 
 
 def _eigendecomposition(op: LinearOperator):

@@ -6,10 +6,13 @@ differ in the charging part:
 * ``bose_hubbard``:  E_C (n1 - nbar1)^2            (quadratic, state-independent)
 * ``mean_field``:    E_C (<n1> - nbar1)(n1 - nbar1) (Hartree, state-dependent)
 
-Everything is tridiagonal in the sector basis k = n1, so the exact
-model's evolution uses the tridiagonal eigensolver.  The self-consistent
-flow needs no matrix: it turns the Bloch vector of a product state, the
-Stokes vector of a polarized beam, and stays on the product family.
+Everything is tridiagonal in the sector basis k = n1: the exact model
+is the pair of arrays `charging_diagonal` and `tunneling_offdiagonal`,
+which it hands to the tridiagonal eigensolver on a window of rows, with
+no matrix built.  The self-consistent flow needs no matrix either: it
+turns the Bloch vector of a product state, the Stokes vector of a
+polarized beam, and stays on the product family.  Nothing here loads
+scipy.
 
 E_C is taken directly as an input energy; nbar1 may be non-integer (it is
 an average).  With lam > 0 the phase-locked configuration of the tunneling
@@ -149,58 +152,27 @@ def tunneling_offdiagonal(n_total: int, lam: float) -> np.ndarray:
     return 0.5 * lam * np.sqrt((kk + 1.0) * (n_total - kk))
 
 
-def charging_diagonal(params: JJParams, kind: str, n1: float | None = None
-                      ) -> np.ndarray:
-    """Diagonal of the charging term in the sector basis.
-
-    For the mean-field kind `n1` is the instantaneous quantum average of
-    n1 that multiplies the linear term.
-    """
+def charging_diagonal(params: JJParams) -> np.ndarray:
+    """Diagonal E_C (k - nbar1)^2 of the quadratic charging term in the
+    sector basis."""
     k = np.arange(params.n_total + 1, dtype=float)
-    if kind == "bose_hubbard":
-        return params.e_c * (k - params.n_bar1) ** 2
-    if kind == "mean_field":
-        if n1 is None:
-            raise ContractViolationError("mean_field charging needs <n1>")
-        return params.e_c * (n1 - params.n_bar1) * (k - params.n_bar1)
-    raise ContractViolationError(f"unknown Hamiltonian kind {kind!r}")
+    return params.e_c * (k - params.n_bar1) ** 2
 
 
-def build_jj_hamiltonian(params: JJParams, space: fock.FockSpace, kind: str,
-                         state: fock.StateVector | None = None) -> fock.LinearOperator:
-    """Tridiagonal sector Hamiltonian of either charging model.
-
-    The mean-field kind evaluates <n1> on the supplied state; pass the
-    instantaneous state when integrating self-consistently.
-    """
-    import scipy.sparse as sp
-    if space.kind != "fixed_sector" or space.n_total != params.n_total:
-        raise ContractViolationError(
-            f"space must be the fixed sector with N = {params.n_total}")
-    n1 = None
-    if kind == "mean_field":
-        if state is None:
-            raise ContractViolationError("mean_field requires the instantaneous state")
-        if state.space != space:
-            raise ContractViolationError("state lives on a different space")
-        n1 = mean_n1(state)
-    diag = charging_diagonal(params, kind, n1)
-    off = tunneling_offdiagonal(params.n_total, params.lam)
-    matrix = sp.diags([off.astype(complex), diag.astype(complex), off.astype(complex)],
-                      [-1, 0, 1], format="csr")
-    return fock.LinearOperator(space, matrix, hermitian=True, _skip_check=True)
-
-
-def sector_moments(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Norm, <n1> and <a1+ a2> of every column of a (N + 1, columns) block
+def sector_moments(psi: np.ndarray, n_total: int | None = None, first: int = 0
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Norm, <n1> and <a1+ a2> of every column of a (rows, columns) block
     of sector states, each measured on the column as it is given.
 
-    Each column is summed on its own, as a contiguous row, in one order
-    whatever the block width.
+    The rows are k = first, first + 1, ... of the sector with `n_total`
+    pairs (by default the whole sector, rows - 1 pairs); a state held on
+    such a window is taken to be 0 on the other rows.  Each column is
+    summed on its own, as a contiguous row, in one order whatever the
+    block width.
     """
     rows = np.ascontiguousarray(psi.T)
-    n_tot = rows.shape[1] - 1
-    k = np.arange(n_tot + 1, dtype=float)
+    n_tot = rows.shape[1] - 1 if n_total is None else n_total
+    k = first + np.arange(rows.shape[1], dtype=float)
     prob = np.abs(rows) ** 2
     # <a1+ a2> = sum_k conj(psi_{k+1}) psi_k sqrt((k+1)(N-k))
     amp = np.sqrt((k[:-1] + 1.0) * (n_tot - k[:-1]))
@@ -208,10 +180,12 @@ def sector_moments(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             np.sum(np.conj(rows[:, 1:]) * rows[:, :-1] * amp, axis=1))
 
 
-def product_fit(psi: np.ndarray, n1: np.ndarray, z: np.ndarray
+def product_fit(psi: np.ndarray, n1: np.ndarray, z: np.ndarray,
+                n_total: int | None = None, first: int = 0
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Moment-matched member of the product family for every column of a
-    (N + 1, columns) block, given the columns' <n1> and <a1+ a2>.
+    (rows, columns) block, given the columns' <n1> and <a1+ a2>; the rows
+    are those of :func:`sector_moments`.
 
     Returns arrays (n_fit, phi_fit, fidelity): n_fit is <n1> clamped to
     [0, N] (an endpoint is the Fock state), phi_fit = -arg<a1+ a2> (0 where
@@ -220,11 +194,13 @@ def product_fit(psi: np.ndarray, n1: np.ndarray, z: np.ndarray
     moments, a column's result does not depend on the rest of the block.
     """
     rows = np.ascontiguousarray(psi.T)
-    n_tot = rows.shape[1] - 1
+    n_tot = rows.shape[1] - 1 if n_total is None else n_total
     n_fit = np.clip(n1, 0.0, float(n_tot))
     phi_fit = np.where(np.abs(z) > 1e-12, -np.angle(z), 0.0)
     weights = binomial_weights(n_tot, n_fit / max(n_tot, 1)).T
-    fit = np.sqrt(weights) * np.exp(1j * np.outer(phi_fit, np.arange(n_tot + 1)))
+    window = slice(first, first + rows.shape[1])
+    fit = np.sqrt(weights[:, window]) * np.exp(
+        1j * np.outer(phi_fit, np.arange(window.start, window.stop)))
     overlap = np.sum(np.conj(fit) * rows, axis=1)
     fid = np.abs(overlap) ** 2 / np.sum(weights, axis=1)
     return n_fit, phi_fit, np.minimum(fid, 1.0)

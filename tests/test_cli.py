@@ -166,7 +166,7 @@ def test_cli_stderr_is_one_error_line_or_one_line_per_warning(tmp_path):
 
 SCIPY_FREE_RUNS = r"""
 import sys
-from beamlab import cli
+from beamlab import cli, fock
 
 def scipy_loaded():
     return any(name.partition(".")[0] == "scipy" for name in sys.modules)
@@ -189,11 +189,20 @@ for argv in (["bound-check", "--seed", "1", "--samples", "20", "--cutoff", "1",
               "--workers", "2"],
              ["tomography", "--config", scene],
              ["jj-evolve", "--model", "mean_field", "--n-total", "40", "--e-c", "0.2",
-              "--lam", "0.1", "--horizon", "1", "--dt", "0.1"]):
+              "--lam", "0.1", "--horizon", "1", "--dt", "0.1"],
+             ["compare", "--n-total", "4", "--e-c", "10", "--lam", "1"],
+             # the benchmark's two junction steps: the exact model on its window
+             ["compare", "--n-total", "200", "--e-c", "0.2", "--lam", "0.1", "--phi0",
+              "0.05", "--horizon", "20"],
+             ["jj-evolve", "--model", "bose_hubbard", "--n-total", "1999", "--e-c",
+              "0.01", "--lam", "0.001", "--dt", "0.2357"]):
     assert cli.main(argv + ["--out", out]) == 0, argv
     assert not scipy_loaded(), argv
-assert cli.main(["compare", "--n-total", "4", "--e-c", "10", "--lam", "1",
-                 "--out", out]) == 0
+# a state that spreads over a sector of more than DENSE_EIGH_LIMIT rows is
+# solved by scipy
+assert cli.main(["jj-evolve", "--model", "bose_hubbard", "--n-total",
+                 str(fock.DENSE_EIGH_LIMIT), "--e-c", "0", "--lam", "1", "--n0", "0",
+                 "--horizon", "3", "--dt", "1", "--out", out]) == 0
 assert scipy_loaded()
 """
 
@@ -210,7 +219,8 @@ def run_fresh(script, *args):
 
 
 def test_beam_subcommands_never_load_scipy(tmp_path):
-    # nor does the self-consistent junction, which builds no sparse matrix
+    # nor does either junction model, which builds no sparse matrix, while the
+    # exact model's eigensolve stays within fock.DENSE_EIGH_LIMIT rows
     # a fresh process: the test session itself has scipy loaded
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps({"stokes": {"i": 1.0, "m": 0.2, "c": 0.0, "s": 0.1},

@@ -28,6 +28,23 @@ def canonical_params():
     return jj.JJParams(e_c=0.2, lam=0.1, n_total=200, n_bar1=100.0)
 
 
+def meanfield_hamiltonian(params, n1):
+    """Oracle: the self-consistent Hamiltonian at <n1> = n1 as a scipy CSR
+    matrix, E_C (n1 - nbar1)(k - nbar1) on the diagonal."""
+    k = np.arange(params.n_total + 1, dtype=float)
+    off = jj.tunneling_offdiagonal(params.n_total, params.lam)
+    diag = params.e_c * (n1 - params.n_bar1) * (k - params.n_bar1)
+    return sp.diags([off, diag, off], [-1, 0, 1], format="csr")
+
+
+def exact_hamiltonian(params):
+    """Oracle: the quadratic-charging Hamiltonian as a dense complex matrix."""
+    k = np.arange(params.n_total + 1, dtype=float)
+    off = 0.5 * params.lam * np.sqrt((k[:-1] + 1.0) * (params.n_total - k[:-1]))
+    return (np.diag(params.e_c * (k - params.n_bar1) ** 2 + 0j)
+            + np.diag(off, 1) + np.diag(off, -1))
+
+
 def displaced_initial(params, amplitude, n0=None):
     space = jj.sector_space(params)
     n0 = params.n_bar1 if n0 is None else n0
@@ -105,13 +122,11 @@ def test_meanfield_correlation_matrix_closure():
     n_tot = params.n_total
     psi_vec = initial.amplitudes.copy()
     k = np.arange(n_tot + 1, dtype=float)
-    off = jj.tunneling_offdiagonal(n_tot, params.lam)
 
     def propagate(n1, vec, t):
         # oracle: scipy's truncated-Taylor action of the sparse exponential
-        h = sp.diags([off, jj.charging_diagonal(params, "mean_field", n1), off],
-                     [-1, 0, 1], format="csr")
-        return expm_multiply(-1j * t * h, vec, traceA=0.0)
+        return expm_multiply(-1j * t * meanfield_hamiltonian(params, n1), vec,
+                             traceA=0.0)
 
     step = 0.005
     worst = 0.0
@@ -151,8 +166,7 @@ def test_meanfield_matches_the_full_nonlinear_equation():
 
     def rhs(t, psi):
         state = fock.StateVector(space, psi, normalize=True)
-        return -1j * jj.build_jj_hamiltonian(params, space, "mean_field",
-                                             state).apply(psi)
+        return -1j * (meanfield_hamiltonian(params, jj.mean_n1(state)) @ psi)
 
     traj = dyn.evolve_meanfield(initial, params, horizon=6.0, dt=0.2)
     sol = solve_ivp(rhs, (0.0, 6.0), initial.amplitudes, method="DOP853",
@@ -445,6 +459,83 @@ def test_exact_evolution_conserves_norm_and_energy():
     assert np.max(np.abs(traj.energy - traj.energy[0])) / scale <= 1e-8
 
 
+def exact_oracle(initial, params, times):
+    """n1, phi, energy and fidelity of expm(-i t H) psi0 on the whole sector,
+    H the dense oracle matrix, on the evenly spaced `times` from 0, phi
+    unwrapped over its finite entries."""
+    h = exact_hamiltonian(params)
+    step = expm(-1j * (times[1] - times[0]) * h)
+    psi = [initial.amplitudes]
+    for _ in times[1:]:
+        psi.append(step @ psi[-1])
+    states = [fock.StateVector(initial.space, p, normalize=True) for p in psi]
+    z = np.array([jj.coherence(st) for st in states])
+    phi = dyn._unwrap_keeping_nans(np.where(np.abs(z) > dyn.COHERENCE_FLOOR,
+                                            np.angle(z), np.nan))
+    return {"n1": [jj.mean_n1(st) for st in states], "phi": phi,
+            "energy": [np.vdot(st.amplitudes, h @ st.amplitudes).real for st in states],
+            "fidelity": [jj.best_fit_product(st)[2] for st in states]}
+
+
+def solved_rows(monkeypatch):
+    """The row count of every eigensolve the exact model asks for."""
+    rows, solve = [], fock.eigh_tridiagonal
+    monkeypatch.setattr(fock, "eigh_tridiagonal",
+                        lambda d, e: rows.append(len(d)) or solve(d, e))
+    return rows
+
+
+@pytest.mark.parametrize("case", ["narrow", "spreading"])
+def test_exact_run_on_its_window_matches_the_whole_sector(monkeypatch, case):
+    # a product state a few widths wide runs on its number window; a Fock
+    # state at E_C = 0 turns over the whole sector, so it leaves its window
+    # and is rerun, once, on all N + 1 rows
+    if case == "narrow":
+        params = jj.JJParams(e_c=0.05, lam=0.1, n_total=400, n_bar1=200.0)
+        initial, want_rows = displaced_initial(params, 0.4, n0=210.0), None
+    else:
+        params = jj.JJParams(e_c=0.0, lam=0.1, n_total=300, n_bar1=150.0)
+        initial = jj.product_state(300, 0.0, 0.0, jj.sector_space(params))
+        want_rows = [1 + dyn.WINDOW_MARGIN, 301]
+    rows = solved_rows(monkeypatch)
+    traj = dyn.evolve_exact(initial, params, horizon=20.0, dt_out=2.0)
+    if want_rows is None:
+        assert len(rows) == 1 and 2 * dyn.WINDOW_MARGIN < rows[0] < 300
+    else:
+        assert rows == want_rows
+    want = exact_oracle(initial, params, traj.times)
+    for name, values in want.items():
+        got = getattr(traj, name)
+        assert np.array_equal(np.isnan(got), np.isnan(values)), name
+        assert np.allclose(got, values, rtol=0, atol=1e-10, equal_nan=True), name
+
+
+def test_measured_window_matches_the_whole_sector_until_its_edge_fills():
+    # states on rows 7..13 of N = 20, measured on rows 3..17 and on all 21
+    n_total, first = 20, 3
+    rng = np.random.default_rng(8)
+    psi = np.zeros((n_total + 1, 5), dtype=complex)
+    psi[7:14] = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+    psi /= np.linalg.norm(psi, axis=0)
+    times = np.arange(5, dtype=float)
+    params = jj.JJParams(e_c=0.3, lam=0.2, n_total=n_total, n_bar1=8.5)
+    d, e = jj.charging_diagonal(params), jj.tunneling_offdiagonal(n_total, params.lam)
+    whole = dyn._measured([(times, psi)], d, e, n_total)
+    window = slice(first, 18)
+    part = dyn._measured([(times, psi[window])], d[window], e[first:17], n_total, first)
+    for name in ("n1", "phi", "norm_drift", "energy", "fidelity"):
+        assert np.allclose(getattr(part, name), getattr(whole, name),
+                           rtol=0, atol=1e-13), name
+    # weight on an inner edge ends the windowed measurement, on either side
+    for row in (first, 17):
+        edged = psi.copy()
+        edged[row, 3] = 1e-15
+        edged /= np.linalg.norm(edged, axis=0)
+        assert dyn._measured([(times, edged[window])], d[window], e[first:17],
+                             n_total, first) is None
+        assert dyn._measured([(times, edged)], d, e, n_total) is not None
+
+
 # -- model comparison --------------------------------------------------------------
 
 
@@ -616,9 +707,10 @@ def test_measured_block_matches_single_states_and_keeps_its_nans():
     psi /= np.linalg.norm(psi, axis=0)
     times = np.arange(psi.shape[1], dtype=float)
     space = fock.FockSpace.fixed_sector(n_total)
-    h = jj.build_jj_hamiltonian(jj.JJParams(e_c=0.3, lam=0.2, n_total=n_total, n_bar1=8.5),
-                                space, "bose_hubbard")
-    traj = dyn._measured([(times[:4], psi[:, :4]), (times[4:], psi[:, 4:])], h)
+    params = jj.JJParams(e_c=0.3, lam=0.2, n_total=n_total, n_bar1=8.5)
+    d, e = jj.charging_diagonal(params), jj.tunneling_offdiagonal(n_total, params.lam)
+    traj = dyn._measured([(times[:4], psi[:, :4]), (times[4:], psi[:, 4:])], d, e, n_total)
+    h = fock.LinearOperator(space, exact_hamiltonian(params), hermitian=True)
     states = [fock.StateVector(space, psi[:, j]) for j in range(psi.shape[1])]
     z = np.array([jj.coherence(st) for st in states])
     assert np.array_equal(np.isnan(traj.phi), np.abs(z) <= dyn.COHERENCE_FLOOR)
@@ -634,7 +726,7 @@ def test_measured_block_matches_single_states_and_keeps_its_nans():
 def test_exact_run_refuses_a_column_off_the_unit_sphere(monkeypatch):
     params = jj.JJParams(e_c=0.4, lam=0.3, n_total=30, n_bar1=15.0)
     initial = displaced_initial(params, 0.3)
-    chunks = fock.evolve_unitary_chunks
+    chunks = fock.propagate
 
     def one_column_stretched(*args, **kwargs):
         for i, (times, psi) in enumerate(chunks(*args, **kwargs)):
@@ -644,7 +736,7 @@ def test_exact_run_refuses_a_column_off_the_unit_sphere(monkeypatch):
 
     dyn.evolve_exact(initial, params, horizon=2.0, dt_out=0.05)
     monkeypatch.setattr(fock, "OUTPUT_CHUNK_WORK", 31 * 10)
-    monkeypatch.setattr(fock, "evolve_unitary_chunks", one_column_stretched)
+    monkeypatch.setattr(fock, "propagate", one_column_stretched)
     with pytest.raises(ContractViolationError, match="norm deviates"):
         dyn.evolve_exact(initial, params, horizon=2.0, dt_out=0.05)
 

@@ -459,6 +459,24 @@ def test_eigendecomposition_beyond_the_budget_is_refused_at_once(monkeypatch):
         fock.evolve_unitary(fock.basis_state(over.space, (5, 5)), over, 1.0)
 
 
+def test_tridiagonal_eigensolver_matches_scipy_on_both_sides_of_the_dense_limit(monkeypatch):
+    import scipy.linalg
+    solve, calls = scipy.linalg.eigh_tridiagonal, []
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
+                        lambda d, e: calls.append(len(d)) or solve(d, e))
+    rng = np.random.default_rng(11)
+    for rows in (fock.DENSE_EIGH_LIMIT, fock.DENSE_EIGH_LIMIT + 1):
+        d, e = rng.standard_normal(rows), rng.standard_normal(rows - 1)
+        w, v = fock.eigh_tridiagonal(d, e)
+        assert w.dtype == v.dtype == float and v.shape == (rows, rows)
+        assert np.allclose(w, solve(d, e, eigvals_only=True), rtol=0, atol=1e-12)
+        rebuilt = (v * w) @ v.T
+        assert np.allclose(np.diag(rebuilt), d, rtol=0, atol=1e-12)
+        assert np.allclose(np.diag(rebuilt, -1), e, rtol=0, atol=1e-12)
+        assert np.allclose(np.tril(rebuilt, -2), 0.0, rtol=0, atol=1e-12)
+    assert calls == [fock.DENSE_EIGH_LIMIT + 1]     # only above the limit
+
+
 def test_budget_message_tells_the_count_from_the_limit():
     # N = 5000: (N + 1)^2 = 25,010,001 against the limit 25,000,000
     with pytest.raises(ResourceLimitError,

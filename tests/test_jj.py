@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import beamlab.dynamics as dyn
 import beamlab.fock as fock
 import beamlab.jj as jj
 from beamlab.errors import ChargeRegimeWarning, ContractViolationError, DomainError
@@ -12,6 +13,22 @@ def params_for(n_total=200, n_bar1=None, e_c=0.2, lam=0.1):
     if n_bar1 is None:
         n_bar1 = n_total / 2
     return jj.JJParams(e_c=e_c, lam=lam, n_total=n_total, n_bar1=n_bar1)
+
+
+def sector_hamiltonian(p, kind, state=None):
+    """The sector Hamiltonian of either charging model as a scipy CSR
+    operator: the exact model from jj's arrays, the self-consistent one
+    built here from <n1> on `state`, E_C (<n1> - nbar1)(k - nbar1)."""
+    import scipy.sparse as sp
+    space = jj.sector_space(p)
+    if kind == "bose_hubbard":
+        diag = jj.charging_diagonal(p)
+    else:
+        k = np.arange(p.n_total + 1, dtype=float)
+        diag = p.e_c * (jj.mean_n1(state) - p.n_bar1) * (k - p.n_bar1)
+    off = jj.tunneling_offdiagonal(p.n_total, p.lam)
+    matrix = sp.diags([off, diag, off], [-1, 0, 1], format="csr", dtype=complex)
+    return fock.LinearOperator(space, matrix, hermitian=True)
 
 
 def test_params_validation():
@@ -59,9 +76,8 @@ def test_derived_constants_examples():
 
 def test_bose_hubbard_diagonal_spectrum_at_zero_tunneling():
     p = params_for(n_total=12, n_bar1=4.5, e_c=0.7, lam=0.0)
-    space = jj.sector_space(p)
-    h = jj.build_jj_hamiltonian(p, space, "bose_hubbard")
-    evals = np.sort(np.linalg.eigvalsh(h.to_dense()))
+    evals, _ = fock.eigh_tridiagonal(jj.charging_diagonal(p),
+                                     jj.tunneling_offdiagonal(12, p.lam))
     want = np.sort([0.7 * (n - 4.5) ** 2 for n in range(13)])
     assert np.allclose(evals, want, atol=1e-12)
 
@@ -70,7 +86,7 @@ def test_mean_field_vanishes_at_matched_mean():
     p = params_for(n_total=20, n_bar1=10.0)
     space = jj.sector_space(p)
     state = jj.product_state(20, 10.0, 0.3, space)
-    h = jj.build_jj_hamiltonian(p, space, "mean_field", state)
+    h = sector_hamiltonian(p, "mean_field", state)
     diag = h.to_dense().diagonal()
     assert np.max(np.abs(diag)) < 1e-10 * p.e_c * p.n_total
 
@@ -81,7 +97,7 @@ def test_hopping_spectrum_n2():
     space = jj.sector_space(p)
     for kind, state in (("bose_hubbard", None),
                         ("mean_field", jj.product_state(2, 1.0, 0.0, space))):
-        h = jj.build_jj_hamiltonian(p, space, kind, state)
+        h = sector_hamiltonian(p, kind, state)
         oracle = np.array([[0, np.sqrt(2) / 2, 0],
                            [np.sqrt(2) / 2, 0, np.sqrt(2) / 2],
                            [0, np.sqrt(2) / 2, 0]])
@@ -91,16 +107,14 @@ def test_hopping_spectrum_n2():
 
 
 def test_hamiltonian_contract_errors():
+    # both models refuse a state off their parameter sector
     p = params_for(n_total=6, n_bar1=3.0)
-    space = jj.sector_space(p)
-    with pytest.raises(ContractViolationError):
-        jj.build_jj_hamiltonian(p, space, "mean_field")      # state missing
-    with pytest.raises(ContractViolationError):
-        jj.build_jj_hamiltonian(p, fock.FockSpace.fixed_sector(7), "bose_hubbard")
-    with pytest.raises(ContractViolationError):
-        jj.build_jj_hamiltonian(p, fock.FockSpace.truncated([6, 6]), "bose_hubbard")
-    with pytest.raises(ContractViolationError):
-        jj.build_jj_hamiltonian(p, space, "quartic")
+    for model in (dyn.evolve_exact, dyn.evolve_meanfield):
+        for space in (fock.FockSpace.fixed_sector(7), fock.FockSpace.truncated([6, 6])):
+            state = fock.basis_state(space, (3, 4) if space.kind == "fixed_sector"
+                                     else (3, 3))
+            with pytest.raises(ContractViolationError):
+                model(state, p, 1.0, 0.1)
 
 
 def test_hamiltonians_commute_with_total_number():
@@ -110,15 +124,14 @@ def test_hamiltonians_commute_with_total_number():
                   + fock.ladder_operator(space, 1, "number"))
     state = jj.product_state(9, 4.0, 0.2, space)
     for kind in ("bose_hubbard", "mean_field"):
-        h = jj.build_jj_hamiltonian(p, space, kind, state)
+        h = sector_hamiltonian(p, kind, state)
         comm = (h @ n_total_op - n_total_op @ h).to_dense()
         assert np.max(np.abs(comm)) == 0.0
 
 
 def test_hamiltonian_is_hermitian_tridiagonal():
     p = params_for(n_total=30, n_bar1=11.0)
-    space = jj.sector_space(p)
-    h = jj.build_jj_hamiltonian(p, space, "bose_hubbard")
+    h = sector_hamiltonian(p, "bose_hubbard")
     assert h.hermitian
     assert h.tridiagonal is not None
     assert h.hermiticity_defect() == 0.0
@@ -202,7 +215,7 @@ def test_mean_field_charging_slope():
     space = jj.sector_space(p)
     delta = 3.25
     state = jj.product_state(60, p.n_bar1 + delta, 0.1, space)
-    h = jj.build_jj_hamiltonian(p, space, "mean_field", state)
+    h = sector_hamiltonian(p, "mean_field", state)
     diag = h.to_dense().diagonal().real
     slopes = np.diff(diag)
     assert np.allclose(slopes, p.e_c * delta, atol=1e-9)
