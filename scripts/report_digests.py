@@ -45,6 +45,10 @@ JOBS = [
     # self-trapped: the charging field, not the rate, sets the step
     ["jj-evolve", "--n-total", "1000", "--e-c", "1", "--lam", "0.001", "--n0", "900",
      "--phi0", "0.3", "--horizon", "4"],
+    # JSON reports: the tomography scene (no rows) and one trajectory
+    ["tomography", "--config", "{scene}", "--format", "json"],
+    ["jj-evolve", "--model", "bose_hubbard", *JUNCTION, "--horizon", "10", "--dt", "1.0",
+     "--format", "json"],
 ]
 SCENE = {"stokes": {"i": 1.0, "m": 0.2, "c": 0.0, "s": 0.1}, "seed": 3, "shots": 500}
 

@@ -24,7 +24,6 @@ from .fock import (
     expectation,
     hopping_operator,
     ladder_operator,
-    make_space,
     variance,
 )
 from .polarization import (

@@ -14,8 +14,9 @@ Three dynamical models run from matched initial data:
 Conventions (frozen):
 
 * The trajectory phase is the estimator phi := arg <a1+ a2>, unwrapped by
-  continuity and undefined (NaN) where |<a1+ a2>| < 1e-12.  On a product
-  configuration with construction label theta the estimator reads -theta.
+  continuity and undefined (NaN) where |<a1+ a2>| <= jj.COHERENCE_FLOOR
+  (1e-12).  On a product configuration with construction label theta the
+  estimator reads -theta.
 * The self-consistent flow obeys  d(phi)/dt = E_C (n1 - nbar1)  up to an
   O(lam/N) correction, and its linearization about the phase-locked
   configuration (label pi for lam > 0) oscillates at
@@ -45,7 +46,6 @@ from .errors import (
     IntegrationFailureError,
 )
 
-COHERENCE_FLOOR = 1e-12
 NORM_DRIFT_TOL = 1e-9
 FIDELITY_TOL = 1e-6
 
@@ -153,7 +153,7 @@ def _trajectory(blocks) -> Trajectory:
     """Trajectory of (times, n1, <a1+ a2>, norm drift, energy, fidelity)
     blocks; phi = arg <a1+ a2> is unwrapped once, over the whole run."""
     times, n1, z, drift, energy, fid = map(np.concatenate, zip(*blocks))
-    phi = np.where(np.abs(z) > COHERENCE_FLOOR, np.angle(z), np.nan)
+    phi = np.where(np.abs(z) > jj.COHERENCE_FLOOR, np.angle(z), np.nan)
     return Trajectory(times=times, n1=n1, phi=_unwrap_keeping_nans(phi),
                       norm_drift=drift, energy=energy, fidelity=fid)
 
@@ -472,16 +472,16 @@ def _overlap_magnitude(probs: np.ndarray, delta: float) -> float:
     return abs(np.sum(probs * np.exp(1j * k * delta)))
 
 
-def phase_half_width(state: fock.StateVector, level: float = 0.5) -> float:
-    """Phase offset at which |<n,phi | n,phi+delta>| drops to `level`,
-    solved by bisection on the exact amplitude sum."""
+def phase_half_width(state: fock.StateVector) -> float:
+    """Phase offset at which |<n,phi | n,phi+delta>| drops to 1/2, solved by
+    bisection on the exact amplitude sum."""
     probs = state.probabilities()
-    if _overlap_magnitude(probs, math.pi) > level:
-        raise DomainError("overlap never drops to the requested level")
+    if _overlap_magnitude(probs, math.pi) > 0.5:
+        raise DomainError("overlap never drops to 1/2")
     lo, hi = 0.0, math.pi
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if _overlap_magnitude(probs, mid) > level:
+        if _overlap_magnitude(probs, mid) > 0.5:
             lo = mid
         else:
             hi = mid

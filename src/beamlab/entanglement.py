@@ -1,14 +1,16 @@
 """Two-beam correlation matrices, negativity, and the 1/n entanglement bound.
 
-For beams a and b, each with two polarization modes, the 4x4 correlation
+For two beams, each a pair of polarization modes, the 4x4 correlation
 matrix is
 
     Gamma[(mu, mu'), (nu, nu')] = <a_nu+ a_mu b_nu'+ b_mu'>
 
 with the frozen index layout row = 2*mu + mu', column = 2*nu + nu' (mu is
-the beam-a polarization index, the slower one).  Gamma is the Gram matrix
-of the lowering products a_mu b_mu', hence Hermitian PSD, and its trace is
-the photon-number product moment <n_a n_b>.  The normalized matrix
+the beam-a polarization index, the slower one).  The layout of the modes
+is fixed: beam a is modes 0 (x) and 1 (y) of a truncated space, beam b is
+modes 2 and 3 (BEAM_A, BEAM_B).  Gamma is the Gram matrix of the lowering
+products a_mu b_mu', hence Hermitian PSD, and its trace is the
+photon-number product moment <n_a n_b>.  The normalized matrix
 Gamma~ = Gamma / <n_a n_b> plays the role of a two-qubit density matrix.
 
 Negativity of Gamma~ is bounded by min(2 n_a, 2 n_b) / <n_a n_b>, which for
@@ -84,70 +86,61 @@ class TwoBeamCorrelation:
         return self.gamma / self.n_ab
 
 
+BEAM_A, BEAM_B = (0, 1), (2, 3)
+
 # Index shifts of the four lowering products and the beam-number diagonals
-# of one (space, beam a, beam b); every array is read-only.
+# of one space; every array is read-only.
 _Plan = namedtuple("_Plan", ["shifts", "n_a", "n_b", "n_ab"])
 
 
-def _plan(space: fock.FockSpace, beam_a, beam_b) -> _Plan:
-    return _cached_plan(space, tuple(beam_a), tuple(beam_b))
-
-
 @lru_cache(maxsize=4)       # a run works on one space at a time
-def _cached_plan(space: fock.FockSpace, beam_a: tuple[int, int],
-                 beam_b: tuple[int, int]) -> _Plan:
+def _plan(space: fock.FockSpace) -> _Plan:
     """a_mu b_mu' (row 2*mu + mu') moves the amplitude at src to dst =
     src - stride_mu - stride_mu', weighted sqrt(n_mu) * sqrt(n_mu'), the two
     roots as a product of ladder matrices forms them, bit for bit."""
     strides = space._strides()
     shifts = []
-    for mu, mup in product(beam_a, beam_b):
+    for mu, mup in product(BEAM_A, BEAM_B):
         n_mu, n_mup = space.number_diagonal(mu), space.number_diagonal(mup)
         src = np.nonzero((n_mu > 0) & (n_mup > 0))[0]
         shifts.append((src, src - strides[mu] - strides[mup],
                        np.sqrt(n_mu[src]) * np.sqrt(n_mup[src])))
-    n_a, n_b = (sum(map(space.number_diagonal, beam)) for beam in (beam_a, beam_b))
+    n_a, n_b = (sum(map(space.number_diagonal, beam)) for beam in (BEAM_A, BEAM_B))
     plan = _Plan(tuple(shifts), n_a, n_b, n_a * n_b)
     for array in (*(a for shift in shifts for a in shift), *plan[1:]):
         array.flags.writeable = False
     return plan
 
 
-def _lowered(space: fock.FockSpace, beam_a: tuple[int, int],
-             beam_b: tuple[int, int], psi: np.ndarray) -> np.ndarray:
+def _lowered(space: fock.FockSpace, psi: np.ndarray) -> np.ndarray:
     """The four a_mu b_mu' psi (row 2*mu + mu') for state columns psi."""
     out = np.zeros((4, *psi.shape), dtype=complex)
-    for row, (src, dst, weight) in enumerate(_plan(space, beam_a, beam_b).shifts):
+    for row, (src, dst, weight) in enumerate(_plan(space).shifts):
         out[row, dst] = weight[:, None] * psi[src]
     return out
 
 
-def _gammas_and_moments(space: fock.FockSpace, beam_a: tuple[int, int],
-                        beam_b: tuple[int, int], psi: np.ndarray):
+def _gammas_and_moments(space: fock.FockSpace, psi: np.ndarray):
     """(n_samples, 4, 4) Gamma stack plus moment arrays for the state columns
     psi (dimension, n_samples) of `space`.  Reductions run per column in a
     fixed order (einsum and a running sum over the basis, not BLAS), so a
     state gets the same values alone and in a batch of any width; only the
     last row of each running sum is kept."""
-    plan = _plan(space, beam_a, beam_b)
+    plan = _plan(space)
     probs = np.abs(psi) ** 2
     n_a, n_b, n_ab = (np.add.accumulate(w[:, None] * probs, axis=0)[-1].copy()
                       for w in (plan.n_a, plan.n_b, plan.n_ab))
-    lowered = _lowered(space, beam_a, beam_b, psi)
+    lowered = _lowered(space, psi)
     return np.einsum("cds,rds->src", lowered.conj(), lowered), n_a, n_b, n_ab
 
 
-def gamma_from_state(state: fock.StateVector, beam_a: tuple[int, int] = (0, 1),
-                     beam_b: tuple[int, int] = (2, 3)) -> TwoBeamCorrelation:
-    """Gamma and the moments (mean photon numbers, <n_a n_b>) of one state."""
-    modes = (*beam_a, *beam_b)
-    if len(set(modes)) != 4:
-        raise ContractViolationError("the four beam modes must be distinct")
+def gamma_from_state(state: fock.StateVector) -> TwoBeamCorrelation:
+    """Gamma and the moments (mean photon numbers, <n_a n_b>) of one state
+    of a truncated space of at least 4 modes, in the BEAM_A, BEAM_B layout."""
     space = state.space
-    if space.kind != "truncated" or any(m >= space.mode_count for m in modes):
-        raise ContractViolationError("beams must address modes of a truncated space")
-    gammas, n_a, n_b, n_ab = _gammas_and_moments(space, beam_a, beam_b,
-                                                 state.amplitudes[:, None])
+    if space.kind != "truncated" or space.mode_count < 4:
+        raise ContractViolationError("the two beams need modes 0-3 of a truncated space")
+    gammas, n_a, n_b, n_ab = _gammas_and_moments(space, state.amplitudes[:, None])
     return TwoBeamCorrelation(gammas[0], n_a[0], n_b[0], n_ab[0])
 
 
@@ -237,9 +230,8 @@ def bound_report(corr: TwoBeamCorrelation) -> BoundReport:
         trace_bound_satisfied=bool(s.trace_abs <= s.trace_abs_bound + BOUND_TOL))
 
 
-def check_bound(state: fock.StateVector, beam_a: tuple[int, int] = (0, 1),
-                beam_b: tuple[int, int] = (2, 3)) -> BoundReport:
-    return bound_report(gamma_from_state(state, beam_a, beam_b))
+def check_bound(state: fock.StateVector) -> BoundReport:
+    return bound_report(gamma_from_state(state))
 
 
 # -- random-state sampling ----------------------------------------------------
@@ -259,50 +251,46 @@ def haar_state(space: fock.FockSpace, rng: np.random.Generator) -> fock.StateVec
     return fock.StateVector(space, _draw(rng, np.arange(space.dimension), space.dimension))
 
 
-def _sector_indices(space: fock.FockSpace, beam_a: tuple[int, int],
-                    beam_b: tuple[int, int], k_a: int, k_b: int) -> np.ndarray:
+def _sector_indices(space: fock.FockSpace, k_a: int, k_b: int) -> np.ndarray:
     """Basis indices with exactly k_a photons in beam a and k_b in beam b."""
-    plan = _plan(space, beam_a, beam_b)
+    plan = _plan(space)
     idx = np.nonzero((plan.n_a == k_a) & (plan.n_b == k_b))[0]
     if idx.size == 0:
         raise DomainError(f"no basis states with beam photon numbers ({k_a}, {k_b})")
     return idx
 
 
-def sector_state(space: fock.FockSpace, beam_a: tuple[int, int],
-                 beam_b: tuple[int, int], k_a: int, k_b: int,
+def sector_state(space: fock.FockSpace, k_a: int, k_b: int,
                  rng: np.random.Generator) -> fock.StateVector:
     """Haar-random state with exactly k_a photons in beam a and k_b in beam b."""
-    idx = _sector_indices(space, beam_a, beam_b, k_a, k_b)
+    idx = _sector_indices(space, k_a, k_b)
     return fock.StateVector(space, _draw(rng, idx, space.dimension))
 
 
 class BeamSampler:
     """Batched Gamma/negativity evaluation over many sampled states.
 
-    Holds one (space, beam assignment) and processes whole sample batches
-    with dense linear algebra.  Per-sample randomness comes from the
-    fan-out seeds, so results do not depend on batching or scheduling.
+    Holds the four-mode space of one cutoff, beams in the BEAM_A, BEAM_B
+    layout, and processes whole sample batches with dense linear algebra.
+    Per-sample randomness comes from the fan-out seeds, so results do not
+    depend on batching or scheduling.
     """
 
-    def __init__(self, cutoff: int, beam_a: tuple[int, int] = (0, 1),
-                 beam_b: tuple[int, int] = (2, 3)):
+    def __init__(self, cutoff: int):
         self.space = fock.FockSpace.truncated([cutoff] * 4)
-        self.beam_a = beam_a
-        self.beam_b = beam_b
 
     def sample_states(self, master_seed: int, indices: range,
                       photons_per_beam: int | None = None) -> np.ndarray:
         """Columns of normalized amplitudes, one per task index."""
         dim = self.space.dimension
-        support = (np.arange(dim) if photons_per_beam is None else _sector_indices(
-            self.space, self.beam_a, self.beam_b, photons_per_beam, photons_per_beam))
+        support = (np.arange(dim) if photons_per_beam is None else
+                   _sector_indices(self.space, photons_per_beam, photons_per_beam))
         draws = [_draw(rng_for(master_seed, i), support, dim) for i in indices]
         return np.reshape(draws, (len(indices), dim)).T
 
     def gammas_and_moments(self, psi: np.ndarray):
         """(n_samples, 4, 4) Gamma stack plus moment arrays for state columns."""
-        return _gammas_and_moments(self.space, self.beam_a, self.beam_b, psi)
+        return _gammas_and_moments(self.space, psi)
 
     @staticmethod
     def pt_eigenvalues(gammas: np.ndarray, n_ab: np.ndarray) -> np.ndarray:
@@ -314,8 +302,7 @@ def prepare_bound_rows(cutoff: int) -> None:
     that `bound_rows` reads at `cutoff`; a process forked afterwards starts
     with both."""
     import numpy.random  # noqa: F401
-    sampler = BeamSampler(cutoff)
-    _plan(sampler.space, sampler.beam_a, sampler.beam_b)
+    _plan(BeamSampler(cutoff).space)
 
 
 def _rows(indices: range, cutoff: int, gammas: np.ndarray, n_a: np.ndarray,

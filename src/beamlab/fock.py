@@ -12,18 +12,20 @@ Two kinds of spaces are supported:
   therefore unavailable, only number operators and the paired hopping
   products exist.
 
-Any amplitude an operator would push above a truncation cutoff is dropped;
+Either kind holds at most DEFAULT_DIMENSION_LIMIT basis states.  Any
+amplitude an operator would push above a truncation cutoff is dropped;
 :func:`boundary_weight` reports the population sitting on the cutoff
 boundary so simulations can verify the drop is negligible.
 
-Evolution under a fixed Hamiltonian uses one exact Hermitian
-eigendecomposition, cached on the operator, and batched propagation to
-the output times, a block of OUTPUT_CHUNK_WORK entries at a time
-(:func:`propagate`, which the exact junction model also runs on its own
-tridiagonal arrays).  :func:`tridiagonal_expm_apply` turns every column of
-a block through its own time, by dot products of contiguous rows that give
-a column the same bits in any block and at any BLAS thread count; nothing
-in beamlab calls it, but the benchmark's span list wraps it by name.
+Evolution under a fixed Hamiltonian (:func:`evolve_unitary_sampled`)
+uses one exact Hermitian eigendecomposition, cached on the operator, and
+batched propagation to the output times, a block of OUTPUT_CHUNK_WORK
+entries at a time (:func:`propagate`, which the exact junction model also
+runs on its own tridiagonal arrays).  :func:`tridiagonal_expm_apply`
+turns every column of a block through its own time, by dot products of
+contiguous rows that give a column the same bits in any block and at any
+BLAS thread count; nothing in beamlab calls it, but the benchmark's span
+list wraps it by name.
 hbar = 1 throughout: times are inverse energies in the caller's unit.
 
 scipy is imported where a sparse matrix is built, and where a tridiagonal
@@ -80,8 +82,7 @@ class FockSpace:
         self.mode_count = len(cutoffs) if cutoffs is not None else 2
 
     @classmethod
-    def truncated(cls, cutoffs: Sequence[int],
-                  max_dimension: int = DEFAULT_DIMENSION_LIMIT) -> "FockSpace":
+    def truncated(cls, cutoffs: Sequence[int]) -> "FockSpace":
         cutoffs = tuple(int(c) for c in cutoffs)
         if len(cutoffs) == 0:
             raise ContractViolationError("a Fock space needs at least one mode")
@@ -90,20 +91,19 @@ class FockSpace:
         dim = 1
         for c in cutoffs:
             dim *= c + 1
-            if dim > max_dimension:
+            if dim > DEFAULT_DIMENSION_LIMIT:
                 raise ResourceLimitError(
-                    f"dimension {dim}+ exceeds the limit {max_dimension}")
+                    f"dimension {dim}+ exceeds the limit {DEFAULT_DIMENSION_LIMIT}")
         return cls("truncated", cutoffs, None, dim)
 
     @classmethod
-    def fixed_sector(cls, n_total: int,
-                     max_dimension: int = DEFAULT_DIMENSION_LIMIT) -> "FockSpace":
+    def fixed_sector(cls, n_total: int) -> "FockSpace":
         n_total = int(n_total)
         if n_total < 0:
             raise ContractViolationError("total quantum number must be >= 0")
-        if n_total + 1 > max_dimension:
+        if n_total + 1 > DEFAULT_DIMENSION_LIMIT:
             raise ResourceLimitError(
-                f"dimension {n_total + 1} exceeds the limit {max_dimension}")
+                f"dimension {n_total + 1} exceeds the limit {DEFAULT_DIMENSION_LIMIT}")
         return cls("fixed_sector", None, n_total, n_total + 1)
 
     # -- basis bookkeeping -------------------------------------------------
@@ -167,24 +167,6 @@ class FockSpace:
         if self.kind == "truncated":
             return f"FockSpace.truncated({list(self.cutoffs)})"
         return f"FockSpace.fixed_sector({self.n_total})"
-
-
-def make_space(spec) -> FockSpace:
-    """Build a space from a plain mapping (config-file form).
-
-    ``{"kind": "truncated", "cutoffs": [3, 3]}`` or
-    ``{"kind": "fixed_sector", "n_total": 100}``.
-    """
-    if isinstance(spec, FockSpace):
-        return spec
-    kind = spec.get("kind")
-    if kind == "truncated":
-        return FockSpace.truncated(spec["cutoffs"],
-                                   spec.get("max_dimension", DEFAULT_DIMENSION_LIMIT))
-    if kind == "fixed_sector":
-        return FockSpace.fixed_sector(spec["n_total"],
-                                      spec.get("max_dimension", DEFAULT_DIMENSION_LIMIT))
-    raise ContractViolationError(f"unknown space kind {kind!r}")
 
 
 class StateVector:
@@ -297,8 +279,8 @@ class LinearOperator:
         return LinearOperator(self.space, _adjoint_matrix(self.matrix),
                               hermitian=self.hermitian, _skip_check=True)
 
-    def is_hermitian_numerically(self, tol: float = HERMITIAN_TOL) -> bool:
-        return self.hermiticity_defect() <= tol
+    def is_hermitian_numerically(self) -> bool:
+        return self.hermiticity_defect() <= HERMITIAN_TOL
 
     def _binary(self, other, f):
         if not isinstance(other, LinearOperator):
@@ -419,25 +401,12 @@ def evolve_unitary(state: StateVector, hamiltonian: LinearOperator,
 
 def evolve_unitary_sampled(state: StateVector, hamiltonian: LinearOperator,
                            times: Iterable[float]) -> list[StateVector]:
-    """States exp(-i H t)|psi> at the given non-decreasing, finite times,
-    one per column of the :func:`evolve_unitary_chunks` blocks."""
-    return [StateVector(state.space, psi[:, j])
-            for _, psi in evolve_unitary_chunks(state, hamiltonian, times)
-            for j in range(psi.shape[1])]
-
-
-def evolve_unitary_chunks(state: StateVector, hamiltonian: LinearOperator,
-                          times: Iterable[float]
-                          ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (times, psi) blocks in time order: psi is (dimension, outputs),
-    column j is exp(-i H times[j])|psi>, and a block holds about
-    OUTPUT_CHUNK_WORK entries (at least one output).
+    """States exp(-i H t)|psi> at the given non-decreasing, finite times.
 
     Every output comes from t = 0 through the eigendecomposition of H, the
-    times of a block in one matrix product, so no error accumulates from
-    step to step.  The arguments are checked, and the eigendecomposition
-    done, before this returns; raises ResourceLimitError when dimension^2
-    exceeds EIG_WORK_LIMIT.
+    outputs of a :func:`propagate` block in one matrix product, so no error
+    accumulates from step to step.  Raises ResourceLimitError when
+    dimension^2 exceeds EIG_WORK_LIMIT.
     """
     _require_hermitian(hamiltonian)
     if state.space != hamiltonian.space:
@@ -447,7 +416,9 @@ def evolve_unitary_chunks(state: StateVector, hamiltonian: LinearOperator,
         raise ContractViolationError("output times must be finite")
     if np.any(np.diff(times) < 0):
         raise ContractViolationError("output times must be non-decreasing")
-    return propagate(*_eigendecomposition(hamiltonian), state.amplitudes, times)
+    blocks = propagate(*_eigendecomposition(hamiltonian), state.amplitudes, times)
+    return [StateVector(state.space, psi[:, j])
+            for _, psi in blocks for j in range(psi.shape[1])]
 
 
 def propagate(w: np.ndarray, v: np.ndarray, psi0: np.ndarray, times: np.ndarray

@@ -40,6 +40,9 @@ import numpy as np
 from . import fock
 from .errors import ChargeRegimeWarning, ContractViolationError, DomainError
 
+# |<a1+ a2>| at or below which a state carries no relative phase.
+COHERENCE_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class JJParams:
@@ -189,14 +192,14 @@ def product_fit(psi: np.ndarray, n1: np.ndarray, z: np.ndarray,
 
     Returns arrays (n_fit, phi_fit, fidelity): n_fit is <n1> clamped to
     [0, N] (an endpoint is the Fock state), phi_fit = -arg<a1+ a2> (0 where
-    |<a1+ a2>| <= 1e-12), and fidelity the squared overlap with the
+    |<a1+ a2>| <= COHERENCE_FLOOR), and fidelity the squared overlap with the
     normalized product state |n_fit, phi_fit>, at most 1.  Like the
     moments, a column's result does not depend on the rest of the block.
     """
     rows = np.ascontiguousarray(psi.T)
     n_tot = rows.shape[1] - 1 if n_total is None else n_total
     n_fit = np.clip(n1, 0.0, float(n_tot))
-    phi_fit = np.where(np.abs(z) > 1e-12, -np.angle(z), 0.0)
+    phi_fit = np.where(np.abs(z) > COHERENCE_FLOOR, -np.angle(z), 0.0)
     weights = binomial_weights(n_tot, n_fit / max(n_tot, 1)).T
     window = slice(first, first + rows.shape[1])
     fit = np.sqrt(weights[:, window]) * np.exp(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .errors import ContractViolationError, DomainError, UnsupportedOperatorError
+from .errors import DomainError
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -108,24 +108,17 @@ def stokes_omega_convert(value):
     raise DomainError(f"cannot convert {type(value).__name__}")
 
 
-def omega_from_state(state: fock.StateVector, modes: tuple[int, int] = (0, 1)
-                     ) -> CorrelationMatrix2:
-    """Correlation matrix of two modes of a Fock-space state.
+def omega_from_state(state: fock.StateVector) -> CorrelationMatrix2:
+    """Correlation matrix of modes 0 and 1 of a Fock-space state (the two
+    polarization modes of a beam, or the sector pair).
 
-    The trace equals <n_mu> + <n_nu>.  On a fixed-total-number sector the
-    modes must be the sector pair.
+    The trace equals <n_0> + <n_1>.
     """
-    m0, m1 = modes
-    if m0 == m1:
-        raise ContractViolationError("need two distinct modes")
     space = state.space
-    if space.kind == "fixed_sector" and {m0, m1} != {0, 1}:
-        raise UnsupportedOperatorError(
-            "sector spaces only expose the sector mode pair (0, 1)")
-    n0 = fock.expectation(state, fock.ladder_operator(space, m0, "number")).real
-    n1 = fock.expectation(state, fock.ladder_operator(space, m1, "number")).real
-    # row mu, column nu holds <a_nu+ a_mu>: Omega[0, 1] = <a_{m1}+ a_{m0}>
-    cross = fock.expectation(state, fock.hopping_operator(space, m1, m0))
+    n0 = fock.expectation(state, fock.ladder_operator(space, 0, "number")).real
+    n1 = fock.expectation(state, fock.ladder_operator(space, 1, "number")).real
+    # row mu, column nu holds <a_nu+ a_mu>: Omega[0, 1] = <a_1+ a_0>
+    cross = fock.expectation(state, fock.hopping_operator(space, 1, 0))
     mat = np.array([[n0, cross], [np.conj(cross), n1]], dtype=complex)
     return CorrelationMatrix2(mat)
 

@@ -107,16 +107,25 @@ def _parse_cell(text: str):
 
 def load_report(path: str):
     """Parse a report back into (rows, header) where header holds the config
-    and any extra scalars; CSV cells come back through type inference."""
+    and any extra scalars; CSV cells come back through type inference.  A
+    JSON report written without rows loads with rows None."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise BeamlabError(f"cannot read report {path}: {exc}") from exc
+    try:
+        return _parse_report(text)
+    except (ValueError, StopIteration) as exc:  # JSONDecodeError is a ValueError
+        raise BeamlabError(
+            f"cannot parse report {path}: {str(exc) or 'no column row'}") from exc
+
+
+def _parse_report(text: str):
     if text.lstrip().startswith("{"):
         payload = json.loads(text)
         header = {k: v for k, v in payload.items() if k != "rows"}
-        return payload["rows"], header
+        return payload.get("rows"), header
     header = {}
     lines = []
     for line in text.splitlines():

@@ -236,11 +236,11 @@ bound_chunk = cli._bound_chunk
 
 def checked_chunk(task):        # what each forked pool worker runs
     modules = set(sys.modules)
-    misses = entanglement._cached_plan.cache_info().misses
+    misses = entanglement._plan.cache_info().misses
     rows = bound_chunk(task)
     loaded = sorted(set(sys.modules) - modules)
     assert not loaded, f"a pool worker loaded {loaded}"
-    assert entanglement._cached_plan.cache_info().misses == misses, \
+    assert entanglement._plan.cache_info().misses == misses, \
         "a pool worker built a plan"
     return rows
 
@@ -273,6 +273,47 @@ def test_bound_check_json_and_csv_agree(tmp_path):
     crows, _ = reports.load_report(str(cpath))
     jrows, _ = reports.load_report(str(jpath))
     assert crows == jrows
+
+
+SMALL_RUNS = {
+    "bound-check": ["--seed", "3", "--samples", "6", "--cutoff", "1", "--mixtures", "2"],
+    "neg-sweep": ["--seed", "9", "--samples", "3", "--k-max", "2"],
+    "tomography": ["--config", "{scene}", "--seed", "4"],
+    "jj-evolve": ["--n-total", "20", "--e-c", "0.2", "--lam", "0.1", "--n0", "11",
+                  "--phi0", "0.5", "--horizon", "2", "--dt", "0.5"],
+    "pendulum": ["--phi0", "0.3", "--omega", "2", "--horizon", "1", "--dt", "0.25",
+                 "--e-c", "0.5", "--n-bar1", "10"],
+    "fluctuations": ["--n-bar1-values", "25,50,100"],
+    "compare": ["--n-total", "4", "--e-c", "10", "--lam", "1", "--horizon", "1"],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(SMALL_RUNS))
+def test_every_report_loads_back_with_its_configuration(tmp_path, subcommand):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"stokes": {"i": 1.0, "m": 0.2, "c": 0.0, "s": 0.1},
+                                 "shots": 100}))
+    argv = [subcommand, *(a.format(scene=scene) for a in SMALL_RUNS[subcommand])]
+    loaded = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"report.{fmt}"
+        assert run(argv + ["--out", str(out), "--format", fmt]) == 0
+        args = cli.build_parser().parse_args(argv + ["--out", str(out), "--format", fmt])
+        _, echo = cli.resolve(args.table, args)
+        config = {"subcommand": subcommand, **echo, "format": fmt}
+        rows, header = reports.load_report(str(out))
+        assert header["config"] == json.loads(json.dumps(config))
+        loaded[fmt] = rows, header
+    (csv_rows, _), (json_rows, json_header) = loaded["csv"], loaded["json"]
+    assert csv_rows
+    if subcommand == "tomography":      # its JSON report keys by component, no rows
+        assert json_rows is None
+        columns = {"estimate": "estimate", "standard_errors": "standard_error",
+                   "true_values": "true_value"}
+        for key, column in columns.items():
+            assert [json_header[key][c] for c in "imcs"] == [r[column] for r in csv_rows]
+    else:
+        assert csv_rows == json_rows
 
 
 def test_neg_sweep_bound_column(tmp_path):

@@ -137,7 +137,7 @@ def test_meanfield_correlation_matrix_closure():
         psi_vec = propagate(n1h, psi_vec, step)
         if (s + 1) % 100 == 0:
             state = fock.StateVector(space, psi_vec / np.linalg.norm(psi_vec))
-            omega_state = pol.omega_from_state(state, (0, 1)).matrix
+            omega_state = pol.omega_from_state(state).matrix
             n = jj.mean_n1(state)
             phi = np.angle(jj.coherence(state))
             p = n / n_tot
@@ -470,7 +470,7 @@ def exact_oracle(initial, params, times):
         psi.append(step @ psi[-1])
     states = [fock.StateVector(initial.space, p, normalize=True) for p in psi]
     z = np.array([jj.coherence(st) for st in states])
-    phi = dyn._unwrap_keeping_nans(np.where(np.abs(z) > dyn.COHERENCE_FLOOR,
+    phi = dyn._unwrap_keeping_nans(np.where(np.abs(z) > jj.COHERENCE_FLOOR,
                                             np.angle(z), np.nan))
     return {"n1": [jj.mean_n1(st) for st in states], "phi": phi,
             "energy": [np.vdot(st.amplitudes, h @ st.amplitudes).real for st in states],
@@ -713,7 +713,7 @@ def test_measured_block_matches_single_states_and_keeps_its_nans():
     h = fock.LinearOperator(space, exact_hamiltonian(params), hermitian=True)
     states = [fock.StateVector(space, psi[:, j]) for j in range(psi.shape[1])]
     z = np.array([jj.coherence(st) for st in states])
-    assert np.array_equal(np.isnan(traj.phi), np.abs(z) <= dyn.COHERENCE_FLOOR)
+    assert np.array_equal(np.isnan(traj.phi), np.abs(z) <= jj.COHERENCE_FLOOR)
     assert np.sum(np.isnan(traj.phi)) == 3
     assert np.allclose(traj.n1, [jj.mean_n1(st) for st in states], rtol=0, atol=1e-12)
     assert np.allclose(traj.fidelity, [jj.best_fit_product(st)[2] for st in states],

@@ -98,8 +98,9 @@ def test_gamma_requires_photons_in_both_beams():
     vacuum_b = state_from_occupations(space, {(1, 0, 0, 0): 1.0})
     with pytest.raises(NormalizationUndefinedError):
         ent.gamma_from_state(vacuum_b)
+    three_modes = fock.FockSpace.truncated([1, 1, 1])
     with pytest.raises(ContractViolationError):
-        ent.gamma_from_state(singlet_state(space), beam_a=(0, 1), beam_b=(1, 2))
+        ent.gamma_from_state(fock.basis_state(three_modes, (1, 0, 1)))
 
 
 def test_partial_transpose_trivial_and_product():
@@ -170,7 +171,7 @@ def test_bound_is_2_over_k_for_equal_photon_sectors():
         space = four_mode_space(k)
         rng = np.random.default_rng(k)
         for _ in range(20):
-            state = ent.sector_state(space, (0, 1), (2, 3), k, k, rng)
+            state = ent.sector_state(space, k, k, rng)
             rep = ent.check_bound(state)
             assert rep.bound_exact == pytest.approx(2.0 / k, rel=1e-12)
             assert rep.negativity <= rep.bound_exact + 1e-9
@@ -244,7 +245,7 @@ def test_sector_sampler_matches_single_state_path():
         for col in range(7):
             rng = rng_for(42, col)
             state = (ent.haar_state(sampler.space, rng) if photons is None else
-                     ent.sector_state(sampler.space, (0, 1), (2, 3), photons, photons, rng))
+                     ent.sector_state(sampler.space, photons, photons, rng))
             assert np.array_equal(state.amplitudes, psi[:, col])
             corr = ent.gamma_from_state(state)
             assert np.array_equal(corr.gamma, gammas[col])
@@ -276,56 +277,51 @@ def test_sampling_is_seeded_per_index():
 
 
 def test_index_shift_products_equal_sparse_ladder_products():
-    # uneven cutoffs and beams out of mode order, so every stride differs
+    # uneven cutoffs, so every stride differs
     space = fock.FockSpace.truncated([1, 2, 3, 2])
-    beam_a, beam_b = (2, 0), (3, 1)
     rng = np.random.default_rng(11)
     psi = (rng.standard_normal((space.dimension, 5))
            + 1j * rng.standard_normal((space.dimension, 5)))
     ann = [fock.ladder_operator(space, m, "annihilate").matrix for m in range(4)]
     sparse = np.stack([(ann[mu] @ ann[mup]).tocsr() @ psi
-                       for mu in beam_a for mup in beam_b])
-    assert np.array_equal(ent._lowered(space, beam_a, beam_b, psi), sparse)
-    gammas, n_a, n_b, n_ab = ent._gammas_and_moments(space, beam_a, beam_b, psi)
+                       for mu in ent.BEAM_A for mup in ent.BEAM_B])
+    assert np.array_equal(ent._lowered(space, psi), sparse)
+    gammas, n_a, n_b, n_ab = ent._gammas_and_moments(space, psi)
     assert np.array_equal(gammas, np.einsum("cds,rds->src", sparse.conj(), sparse))
     for col in range(5):
         state = fock.StateVector(space, psi[:, col], normalize=True)
-        corr = ent.gamma_from_state(state, beam_a, beam_b)
+        corr = ent.gamma_from_state(state)
         scale = np.vdot(psi[:, col], psi[:, col]).real
         assert np.allclose(corr.gamma * scale, gammas[col], rtol=1e-12, atol=1e-12)
         assert corr.n_ab * scale == pytest.approx(n_ab[col], rel=1e-12)
 
 
-def test_lowering_plan_is_cached_per_beam_assignment():
-    # two assignments on one space in turn: a plan keyed on the space alone
-    # would hand the second one the first one's shifts
-    ent._cached_plan.cache_clear()
+def test_lowering_plan_is_built_once_per_space_and_read_only():
+    ent._plan.cache_clear()
     space = fock.FockSpace.truncated([1, 2, 3, 2])
     rng = np.random.default_rng(5)
     psi = (rng.standard_normal((space.dimension, 3))
            + 1j * rng.standard_normal((space.dimension, 3)))
     ann = [fock.ladder_operator(space, m, "annihilate").matrix for m in range(4)]
     number = [space.number_diagonal(m) for m in range(4)]
-    for beam_a, beam_b in (((2, 0), (3, 1)), ((0, 1), (2, 3)), ((2, 0), (3, 1))):
-        sparse = np.stack([(ann[mu] @ ann[mup]).tocsr() @ psi
-                           for mu in beam_a for mup in beam_b])
-        assert np.array_equal(ent._lowered(space, beam_a, beam_b, psi), sparse)
-        plan = ent._plan(space, beam_a, beam_b)
-        n_a, n_b = (number[m] + number[n] for m, n in (beam_a, beam_b))
-        assert np.array_equal(plan.n_a, n_a) and np.array_equal(plan.n_b, n_b)
-        assert np.array_equal(plan.n_ab, n_a * n_b)
-    assert ent._cached_plan.cache_info().misses == 2
-    assert ent._plan(space, [0, 1], [2, 3]) is ent._plan(space, (0, 1), (2, 3))
+    sparse = np.stack([(ann[mu] @ ann[mup]).tocsr() @ psi
+                       for mu in ent.BEAM_A for mup in ent.BEAM_B])
+    for _ in range(3):
+        assert np.array_equal(ent._lowered(space, psi), sparse)
+    plan = ent._plan(space)
+    n_a, n_b = number[0] + number[1], number[2] + number[3]
+    assert np.array_equal(plan.n_a, n_a) and np.array_equal(plan.n_b, n_b)
+    assert np.array_equal(plan.n_ab, n_a * n_b)
+    assert ent._plan.cache_info().misses == 1
+    # an equal space built apart reads the same plan
+    assert ent._plan(fock.FockSpace.truncated([1, 2, 3, 2])) is plan
+    assert ent._plan.cache_info().misses == 1
+    ent._plan(four_mode_space(2))
+    assert ent._plan.cache_info().misses == 2
     for array in (*(a for shift in plan.shifts for a in shift), *plan[1:]):
         assert not array.flags.writeable
     with pytest.raises(ValueError):
         plan.n_a[0] = 1.0
-
-    state = ent.haar_state(four_mode_space(2), rng_for(9, 0))
-    listed = ent.gamma_from_state(state, [0, 1], [2, 3])
-    tupled = ent.gamma_from_state(state, (0, 1), (2, 3))
-    assert np.array_equal(listed.gamma, tupled.gamma)
-    assert (listed.n_a, listed.n_b, listed.n_ab) == (tupled.n_a, tupled.n_b, tupled.n_ab)
 
 
 def test_partial_transpose_of_a_stack_matches_index_oracle():

@@ -32,15 +32,6 @@ def test_space_errors():
         fock.FockSpace.fixed_sector(2_000_000)
 
 
-def test_make_space_from_mapping():
-    sp1 = fock.make_space({"kind": "truncated", "cutoffs": [2, 1]})
-    assert sp1 == fock.FockSpace.truncated([2, 1])
-    sp2 = fock.make_space({"kind": "fixed_sector", "n_total": 7})
-    assert sp2.dimension == 8
-    with pytest.raises(ContractViolationError):
-        fock.make_space({"kind": "bogus"})
-
-
 def test_index_occupation_roundtrip_exhaustive():
     space = fock.FockSpace.truncated([2, 3, 1])
     seen = set()
@@ -328,11 +319,10 @@ def test_propagation_comes_in_bounded_blocks(monkeypatch):
     h = (0.7 * (hop + hop.dagger())).marked_hermitian()
     state = fock.basis_state(space, (3, 6))
     times = np.linspace(0.0, 2.0, 23)
-    # the arguments are checked when the blocks are asked for, not when read
     with pytest.raises(ContractViolationError):
-        fock.evolve_unitary_chunks(state, h, times[::-1])
+        fock.evolve_unitary_sampled(state, h, times[::-1])
     monkeypatch.setattr(fock, "OUTPUT_CHUNK_WORK", 10 * 4 + 3)
-    blocks = list(fock.evolve_unitary_chunks(state, h, times))
+    blocks = list(fock.propagate(*fock._eigendecomposition(h), state.amplitudes, times))
     assert [len(t) for t, _ in blocks] == [4, 4, 4, 4, 4, 3]
     assert all(psi.shape == (10, len(t)) for t, psi in blocks)
     assert np.array_equal(np.concatenate([t for t, _ in blocks]), times)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import beamlab.fock as fock
 import beamlab.polarization as pol
-from beamlab.errors import DomainError, UnsupportedOperatorError
+from beamlab.errors import DomainError
 
 
 def test_convert_trivial_cases():
@@ -112,11 +112,9 @@ def test_omega_from_state_sector_support():
     sector = fock.FockSpace.fixed_sector(6)
     import beamlab.jj as jj
     state = jj.product_state(6, 2.5, 0.4, sector)
-    om = pol.omega_from_state(state, (0, 1))
+    om = pol.omega_from_state(state)
     assert om.trace == pytest.approx(6.0, abs=1e-10)
     assert om.matrix[0, 0].real == pytest.approx(2.5, abs=1e-10)
-    with pytest.raises(UnsupportedOperatorError):
-        pol.omega_from_state(state, (0, 2))
 
 
 def test_additive_expectation_examples():

@@ -44,6 +44,29 @@ def test_csv_json_round_trip_identical_values(tmp_path):
     assert json_header["config"] == cfg
 
 
+def test_json_report_without_rows_loads_with_rows_none(tmp_path):
+    path = tmp_path / "scalars.json"
+    reports.emit_report(None, "json", str(path), config={"seed": 1},
+                        extra={"estimate": {"i": 1.0}})
+    rows, header = reports.load_report(str(path))
+    assert rows is None
+    assert header == {"config": {"seed": 1}, "estimate": {"i": 1.0}}
+
+
+def test_empty_report_file_is_refused_with_its_path(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(BeamlabError, match="empty.csv"):
+        reports.load_report(str(path))
+
+
+def test_malformed_json_report_is_refused_with_its_path(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"config": {"seed": 1}, "rows": [')
+    with pytest.raises(BeamlabError, match="broken.json"):
+        reports.load_report(str(path))
+
+
 def test_rows_must_be_homogeneous(tmp_path):
     with pytest.raises(ContractViolationError):
         reports.emit_report([{"a": 1}, {"b": 2}], "csv", str(tmp_path / "x.csv"),
