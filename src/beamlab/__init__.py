@@ -1,6 +1,11 @@
 """Numerical laboratory for bosonic two-beam polarization and
 Josephson-junction dynamics: truncated Fock spaces, Stokes calculus,
-negativity bounds, and the exact-vs-self-consistent model dichotomy."""
+negativity bounds, and the exact-vs-self-consistent model dichotomy.
+
+The package root loads only the error classes; each submodule is
+imported where it is used (``from beamlab import entanglement``), so a
+process pays only for the layers it runs.
+"""
 
 from .errors import (
     BeamlabError,
@@ -13,61 +18,6 @@ from .errors import (
     ResourceLimitError,
     UnsupportedOperatorError,
 )
-from .fock import (
-    FockSpace,
-    LinearOperator,
-    StateVector,
-    basis_state,
-    boundary_weight,
-    evolve_unitary,
-    evolve_unitary_sampled,
-    expectation,
-    hopping_operator,
-    ladder_operator,
-    variance,
-)
-from .polarization import (
-    CorrelationMatrix2,
-    DeviceMap,
-    StokesVector,
-    TomographyResult,
-    additive_expectation,
-    apply_device_map,
-    mueller_matrix,
-    omega_from_state,
-    stokes_omega_convert,
-    tomography_simulate,
-)
-from .entanglement import (
-    BoundReport,
-    TwoBeamCorrelation,
-    bound_report,
-    check_bound,
-    gamma_from_mixture,
-    gamma_from_state,
-    haar_state,
-    negativity,
-    partial_transpose,
-)
-from .jj import (
-    DerivedConstants,
-    JJParams,
-    best_fit_product,
-    derived_constants,
-    product_state,
-)
-from .dynamics import (
-    ComparisonRecord,
-    FluctuationReport,
-    Trajectory,
-    evolve_exact,
-    evolve_meanfield,
-    fluctuation_scan,
-    meanfield_matched_omega,
-    model_compare,
-    pendulum_trajectory,
-)
-from .seeding import child_seed, rng_for
 
 __version__ = "0.1.0"
 

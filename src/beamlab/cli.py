@@ -9,6 +9,12 @@ Exit codes: 0 success; 1 usage, domain or configuration error; 2 a bound
 or invariant violated by a sampled state, which would falsify the
 implementation rather than the run.  Exit 1 writes one stderr line,
 ``error: ...``; else each distinct warning is one line, ``warning: ...``.
+
+A subcommand imports the beamlab modules it runs when it runs, so
+`import beamlab.cli` loads only `reports`, `seeding` and `errors`:
+`entanglement` for bound-check and neg-sweep, `polarization` for
+tomography, `jj` and `dynamics` (with `fock`) for the junction commands,
+and `multiprocessing` only when a pool is made.
 """
 
 from __future__ import annotations
@@ -21,11 +27,10 @@ import sys
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 import numpy as np
 
-from . import dynamics, entanglement, fock, jj, polarization, reports
+from . import reports
 from .errors import BeamlabError
 from .seeding import child_seed
 
@@ -86,6 +91,7 @@ def _complex_matrix(value) -> np.ndarray:
 
 
 def _stokes(value) -> polarization.StokesVector:
+    from . import polarization
     if not (isinstance(value, dict) and "i" in value and set(value) <= set("imcs")):
         raise ValueError("must be an object with key 'i' and optional 'm', 'c', 's'")
     given = {k: _number(v) for k, v in value.items()}
@@ -93,6 +99,7 @@ def _stokes(value) -> polarization.StokesVector:
 
 
 def _device_maps(value) -> list[polarization.DeviceMap]:
+    from . import polarization
     if not (isinstance(value, list) and all(
             isinstance(spec, dict) and set(spec) == {"kraus"}
             and isinstance(spec["kraus"], list) for spec in value)):
@@ -203,11 +210,18 @@ def command(name: str, help_text: str, table: tuple[Param, ...]):
 
 
 def _bound_chunk(task):
+    from . import entanglement
     seed, start, stop, cutoff, photons = task
     return entanglement.bound_rows(seed, range(start, stop), cutoff, photons)
 
 
 START_METHOD = "fork" if sys.platform == "linux" else "spawn"
+
+
+def get_context(method=None):
+    """`multiprocessing.get_context`, loaded when the first pool is made."""
+    from multiprocessing import get_context as context
+    return context(method)
 
 
 def _usable_cpus() -> int:
@@ -225,12 +239,14 @@ def _parallel_bound_rows(seed, samples, cutoff, photons, workers):
     depend on the split or on the process that computes them, and the
     report is byte-identical at every --workers.  On Linux the pool forks
     the CLI process just after it has loaded `numpy.random` and built the
-    run's plan, so its workers start with numpy, `numpy.random`, beamlab
-    and the plan, and a task loads and builds nothing.  A spawned worker
-    imports them afresh, which costs more than its share of a neg-sweep
-    pool's work.  Elsewhere, where fork is missing or unsafe, the pool
-    spawns.  No process of these runs loads scipy.
+    run's plan, so its workers start with numpy, `numpy.random`, the plan
+    and the beamlab modules of the run (`cli`, `errors`, `reports`,
+    `seeding`, `fock`, `entanglement`), and a task loads and builds
+    nothing.  A spawned worker imports them afresh, which costs more than
+    its share of a neg-sweep pool's work.  Elsewhere, where fork is missing
+    or unsafe, the pool spawns.  No process of these runs loads scipy.
     """
+    from . import entanglement
     entanglement.check_sample_work(samples, cutoff)
     if workers <= 1 or samples < 2 * workers:
         return entanglement.bound_rows(seed, range(samples), cutoff, photons)
@@ -257,6 +273,7 @@ IGNORED_SEED = Param("seed", _integer, None, "ignored: deterministic", source="f
     WORKERS,
 ))
 def run_bound_check(args):
+    from . import entanglement
     entanglement.check_sample_work(args.mixtures, args.cutoff)
     rows = _parallel_bound_rows(args.seed, args.samples, args.cutoff, None,
                                 args.workers)
@@ -271,6 +288,7 @@ def run_bound_check(args):
     WORKERS,
 ))
 def run_neg_sweep(args):
+    from . import entanglement
     entanglement.check_sample_work(args.samples, args.k_max)     # the largest k
     rows = []
     for k in range(1, args.k_max + 1):
@@ -288,6 +306,7 @@ def run_neg_sweep(args):
     Param("device_maps", _device_maps, (), "", source="config"),
 ))
 def run_tomography(args):
+    from . import polarization
     if (args.omega is None) == (args.stokes is None):
         raise BeamlabError("scene must provide exactly one of 'omega' and 'stokes'")
     omega = (polarization.stokes_to_omega(args.stokes) if args.omega is None
@@ -308,12 +327,14 @@ def run_tomography(args):
 
 
 def _jj_params(v: dict) -> jj.JJParams:
+    from . import jj
     return jj.JJParams(**{p.name: v[p.name] for p in JUNCTION})
 
 
 def _rate(v: dict, flag: str) -> float:
     """The junction's time scale, plasma frequency or tunneling rate, from
     which the default of `flag` is derived."""
+    from . import jj
     params = _jj_params(v)
     with np.errstate(over="ignore"):
         rate = max(jj.derived_constants(params).omega, abs(params.lam), 1e-12)
@@ -345,6 +366,7 @@ JUNCTION = (
     IGNORED_SEED,
 ))
 def run_jj_evolve(args):
+    from . import dynamics, jj
     params = _jj_params(vars(args))
     initial = jj.product_state(params.n_total, args.n0, args.phi0,
                                jj.sector_space(params))
@@ -366,6 +388,7 @@ def run_jj_evolve(args):
     IGNORED_SEED,
 ))
 def run_pendulum(args):
+    from . import dynamics
     traj = dynamics.pendulum_trajectory(args.phi0, args.phidot0, args.omega,
                                         args.horizon, args.dt, e_c=args.e_c,
                                         n_bar1=args.n_bar1)
@@ -381,6 +404,7 @@ def run_pendulum(args):
     IGNORED_SEED,
 ))
 def run_fluctuations(args):
+    from . import dynamics, fock, jj
     for nb in args.n_bar1_values:
         fock.check_work(nb / args.p, fock.DEFAULT_DIMENSION_LIMIT,
                         "n_total = n_bar1 / p")
@@ -402,6 +426,7 @@ def run_fluctuations(args):
     IGNORED_SEED,
 ))
 def run_compare(args):
+    from . import dynamics
     record = dynamics.model_compare(_jj_params(vars(args)), args.n0, args.phi0,
                                     args.horizon)
     return record.rows(), {"max_divergence": {"n1": record.max_div_n1,

@@ -32,6 +32,7 @@ column (`sector_moments`, `product_fit`); `mean_n1`, `coherence` and
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -93,23 +94,31 @@ def sector_space(params: JJParams) -> fock.FockSpace:
     return fock.FockSpace.fixed_sector(params.n_total)
 
 
-def binomial_weights(n_total: int, p) -> np.ndarray:
+def binomial_weights(n_total: int, p, rows: range | None = None) -> np.ndarray:
     """Binomial pmf over k = 0..N for a scalar p, or one column per entry of
-    a vector p, shape (N + 1, len(p)).
+    a vector p, shape (N + 1, len(p)).  Given `rows`, a range of k, it is
+    built and normalized on those rows alone, len(rows) in place of N + 1.
 
     Each column is built outward from its mode in extended precision, by a
     masked cumulative product of the recurrence ratios up and down, so it
     stays inside the longdouble range for N up to 1e6 and is accurate to
     ~N*eps_longdouble relatively: the number moments of the product
     configuration reproduce the binomial identities to ~1e-12 even at N of
-    a few thousand (a log-gamma construction loses four orders).  Every sum
-    runs along one column alone, so a column is the same whatever else is
-    in the batch.  p = 0 and p = 1 give the Fock states.
+    a few thousand (a log-gamma construction loses four orders).  On a row
+    range the same ratios are multiplied in the same order, outward from
+    the mode, or from the range's row nearest it, so the rows that carry
+    the pmf's mass match the slice of the whole pmf to longdouble rounding
+    before the normalization.  Every sum runs along one column alone, so a
+    column is the same whatever else is in the batch.  p = 0 and p = 1 give
+    the Fock states.
     """
+    rows = range(n_total + 1) if rows is None else rows
+    lo, hi = rows.start, rows.stop
     ps = np.atleast_1d(np.asarray(p, dtype=float))
-    k = np.arange(n_total, dtype=np.longdouble)        # the step k -> k + 1
-    above = k >= np.minimum((ps * (n_total + 1)).astype(int), n_total)[:, None]
-    w = np.ones((len(ps), n_total + 1), dtype=np.longdouble)
+    k = np.arange(lo, hi - 1, dtype=np.longdouble)     # the step k -> k + 1
+    mode = np.clip((ps * (n_total + 1)).astype(int), lo, hi - 1)
+    above = k >= mode[:, None]
+    w = np.ones((len(ps), hi - lo), dtype=np.longdouble)
     with np.errstate(divide="ignore"):
         ratio = (ps.astype(np.longdouble) / (1.0 - ps).astype(np.longdouble))[:, None]
         f = ratio * (n_total - k)
@@ -193,18 +202,32 @@ def product_fit(psi: np.ndarray, n1: np.ndarray, z: np.ndarray,
     Returns arrays (n_fit, phi_fit, fidelity): n_fit is <n1> clamped to
     [0, N] (an endpoint is the Fock state), phi_fit = -arg<a1+ a2> (0 where
     |<a1+ a2>| <= COHERENCE_FLOOR), and fidelity the squared overlap with the
-    normalized product state |n_fit, phi_fit>, at most 1.  Like the
-    moments, a column's result does not depend on the rest of the block.
+    normalized product state |n_fit, phi_fit>, at most 1.
+
+    The product states are built only on the rows within ceil(sqrt(37 N))
+    + 16 of the block's smallest and largest n_fit (at N = 200 and half
+    filling, all N + 1 rows): by Hoeffding's bound the binomial's mass
+    beyond them is below 2 exp(-74) ~ 1.5e-32, under longdouble
+    resolution.  The overlap runs over the rows that these and the block's
+    rows share.  Like the moments, a column's result does not depend on
+    the rest of the block while those rows are the whole sector; past
+    that the range follows the block, which moves a fidelity by at most a
+    few units in its last place.
     """
     rows = np.ascontiguousarray(psi.T)
     n_tot = rows.shape[1] - 1 if n_total is None else n_total
     n_fit = np.clip(n1, 0.0, float(n_tot))
     phi_fit = np.where(np.abs(z) > COHERENCE_FLOOR, -np.angle(z), 0.0)
-    weights = binomial_weights(n_tot, n_fit / max(n_tot, 1)).T
-    window = slice(first, first + rows.shape[1])
-    fit = np.sqrt(weights[:, window]) * np.exp(
-        1j * np.outer(phi_fit, np.arange(window.start, window.stop)))
-    overlap = np.sum(np.conj(fit) * rows, axis=1)
+    # Hoeffding: P(|k - N p| >= t) <= 2 exp(-2 t^2 / N) = 2 exp(-74) at t = sqrt(37 N)
+    reach = math.ceil(math.sqrt(37 * n_tot)) + 16
+    lo = max(math.floor(np.min(n_fit)) - reach, 0)
+    hi = min(math.ceil(np.max(n_fit)) + reach + 1, n_tot + 1)
+    weights = binomial_weights(n_tot, n_fit / max(n_tot, 1), range(lo, hi)).T
+    a = max(lo, first)
+    b = max(min(hi, first + rows.shape[1]), a)              # the rows both hold
+    fit = np.sqrt(weights[:, a - lo:b - lo]) * np.exp(
+        1j * np.outer(phi_fit, np.arange(a, b)))
+    overlap = np.sum(np.conj(fit) * rows[:, a - first:b - first], axis=1)
     fid = np.abs(overlap) ** 2 / np.sum(weights, axis=1)
     return n_fit, phi_fit, np.minimum(fid, 1.0)
 

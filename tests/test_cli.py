@@ -265,6 +265,55 @@ def test_forked_workers_load_and_build_nothing(tmp_path):
     run_fresh(WARM_WORKER_RUNS, tmp_path / "out.csv")
 
 
+MODULE_LOADS = r"""
+import json, sys
+from beamlab import cli
+
+def present(names):
+    return [name for name in names if name in sys.modules]
+
+# the subcommand's own modules come with the subcommand, not with the import
+with_cli = present(["beamlab.entanglement", "beamlab.dynamics", "beamlab.jj",
+                    "beamlab.fock", "beamlab.polarization", "multiprocessing"])
+assert not with_cli, f"import beamlab.cli loaded {with_cli}"
+runs, unloaded = json.loads(sys.argv[1])
+out, scene = sys.argv[2:]
+for argv in runs:
+    assert cli.main([a.format(scene=scene) for a in argv] + ["--out", out]) == 0, argv
+    assert not present(unloaded), (argv, present(unloaded))
+"""
+
+JUNCTION_RUNS = [
+    ["jj-evolve", "--model", "mean_field", "--n-total", "40", "--e-c", "0.2",
+     "--lam", "0.1", "--horizon", "1", "--dt", "0.1"],
+    ["jj-evolve", "--model", "bose_hubbard", "--n-total", "40", "--e-c", "0.2",
+     "--lam", "0.1", "--horizon", "1", "--dt", "0.1"],
+    ["compare", "--n-total", "20", "--e-c", "0.5", "--lam", "0.1", "--horizon", "2"],
+    ["pendulum", "--omega", "1", "--horizon", "1", "--dt", "0.1"],
+    ["fluctuations", "--n-bar1-values", "25,50,100"],
+]
+BEAM_RUNS = [
+    ["bound-check", "--seed", "1", "--samples", "20", "--cutoff", "1",
+     "--mixtures", "3", "--workers", "1"],
+    ["neg-sweep", "--seed", "2", "--samples", "8", "--k-max", "2", "--workers", "1"],
+]
+
+
+@pytest.mark.parametrize("runs, unloaded", [
+    (JUNCTION_RUNS, ["beamlab.entanglement", "beamlab.polarization", "multiprocessing"]),
+    (BEAM_RUNS, ["beamlab.dynamics", "beamlab.jj", "beamlab.polarization",
+                 "multiprocessing"]),
+    ([["tomography", "--config", "{scene}"]],
+     ["beamlab.entanglement", "beamlab.dynamics", "beamlab.jj", "multiprocessing"]),
+], ids=["junction", "beam", "tomography"])
+def test_a_subcommand_loads_only_its_own_modules(tmp_path, runs, unloaded):
+    # a fresh process: the test session itself has every module loaded
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"stokes": {"i": 1.0, "m": 0.2, "c": 0.0, "s": 0.1},
+                                 "shots": 100, "seed": 4}))
+    run_fresh(MODULE_LOADS, json.dumps([runs, unloaded]), tmp_path / "out.csv", scene)
+
+
 def test_bound_check_json_and_csv_agree(tmp_path):
     base = ["bound-check", "--seed", "3", "--samples", "25", "--cutoff", "1"]
     cpath, jpath = tmp_path / "b.csv", tmp_path / "b.json"

@@ -298,3 +298,138 @@ def test_block_measurement_matches_single_states_and_an_independent_oracle():
     assert np.array_equal(n_fit[-3:-1], [0.0, n_total])
     assert np.allclose(fid[-3:-1], 1.0, atol=1e-15)
     assert np.all(np.abs(z[-3:]) < 1e-12) and np.all(phi_fit[-3:] == 0.0)
+
+
+# -- the fit on its own rows ---------------------------------------------------
+
+
+def _all_rows_pmf(n_total, ps):
+    """Oracle: the binomial pmf on all N + 1 rows, one column per p, as
+    jj.binomial_weights built it before it took a row range."""
+    ps = np.asarray(ps, dtype=float)
+    k = np.arange(n_total, dtype=np.longdouble)
+    above = k >= np.minimum((ps * (n_total + 1)).astype(int), n_total)[:, None]
+    w = np.ones((len(ps), n_total + 1), dtype=np.longdouble)
+    with np.errstate(divide="ignore"):
+        ratio = (ps.astype(np.longdouble) / (1.0 - ps).astype(np.longdouble))[:, None]
+        up = ratio * (n_total - k) / (k + 1)
+        down = (k + 1) / (ratio * (n_total - k))
+    up[~above] = 1
+    down[above] = 1
+    w[:, 1:] = np.cumprod(up, axis=1)
+    w[:, :-1] *= np.cumprod(down[:, ::-1], axis=1)[:, ::-1]
+    w /= w.sum(axis=1, keepdims=True)
+    w[w < np.longdouble(2) ** -1075] = 0
+    return w.astype(float).T
+
+
+def _all_rows_fidelity(psi, n1, z, n_total, first):
+    """Oracle: jj.product_fit's fidelity with the product states built on
+    all N + 1 rows."""
+    n_fit = np.clip(n1, 0.0, float(n_total))
+    phi_fit = np.where(np.abs(z) > jj.COHERENCE_FLOOR, -np.angle(z), 0.0)
+    weights = _all_rows_pmf(n_total, n_fit / n_total).T
+    k = np.arange(first, first + len(psi))
+    fit = np.sqrt(weights[:, k]) * np.exp(1j * np.outer(phi_fit, k))
+    overlap = np.sum(np.conj(fit) * psi.T, axis=1)
+    return np.minimum(np.abs(overlap) ** 2 / np.sum(weights, axis=1), 1.0)
+
+
+def _hoeffding_rows(n_total, lo_n, hi_n):
+    """The rows within ceil(sqrt(37 N)) + 16 of [lo_n, hi_n]."""
+    reach = int(np.ceil(np.sqrt(37 * n_total))) + 16
+    return range(max(int(np.floor(lo_n)) - reach, 0),
+                 min(int(np.ceil(hi_n)) + reach + 1, n_total + 1))
+
+
+@pytest.mark.parametrize("n_total", [200, 1999, 100_000])
+def test_binomial_weights_on_a_row_range_match_the_all_rows_pmf(n_total):
+    tiny = np.finfo(float).tiny
+    ps = [0.0, 1e-7, 3e-4, 0.37, 0.5, 1.0 - 3e-4, 1.0 - 1e-7, 1.0]
+    whole = _all_rows_pmf(n_total, ps)
+    for j, p in enumerate(ps):
+        rows = _hoeffding_rows(n_total, n_total * p, n_total * p)
+        got = jj.binomial_weights(n_total, p, rows)
+        want = whole[rows.start:rows.stop, j]
+        assert got.shape == (len(rows),)
+        normal = want >= tiny
+        assert np.all(np.abs(got[normal] - want[normal]) <= 1e-15 * want[normal]), p
+        assert np.all(got[~normal] < 1e-300), p
+        if p in (0.0, 1.0):     # the Fock states, exactly
+            assert np.array_equal(got, want)
+    # a block on one range: each column as its scalar call, bit for bit
+    block_ps = np.array([0.49, 0.5, 0.5003, 0.51])
+    rows = _hoeffding_rows(n_total, n_total * 0.49, n_total * 0.51)
+    block = jj.binomial_weights(n_total, block_ps, rows)
+    assert block.shape == (len(rows), 4)
+    for j, p in enumerate(block_ps):
+        assert np.array_equal(jj.binomial_weights(n_total, p, rows), block[:, j])
+
+
+def _window_block(n_total, seed):
+    """Sector states on the rows where a product state at n = N/2 holds more
+    than 1e-32, and 16 rows more on each side, as the exact model keeps
+    them: three product states, a superposition of two others, and a
+    product state with noise; and the window's first row."""
+    half = n_total / 2
+    sigma = np.sqrt(n_total) / 2
+    ns = np.array([half, half - 2 * sigma, half + 3 * sigma, half + 0.3, half - sigma])
+    whole = _all_rows_pmf(n_total, ns / n_total)
+    support = np.flatnonzero(whole[:, 0] > 1e-32)
+    first, stop = support[0] - 16, support[-1] + 17
+    k = np.arange(first, stop)
+    phis = np.array([0.3, -2.0, 1.1, 3.0, 0.0])
+    psi = np.sqrt(whole[first:stop]) * np.exp(1j * np.outer(k, phis))
+    rng = np.random.default_rng(seed)
+    mixed = psi[:, 1] + psi[:, 2] * np.exp(0.7j)
+    noisy = psi[:, 0] + 1e-2 * (rng.standard_normal(len(k))
+                                + 1j * rng.standard_normal(len(k)))
+    psi = np.column_stack([psi[:, [0, 3, 4]], mixed, noisy])
+    return psi / np.linalg.norm(psi, axis=0), int(first)
+
+
+@pytest.mark.parametrize("n_total", [1999, 100_000])
+def test_product_fit_matches_the_all_rows_oracle(n_total):
+    psi, first = _window_block(n_total, seed=5)
+    norm, n1, z = jj.sector_moments(psi, n_total, first)
+    n_fit, phi_fit, fid = jj.product_fit(psi, n1, z, n_total, first)
+    want = _all_rows_fidelity(psi, n1, z, n_total, first)
+    assert np.all(np.abs(fid - want) <= 1e-15), np.max(np.abs(fid - want))
+    assert np.all(fid[:3] > 1.0 - 1e-12) and np.all(fid[3:] < 0.999)
+    assert np.array_equal(n_fit, n1)
+    # the self-consistent model's form: one state on all N + 1 rows
+    whole = np.zeros((n_total + 1, 1), dtype=complex)
+    whole[first:first + len(psi)] = psi[:, 3:4]
+    _, _, fid_whole = jj.product_fit(whole, n1[3:4], z[3:4])
+    assert abs(fid_whole[0] - _all_rows_fidelity(whole, n1[3:4], z[3:4], n_total, 0)[0]) \
+        <= 1e-15
+    # a window that shares no row with the fitted state's rows overlaps nothing
+    far = psi[:64, :1] / np.linalg.norm(psi[:64, :1])
+    assert jj.product_fit(far, n1[:1], z[:1], n_total, 0)[2][0] == 0.0
+    assert _all_rows_fidelity(far, n1[:1], z[:1], n_total, 0)[0] == 0.0
+
+
+def test_product_fit_builds_no_row_beyond_the_hoeffding_range(monkeypatch):
+    n_total = 100_000
+    asked = []
+    binomial_weights = jj.binomial_weights
+
+    def spy(n, p, rows=None):
+        asked.append((np.min(p) * n, np.max(p) * n, rows))
+        return binomial_weights(n, p, rows)
+
+    psi, first = _window_block(n_total, seed=6)
+    assert 3500 < len(psi) < 4500
+    params = jj.JJParams(e_c=40.0 / n_total, lam=0.1, n_total=n_total,
+                         n_bar1=n_total / 2)
+    initial = jj.product_state(n_total, n_total / 2 + 40, 0.05, jj.sector_space(params))
+    monkeypatch.setattr(jj, "binomial_weights", spy)
+    jj.product_fit(psi, *jj.sector_moments(psi, n_total, first)[1:], n_total, first)
+    # the self-consistent model fits against its initial state's N + 1 rows
+    traj = dyn.evolve_meanfield(initial, params, 1.0, 0.1)
+    assert len(traj.times) == 11 and np.min(traj.fidelity) > 1.0 - 1e-9
+    assert len(asked) >= 3
+    for lo_n, hi_n, rows in asked:
+        allowed = _hoeffding_rows(n_total, lo_n, hi_n)
+        assert rows is not None and allowed.start <= rows.start
+        assert rows.stop <= allowed.stop and len(rows) < 4500
