@@ -49,6 +49,11 @@ JOBS = [
     ["tomography", "--config", "{scene}", "--format", "json"],
     ["jj-evolve", "--model", "bose_hubbard", *JUNCTION, "--horizon", "10", "--dt", "1.0",
      "--format", "json"],
+    # smaller copies of the benchmark's bound-mix and bright-sweep steps:
+    # cutoff-3 chunks, mixtures, and split pair groups up to k = 10
+    ["bound-check", "--seed", "3", "--samples", "2000", "--cutoff", "3",
+     "--mixtures", "200"],
+    ["neg-sweep", "--seed", "3", "--samples", "20", "--k-max", "10"],
 ]
 SCENE = {"stokes": {"i": 1.0, "m": 0.2, "c": 0.0, "s": 0.1}, "seed": 3, "shots": 500}
 

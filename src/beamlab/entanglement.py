@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -42,8 +42,9 @@ BOUND_TOL = 1e-9
 # Work budget in sampled states x basis dimension.
 SAMPLE_WORK_LIMIT = 10_000_000
 # bound_rows evaluates samples in chunks of about this many states x
-# dimension: the Gamma step holds about 150 bytes per entry, so a chunk
-# peaks near 80 MB.
+# dimension: the Gamma step holds about 40 bytes per entry (the states, the
+# moments' running sums, the operands of one group of Gamma entries; 36 at
+# cutoff 3, 43 at k = 10), so a chunk peaks near 20 MB.
 CHUNK_WORK = 2 ** 19
 
 
@@ -88,9 +89,13 @@ class TwoBeamCorrelation:
 
 BEAM_A, BEAM_B = (0, 1), (2, 3)
 
-# Index shifts of the four lowering products and the beam-number diagonals
-# of one space; every array is read-only.
-_Plan = namedtuple("_Plan", ["shifts", "n_a", "n_b", "n_ab"])
+# The ten upper-triangle Gamma entries (r, c), r <= c, most rows first.
+# Entry p of `pairs` sums conj(weight[0, p] psi[src[0, p]]) (a_c b_c' psi)
+# times weight[1, p] psi[src[1, p]] (a_r b_r' psi) over the rows[p] basis
+# rows that both lowered states reach, ascending; beyond rows[p] (padding)
+# src is 0 and weight is 0.  n_a, n_b and n_ab are the beam-number
+# diagonals.  Every array is read-only.
+_Plan = namedtuple("_Plan", ["pairs", "rows", "src", "weight", "n_a", "n_b", "n_ab"])
 
 
 @lru_cache(maxsize=4)       # a run works on one space at a time
@@ -99,39 +104,97 @@ def _plan(space: fock.FockSpace) -> _Plan:
     src - stride_mu - stride_mu', weighted sqrt(n_mu) * sqrt(n_mu'), the two
     roots as a product of ladder matrices forms them, bit for bit."""
     strides = space._strides()
-    shifts = []
+    lowered = []
     for mu, mup in product(BEAM_A, BEAM_B):
         n_mu, n_mup = space.number_diagonal(mu), space.number_diagonal(mup)
         src = np.nonzero((n_mu > 0) & (n_mup > 0))[0]
-        shifts.append((src, src - strides[mu] - strides[mup],
-                       np.sqrt(n_mu[src]) * np.sqrt(n_mup[src])))
+        lowered.append((src - strides[mu] - strides[mup], src,
+                        np.sqrt(n_mu[src]) * np.sqrt(n_mup[src])))
+    # where the rows both lowered states reach sit in each one's (c, r) arrays
+    shared = {(r, c): np.intersect1d(lowered[c][0], lowered[r][0], assume_unique=True,
+                                     return_indices=True)[1:]
+              for r, c in combinations_with_replacement(range(4), 2)}
+    pairs = sorted(shared, key=lambda pair: -shared[pair][0].size)
+    rows = np.array([shared[pair][0].size for pair in pairs])
+    src = np.zeros((2, len(pairs), max(rows)), dtype=np.intp)
+    weight = np.zeros(src.shape, dtype=complex)   # the cast a product with psi makes
+    for p, (r, c) in enumerate(pairs):
+        for side, (row, at) in enumerate(zip((c, r), shared[r, c])):
+            src[side, p, :at.size] = lowered[row][1][at]
+            weight[side, p, :at.size] = lowered[row][2][at]
     n_a, n_b = (sum(map(space.number_diagonal, beam)) for beam in (BEAM_A, BEAM_B))
-    plan = _Plan(tuple(shifts), n_a, n_b, n_a * n_b)
-    for array in (*(a for shift in shifts for a in shift), *plan[1:]):
+    plan = _Plan(np.array(pairs), rows, src, weight, n_a, n_b, n_a * n_b)
+    for array in plan:
         array.flags.writeable = False
     return plan
 
 
-def _lowered(space: fock.FockSpace, psi: np.ndarray) -> np.ndarray:
-    """The four a_mu b_mu' psi (row 2*mu + mu') for state columns psi."""
-    out = np.zeros((4, *psi.shape), dtype=complex)
-    for row, (src, dst, weight) in enumerate(_plan(space).shifts):
-        out[row, dst] = weight[:, None] * psi[src]
-    return out
+def _pair_groups(plan: _Plan, width: int):
+    """Runs of consecutive pairs whose operands, `width` columns each and
+    padded to the first pair's rows, hold at most CHUNK_WORK / 4 entries
+    (2 MB) each; a pair alone may hold more.  An operand is gathered,
+    weighted and read by einsum in turn, so a small one stays in cache: on
+    a 2-core Xeon with 2 MB of L2 per core, a 200-state chunk at k = 4 took
+    7 ms in groups of this size and 13 ms in groups of CHUNK_WORK.
+
+    A single state's pairs form one group.  einsum sums one pair of one
+    state, which keeps no axis but the summed one, in chunks (at 12,100
+    rows, not at 8,193) rather than as one running sum."""
+    if width == 1:
+        yield slice(0, len(plan.pairs))
+        return
+    start = 0
+    while start < len(plan.pairs):
+        count = max(1, CHUNK_WORK // 4 // max(1, plan.rows[start] * width))
+        yield slice(start, start + count)
+        start += count
+
+
+def _pair_operands(plan: _Plan, psi: np.ndarray, group: slice):
+    """The conjugate of a_c b_c' psi and a_r b_r' psi on the rows of each
+    pair of `group`, each (pairs, rows, n_samples), zero in the padding."""
+    rows = plan.rows[group.start]
+    operands = []
+    for src, weight in zip(plan.src, plan.weight):
+        operand = psi.take(src[group, :rows], axis=0)
+        np.multiply(weight[group, :rows, None], operand, out=operand)
+        operands.append(operand)
+    np.conjugate(operands[0], out=operands[0])
+    return operands
 
 
 def _gammas_and_moments(space: fock.FockSpace, psi: np.ndarray):
     """(n_samples, 4, 4) Gamma stack plus moment arrays for the state columns
-    psi (dimension, n_samples) of `space`.  Reductions run per column in a
-    fixed order (einsum and a running sum over the basis, not BLAS), so a
-    state gets the same values alone and in a batch of any width; only the
-    last row of each running sum is kept."""
+    psi (dimension, n_samples) of `space`.
+
+    Reductions run per column in a fixed order (einsum and a running sum
+    over the basis, not BLAS), so a state gets the same values alone and in
+    a batch of any width; only the last row of each running sum is kept.
+
+    Only the ten upper-triangle entries are summed: each over the rows that
+    both of its lowered states reach, ascending, then over its padding, one
+    einsum per group of entries (`_pair_groups`; a single state is one
+    einsum).  Every sum keeps the order, and so the bits, of the full sum
+    over the basis: the rows left out are structural zeros (a factor that no
+    state can fill), and the padding's exact zeros come after the last
+    term.  The lower triangle is written as the exact conjugate."""
     plan = _plan(space)
     probs = np.abs(psi) ** 2
-    n_a, n_b, n_ab = (np.add.accumulate(w[:, None] * probs, axis=0)[-1].copy()
+    weighted = np.empty_like(probs)
+    n_a, n_b, n_ab = (np.add.accumulate(np.multiply(w[:, None], probs, out=weighted),
+                                        axis=0, out=weighted)[-1].copy()
                       for w in (plan.n_a, plan.n_b, plan.n_ab))
-    lowered = _lowered(space, psi)
-    return np.einsum("cds,rds->src", lowered.conj(), lowered), n_a, n_b, n_ab
+    del probs, weighted         # freed before the pair operands are built
+    width = psi.shape[1]
+    upper = np.empty((width, len(plan.pairs)), dtype=complex)
+    for group in _pair_groups(plan, width):
+        upper[:, group] = np.einsum("pds,pds->sp", *_pair_operands(plan, psi, group))
+    gammas = np.empty((width, 4, 4), dtype=complex)
+    r, c = plan.pairs.T
+    # a sum from +0 is never -0, so + 0.0 turns the conjugate's -0 into +0
+    gammas[:, c, r] = upper.conj() + 0.0
+    gammas[:, r, c] = upper         # second, so the diagonal keeps its own bits
+    return gammas, n_a, n_b, n_ab
 
 
 def gamma_from_state(state: fock.StateVector) -> TwoBeamCorrelation:
@@ -237,18 +300,15 @@ def check_bound(state: fock.StateVector) -> BoundReport:
 # -- random-state sampling ----------------------------------------------------
 
 
-def _draw(rng: np.random.Generator, support: np.ndarray, dimension: int) -> np.ndarray:
-    """Complex-Gaussian amplitudes on the basis indices `support`, normalized
-    over the support and zero elsewhere in a vector of `dimension`."""
-    z = rng.standard_normal(support.size) + 1j * rng.standard_normal(support.size)
-    amps = np.zeros(dimension, dtype=complex)
-    amps[support] = z / np.linalg.norm(z)
-    return amps
+def _draw(rng: np.random.Generator, size: int) -> np.ndarray:
+    """`size` complex-Gaussian amplitudes normalized to 1."""
+    z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return z / np.linalg.norm(z)
 
 
 def haar_state(space: fock.FockSpace, rng: np.random.Generator) -> fock.StateVector:
     """Complex-Gaussian amplitudes normalized to 1 (Haar on the truncated space)."""
-    return fock.StateVector(space, _draw(rng, np.arange(space.dimension), space.dimension))
+    return fock.StateVector(space, _draw(rng, space.dimension))
 
 
 def _sector_indices(space: fock.FockSpace, k_a: int, k_b: int) -> np.ndarray:
@@ -264,7 +324,9 @@ def sector_state(space: fock.FockSpace, k_a: int, k_b: int,
                  rng: np.random.Generator) -> fock.StateVector:
     """Haar-random state with exactly k_a photons in beam a and k_b in beam b."""
     idx = _sector_indices(space, k_a, k_b)
-    return fock.StateVector(space, _draw(rng, idx, space.dimension))
+    amps = np.zeros(space.dimension, dtype=complex)
+    amps[idx] = _draw(rng, idx.size)
+    return fock.StateVector(space, amps)
 
 
 class BeamSampler:
@@ -281,12 +343,18 @@ class BeamSampler:
 
     def sample_states(self, master_seed: int, indices: range,
                       photons_per_beam: int | None = None) -> np.ndarray:
-        """Columns of normalized amplitudes, one per task index."""
+        """Columns of normalized amplitudes, one per task index, drawn
+        straight into one C-ordered (dimension, n_samples) block."""
         dim = self.space.dimension
-        support = (np.arange(dim) if photons_per_beam is None else
-                   _sector_indices(self.space, photons_per_beam, photons_per_beam))
-        draws = [_draw(rng_for(master_seed, i), support, dim) for i in indices]
-        return np.reshape(draws, (len(indices), dim)).T
+        psi = np.zeros((dim, len(indices)), dtype=complex)
+        if photons_per_beam is None:
+            support, size = slice(None), dim
+        else:
+            support = _sector_indices(self.space, photons_per_beam, photons_per_beam)
+            size = support.size
+        for column, i in enumerate(indices):
+            psi[support, column] = _draw(rng_for(master_seed, i), size)
+        return psi
 
     def gammas_and_moments(self, psi: np.ndarray):
         """(n_samples, 4, 4) Gamma stack plus moment arrays for state columns."""

@@ -30,6 +30,14 @@ def _plain(value):
 
 
 def _cell(value) -> str:
+    # the exact built-in types first: a report writes one cell per value
+    kind = type(value)
+    if kind is float:
+        return "" if math.isnan(value) else repr(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int or kind is str:
+        return str(value)
     value = _plain(value)
     if value is None:
         return ""

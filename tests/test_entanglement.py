@@ -276,16 +276,42 @@ def test_sampling_is_seeded_per_index():
 # -- oracles for the Gamma and bound kernels -----------------------------------
 
 
+def lowering_products(space):
+    """The four a_mu b_mu' (row 2*mu + mu') as sparse ladder products."""
+    ann = [fock.ladder_operator(space, m, "annihilate").matrix for m in range(4)]
+    return [(ann[mu] @ ann[mup]).tocsr() for mu in ent.BEAM_A for mup in ent.BEAM_B]
+
+
+def assert_pair_operands_equal_sparse_products(space, psi, products):
+    # each pair operand is its sparse-ladder product on the rows both lowered
+    # states reach, ascending, and zero in its padding; no row left out has
+    # a nonzero product, so the ten pairs cover all of every a_r b_r' psi
+    sparse = np.stack([m @ psi for m in products])
+    reached = [np.unique(m.tocoo().row) for m in products]
+    plan = ent._plan(space)
+    covered = []
+    for group in ent._pair_groups(plan, psi.shape[1]):
+        conj_c, lowered_r = ent._pair_operands(plan, psi, group)
+        for (r, c), conj_op, op in zip(plan.pairs[group], conj_c, lowered_r, strict=True):
+            rows = np.intersect1d(reached[r], reached[c])
+            assert np.array_equal(op[:rows.size], sparse[r][rows])
+            assert np.array_equal(conj_op[:rows.size], sparse[c][rows].conj())
+            assert not op[rows.size:].any() and not conj_op[rows.size:].any()
+            rest = np.setdiff1d(np.arange(space.dimension), rows)
+            assert not (sparse[c][rest].conj() * sparse[r][rest]).any()
+            covered.append((int(r), int(c)))
+    assert sorted(covered) == [(r, c) for r in range(4) for c in range(r, 4)]
+
+
 def test_index_shift_products_equal_sparse_ladder_products():
     # uneven cutoffs, so every stride differs
     space = fock.FockSpace.truncated([1, 2, 3, 2])
     rng = np.random.default_rng(11)
     psi = (rng.standard_normal((space.dimension, 5))
            + 1j * rng.standard_normal((space.dimension, 5)))
-    ann = [fock.ladder_operator(space, m, "annihilate").matrix for m in range(4)]
-    sparse = np.stack([(ann[mu] @ ann[mup]).tocsr() @ psi
-                       for mu in ent.BEAM_A for mup in ent.BEAM_B])
-    assert np.array_equal(ent._lowered(space, psi), sparse)
+    products = lowering_products(space)
+    sparse = np.stack([m @ psi for m in products])
+    assert_pair_operands_equal_sparse_products(space, psi, products)
     gammas, n_a, n_b, n_ab = ent._gammas_and_moments(space, psi)
     assert np.array_equal(gammas, np.einsum("cds,rds->src", sparse.conj(), sparse))
     for col in range(5):
@@ -302,12 +328,10 @@ def test_lowering_plan_is_built_once_per_space_and_read_only():
     rng = np.random.default_rng(5)
     psi = (rng.standard_normal((space.dimension, 3))
            + 1j * rng.standard_normal((space.dimension, 3)))
-    ann = [fock.ladder_operator(space, m, "annihilate").matrix for m in range(4)]
+    products = lowering_products(space)
     number = [space.number_diagonal(m) for m in range(4)]
-    sparse = np.stack([(ann[mu] @ ann[mup]).tocsr() @ psi
-                       for mu in ent.BEAM_A for mup in ent.BEAM_B])
     for _ in range(3):
-        assert np.array_equal(ent._lowered(space, psi), sparse)
+        assert_pair_operands_equal_sparse_products(space, psi, products)
     plan = ent._plan(space)
     n_a, n_b = number[0] + number[1], number[2] + number[3]
     assert np.array_equal(plan.n_a, n_a) and np.array_equal(plan.n_b, n_b)
@@ -318,7 +342,7 @@ def test_lowering_plan_is_built_once_per_space_and_read_only():
     assert ent._plan.cache_info().misses == 1
     ent._plan(four_mode_space(2))
     assert ent._plan.cache_info().misses == 2
-    for array in (*(a for shift in plan.shifts for a in shift), *plan[1:]):
+    for array in plan:
         assert not array.flags.writeable
     with pytest.raises(ValueError):
         plan.n_a[0] = 1.0
@@ -383,3 +407,41 @@ def test_mixture_rows_equal_per_index_bound_reports():
             "seed": i, "cutoff": 2, "n_a": mix.n_a, "n_b": mix.n_b, "n_ab": mix.n_ab,
             "negativity": rep.negativity, "bound_exact": rep.bound_exact,
             "bound_approx": rep.bound_approx, "satisfied": rep.satisfied}
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("cutoff,photons", [
+    (1, None), (2, None), (3, None), (4, None), (6, 6), (10, 10)])
+def test_each_column_alone_equals_its_batch_column_bit_for_bit(cutoff, photons,
+                                                               monkeypatch):
+    sampler = ent.BeamSampler(cutoff)
+    psi = sampler.sample_states(8, range(48), photons_per_beam=photons)
+    alone = [ent._gammas_and_moments(sampler.space, psi[:, [j]]) for j in range(48)]
+    layouts = set()
+    # the default pair groups, then smaller ones that split at these widths
+    for chunk_work in (ent.CHUNK_WORK, 2 ** 12):
+        monkeypatch.setattr(ent, "CHUNK_WORK", chunk_work)
+        for width in (1, 2, 5, 48):
+            plan = ent._plan(sampler.space)
+            layouts.add(tuple((g.start, g.stop) for g in ent._pair_groups(plan, width)))
+            batch = ent._gammas_and_moments(sampler.space, psi[:, :width])
+            for j in range(width):
+                for got, own in zip(batch, alone[j], strict=True):
+                    assert same_bits(got[j], own[0])
+    assert len(layouts) >= 2
+
+
+def test_c_and_fortran_ordered_states_give_the_same_bits():
+    for cutoff, photons in ((2, None), (3, None), (5, 5)):
+        sampler = ent.BeamSampler(cutoff)
+        psi = sampler.sample_states(21, range(30), photons_per_beam=photons)
+        assert psi.flags.c_contiguous
+        fortran = np.asfortranarray(psi)
+        assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+        for got, want in zip(sampler.gammas_and_moments(fortran),
+                             sampler.gammas_and_moments(psi), strict=True):
+            assert same_bits(got, want)

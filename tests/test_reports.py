@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +87,29 @@ def test_nan_becomes_missing(tmp_path):
     jpath = tmp_path / "nan.json"
     reports.emit_report([{"v": float("nan")}], "json", str(jpath), config={})
     assert json.loads(jpath.read_text())["rows"] == [{"v": None}]
+
+
+def test_cells_of_builtin_and_numpy_scalars_agree(tmp_path):
+    cases = [
+        (0.1, "0.1"), (-0.0, "-0.0"), (1e300, "1e+300"), (float("nan"), ""),
+        (True, "true"), (False, "false"), (7, "7"), (-3, "-3"),
+        (2 ** 70, str(2 ** 70)), ("x,y", "x,y"), (None, ""),
+    ]
+    numpy_cases = [
+        (np.float64(0.1), "0.1"), (np.float64(-0.0), "-0.0"), (np.float64("nan"), ""),
+        (np.float32(0.5), "0.5"), (np.bool_(True), "true"), (np.bool_(False), "false"),
+        (np.int64(-3), "-3"), (np.int32(12), "12"), (np.str_("x,y"), "x,y"),
+    ]
+    for value, text in cases + numpy_cases:
+        assert reports._cell(value) == text, repr(value)
+    # a report of numpy scalars is byte-identical to one of the same builtins
+    paths = []
+    for name, row in (("builtin", [0.1, float("nan"), True, -3]),
+                      ("numpy", [np.float64(0.1), np.float64("nan"), np.bool_(True),
+                                 np.int64(-3)])):
+        paths.append(tmp_path / f"{name}.csv")
+        reports.emit_report([dict(zip("abcd", row))], "csv", str(paths[-1]), config={})
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 @settings(deadline=None)
