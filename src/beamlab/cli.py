@@ -1,9 +1,12 @@
 """Reproducible experiment runner.
 
 Each subcommand declares its parameters once, in a table of `Param` entries
-that yields its flags, its --config keys and its echoed configuration.  All
+that yields its flags, its --config keys and its echoed configuration;
+every parameter but --workers moves some number of the report.  All
 randomness derives from --seed through the fixed fan-out mix, so a report
-is byte-identical across repeats and --workers settings.
+is byte-identical across repeats and --workers settings.  Only the
+sampling subcommands (bound-check, neg-sweep, tomography) take a seed; the
+junction subcommands are deterministic.
 
 Exit codes: 0 success; 1 usage, domain or configuration error; 2 a bound
 or invariant violated by a sampled state, which would falsify the
@@ -262,7 +265,6 @@ def _parallel_bound_rows(seed, samples, cutoff, photons, workers):
 SEED = Param("seed", _integer, REQUIRED, "master seed for the run")
 WORKERS = Param("workers", _integer, 1, "worker tasks, at most one process per CPU",
                 "[1, inf)", source="flag")
-IGNORED_SEED = Param("seed", _integer, None, "ignored: deterministic", source="flag")
 
 
 @command("bound-check", "negativity bound over Haar-random states", (
@@ -363,7 +365,6 @@ JUNCTION = (
           "[0, inf)"),
     Param("dt", _number, lambda v: 0.01 / _rate(v, "--dt"), "output spacing",
           "(0, inf)"),
-    IGNORED_SEED,
 ))
 def run_jj_evolve(args):
     from . import dynamics, jj
@@ -383,9 +384,9 @@ def run_jj_evolve(args):
           "end time", "[0, inf)"),
     Param("dt", _number, lambda v: 0.01 / v["omega"] if v["omega"] > 0 else 0.01,
           "output spacing", "(0, inf)"),
-    Param("e_c", _number, None, "charging energy, to reconstruct n1"),
-    Param("n_bar1", _number, None, "background pairs, to reconstruct n1"),
-    IGNORED_SEED,
+    Param("e_c", _number, None, "charging energy, with --n-bar1 to reconstruct n1",
+          "[0, inf)"),
+    Param("n_bar1", _number, None, "background pairs, with --e-c to reconstruct n1"),
 ))
 def run_pendulum(args):
     from . import dynamics
@@ -398,20 +399,17 @@ def run_pendulum(args):
 @command("fluctuations", "number/phase fluctuation scaling scan", (
     Param("n_bar1_values", _numbers, REQUIRED, "comma-separated background pairs"),
     Param("p", _number, 0.5, "filling n_bar1/N held fixed", "(0, 1)"),
-    Param("phi", _number, 0.0, "phase label of the product states"),
-    Param("e_c", _number, 1.0, "charging energy E_C", "[0, inf)"),
-    Param("lam", _number, 1.0, "tunneling amplitude"),
-    IGNORED_SEED,
 ))
 def run_fluctuations(args):
     from . import dynamics, fock, jj
     for nb in args.n_bar1_values:
         fock.check_work(nb / args.p, fock.DEFAULT_DIMENSION_LIMIT,
                         "n_total = n_bar1 / p")
-    params_list = [jj.JJParams(e_c=args.e_c, lam=args.lam,
-                               n_total=int(round(nb / args.p)), n_bar1=nb)
+    # product-state statistics depend on N and n_bar1 alone, not on E_C or lam
+    params_list = [jj.JJParams(e_c=0.0, lam=0.0, n_total=int(round(nb / args.p)),
+                               n_bar1=nb)
                    for nb in args.n_bar1_values]
-    report = dynamics.fluctuation_scan(params_list, phi=args.phi)
+    report = dynamics.fluctuation_scan(params_list)
     number, phase = report.fitted_exponents
     return report.rows(), {"fitted_exponents": {"number": number, "phase": phase}}
 
@@ -423,7 +421,6 @@ def run_fluctuations(args):
     Param("phi0", _number, 0.0, "initial displacement from the locked phase"),
     Param("horizon", _number, lambda v: 20.0 / _rate(v, "--horizon"), "end time",
           "(0, inf)"),
-    IGNORED_SEED,
 ))
 def run_compare(args):
     from . import dynamics

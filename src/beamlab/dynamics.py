@@ -307,7 +307,7 @@ def _measured(chunks, d, e, n_total, first=0):
         drift = np.abs(norm - 1.0)
         if not np.all(drift <= 1e-12):
             raise ContractViolationError(
-                f"state norm deviates from 1 by {np.max(drift)!r} > 1e-12")
+                f"state norm deviates from 1 by {float(np.max(drift))!r} > 1e-12")
         edges = [psi[:EDGE_ROWS]] if first > 0 else []
         if first + len(psi) <= n_total:
             edges.append(psi[-EDGE_ROWS:])
@@ -334,7 +334,9 @@ def evolve_exact(initial: fock.StateVector, params: jj.JJParams, horizon: float,
     either inner edge of the window exceed WINDOW_FLOOR at an output, it
     drops that run and evolves the whole sector instead.  Both budgets,
     fock.EIG_WORK_LIMIT on (N + 1)^2 and OUTPUT_WORK_LIMIT on outputs x
-    (N + 1), are checked first, for the whole sector.
+    (N + 1), are checked first, for the whole sector, and a Hamiltonian
+    whose Gershgorin bound max|d| + 2 max|e| is beyond the float range
+    raises DomainError before any eigensolve.
     """
     space = initial.space
     times = _output_times(horizon, dt_out, space.dimension, "outputs x dimension")
@@ -344,8 +346,13 @@ def evolve_exact(initial: fock.StateVector, params: jj.JJParams, horizon: float,
     dim = space.dimension
     fock.check_work(float(dim) * dim, fock.EIG_WORK_LIMIT,
                     "eigendecomposition dimension^2")
-    d = jj.charging_diagonal(params)
-    e = jj.tunneling_offdiagonal(params.n_total, params.lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = jj.charging_diagonal(params)
+        e = jj.tunneling_offdiagonal(params.n_total, params.lam)
+        radius = np.max(np.abs(d)) + 2.0 * np.max(np.abs(e))    # bounds |H|
+    if not math.isfinite(radius):
+        raise DomainError(f"e_c = {params.e_c!r} and lam = {params.lam!r} put the "
+                          "Hamiltonian beyond the float range")
     psi0 = initial.amplitudes
     support = np.flatnonzero(np.abs(psi0) ** 2 > WINDOW_FLOOR)
     window = (max(int(support[0]) - WINDOW_MARGIN, 0),
@@ -409,8 +416,12 @@ def pendulum_trajectory(phi0: float, phidot0: float, omega: float, horizon: floa
 
     When `e_c` and `n_bar1` are supplied, n(t) is reconstructed from the
     phase-velocity relation n = nbar1 + phidot / E_C (constant n for
-    E_C = 0, where the relation is degenerate); otherwise n1 is NaN.
+    E_C = 0, where the relation is degenerate); when neither is, n1 is
+    NaN.  One without the other raises ContractViolationError.
     """
+    if (e_c is None) != (n_bar1 is None):
+        raise ContractViolationError("e_c and n_bar1 reconstruct n1 together: "
+                                     "give both or neither")
     times = _output_times(horizon, dt)
     if not math.isfinite(0.5 * phidot0 * phidot0 + omega * omega):
         raise DomainError(f"omega = {omega!r} and phidot0 = {phidot0!r} put the "
@@ -433,7 +444,7 @@ def pendulum_trajectory(phi0: float, phidot0: float, omega: float, horizon: floa
     phi += turns
     phi[0], phidot[0] = phi0, phidot0
     energy = 0.5 * phidot ** 2 - omega ** 2 * np.cos(phi)
-    if e_c is not None and n_bar1 is not None:
+    if e_c is not None:
         n1 = n_bar1 + phidot / e_c if e_c > 0 else np.full(len(times), float(n_bar1))
     else:
         n1 = np.full(len(times), np.nan)

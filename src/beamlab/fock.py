@@ -380,23 +380,7 @@ def expectation(state: StateVector, op: LinearOperator) -> complex:
     return val
 
 
-def variance(state: StateVector, op: LinearOperator) -> float:
-    """<O^2> - <O>^2 for Hermitian O, computed stably via the shifted vector."""
-    if not op.hermitian:
-        raise ContractViolationError("variance requires a Hermitian operator")
-    mean = expectation(state, op).real
-    shifted = op.apply(state.amplitudes) - mean * state.amplitudes
-    return float(np.real(np.vdot(shifted, shifted)))
-
-
 # -- evolution ---------------------------------------------------------------
-
-
-def evolve_unitary(state: StateVector, hamiltonian: LinearOperator,
-                   t: float) -> StateVector:
-    """Return exp(-i H t)|psi> (hbar = 1): :func:`evolve_unitary_sampled` at
-    the one time t."""
-    return evolve_unitary_sampled(state, hamiltonian, [t])[0]
 
 
 def evolve_unitary_sampled(state: StateVector, hamiltonian: LinearOperator,

@@ -99,15 +99,6 @@ def omega_to_stokes(omega: CorrelationMatrix2) -> StokesVector:
     return StokesVector(*vals)
 
 
-def stokes_omega_convert(value):
-    """Convert between the two equivalent forms (round-trip is identity)."""
-    if isinstance(value, StokesVector):
-        return stokes_to_omega(value)
-    if isinstance(value, CorrelationMatrix2):
-        return omega_to_stokes(value)
-    raise DomainError(f"cannot convert {type(value).__name__}")
-
-
 def omega_from_state(state: fock.StateVector) -> CorrelationMatrix2:
     """Correlation matrix of modes 0 and 1 of a Fock-space state (the two
     polarization modes of a beam, or the sector pair).

@@ -365,6 +365,72 @@ def test_every_report_loads_back_with_its_configuration(tmp_path, subcommand):
         assert csv_rows == json_rows
 
 
+# One other value for every parameter of every subcommand that is not a
+# "flag" (an execution detail): a flag text, or for a scene key a change to
+# the scene file.
+OTHER_VALUES = {
+    "bound-check": {"seed": "4", "samples": "7", "cutoff": "2", "mixtures": "3"},
+    "neg-sweep": {"seed": "10", "samples": "4", "k_max": "3"},
+    "tomography": {
+        "seed": "5", "shots": "200", "noise": "false",
+        "stokes": {"stokes": {"i": 1.0, "m": -0.2, "c": 0.3, "s": 0.1}},
+        "omega": {"stokes": None, "omega": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+        "device_maps": {"device_maps": [{"kraus": [[[[1, 0], [0, 0]],
+                                                    [[0, 0], [0, 0]]]]}]},
+    },
+    "jj-evolve": {"model": "bose_hubbard", "e_c": "0.3", "lam": "0.15",
+                  "n_total": "22", "n_bar1": "10.5", "n0": "12", "phi0": "0.6",
+                  "horizon": "3", "dt": "0.25"},
+    "pendulum": {"phi0": "0.4", "phidot0": "0.5", "omega": "2.5", "horizon": "2",
+                 "dt": "0.125", "e_c": "0.7", "n_bar1": "11"},
+    "fluctuations": {"n_bar1_values": "25,50,200", "p": "0.3"},
+    "compare": {"e_c": "8", "lam": "1.5", "n_total": "6", "n_bar1": "2.5",
+                "n0": "2.5", "phi0": "0.2", "horizon": "2"},
+}
+
+
+def _cells_moved(rows, other) -> bool:
+    """Whether the row count, a column, or a cell differs, a number by more
+    than 1e-12 relative."""
+    def moved(x, y):
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
+            return abs(x - y) > 1e-12 * max(abs(x), abs(y))
+        return x != y
+    return len(rows) != len(other) or any(
+        a.keys() != b.keys() or any(moved(a[k], b[k]) for k in a)
+        for a, b in zip(rows, other))
+
+
+def _changed_rows(tmp_path, name, setting=None, change=None):
+    """Rows of the SMALL_RUNS run of `name` with `setting` changed: `change`
+    is flag text, or entries merged into the run's scene file."""
+    scene = {"stokes": {"i": 1.0, "m": 0.2, "c": 0.0, "s": 0.1}, "shots": 100}
+    if isinstance(change, dict):
+        scene |= change
+    path = tmp_path / f"{name}-{setting}.json"
+    path.write_text(json.dumps(scene))
+    argv = [name, *(a.format(scene=path) for a in SMALL_RUNS[name])]
+    if isinstance(change, str):
+        argv += ["--" + setting.replace("_", "-"), change]
+    out = tmp_path / f"{name}-{setting}.csv"
+    assert run(argv + ["--out", str(out)]) == 0, (name, setting)
+    return reports.load_report(str(out))[0]
+
+
+def test_every_setting_moves_the_rows(tmp_path):
+    # a setting that moves no number of its report is not a setting; the only
+    # execution detail is --workers, whose byte identity criterion 9 checks
+    assert sorted(cli.COMMANDS) == sorted(SMALL_RUNS) == sorted(OTHER_VALUES)
+    for name, (_, table, _) in cli.COMMANDS.items():
+        assert [p.name for p in table if p.source == "flag"] in ([], ["workers"]), name
+        settings = [p.name for p in table if p.source != "flag"]
+        assert sorted(OTHER_VALUES[name]) == sorted(settings), name
+        base = _changed_rows(tmp_path, name)
+        for setting in settings:
+            other = _changed_rows(tmp_path, name, setting, OTHER_VALUES[name][setting])
+            assert _cells_moved(base, other), (name, setting)
+
+
 def test_neg_sweep_bound_column(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run(["neg-sweep", "--seed", "11", "--samples", "10", "--k-max", "3",
@@ -471,7 +537,7 @@ def test_jj_evolve_cli(tmp_path):
     out = tmp_path / "traj.csv"
     assert run(["jj-evolve", "--e-c", "0.2", "--lam", "0.1", "--n-total", "40",
                 "--n-bar1", "20", "--phi0", "3.0915926", "--horizon", "4.0",
-                "--dt", "0.01", "--out", str(out), "--seed", "0"]) == 0
+                "--dt", "0.01", "--out", str(out)]) == 0
     rows, header = reports.load_report(str(out))
     assert list(rows[0].keys()) == ["time", "n1", "phi", "norm_drift",
                                     "energy", "fidelity"]

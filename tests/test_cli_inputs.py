@@ -86,7 +86,6 @@ SPACE = {
         "phi0": floats(-3, 3),
         "horizon": floats(0, 1, -1.0, required=True),
         "dt": floats(0.05, 0.5, 0.0, -0.1, required=True),
-        "seed": ints(0, 5, where=("flag",)),
     },
     "pendulum": {
         "phi0": floats(-3, 3),
@@ -94,7 +93,7 @@ SPACE = {
         "omega": floats(-3, 3),
         "horizon": floats(0, 1, -1.0, required=True),
         "dt": floats(0.05, 0.5, 0.0, -0.1, required=True),
-        "e_c": floats(0, 2),
+        "e_c": floats(0, 2, -1.0),
         "n_bar1": floats(0, 10),
     },
     "fluctuations": {
@@ -104,9 +103,6 @@ SPACE = {
                           lambda v: ",".join(map(str, v)))),
             "a,b", "", [True], ["1"], 5, [NAN], {}),
         "p": floats(0.05, 0.95, 0.0, 1.0, 1.5),
-        "phi": floats(-3, 3),
-        "e_c": floats(0, 2, -1.0),
-        "lam": floats(-1, 1),
     },
     "compare": {
         **JUNCTION,
@@ -249,6 +245,27 @@ DEFECTS += [
                        "--horizon", "1"]),
 ]
 DEFECTS += [(name, None, argv) for name, argv, _ in DERIVED]
+EXACT_RUN = ["--model", "bose_hubbard", "--horizon", "1", "--dt", "0.1"]
+DEFECTS += [
+    # an exact-model Hamiltonian beyond the float range
+    ("jj-evolve", None, [*EXACT_RUN, "--n-total", "10", "--e-c", "1", "--lam", "1e308"]),
+    ("jj-evolve", None, [*EXACT_RUN, "--n-total", "10", "--e-c", "1e307", "--lam", "1"]),
+    ("jj-evolve", None, [*EXACT_RUN, "--n-total", "2000", "--e-c", "1", "--lam", "1e306"]),
+    # n1 is reconstructed from e_c >= 0 and n_bar1 together
+    ("pendulum", None, ["--omega", "1", "--horizon", "1", "--dt", "0.1", "--e-c", "0.5"]),
+    ("pendulum", None, ["--omega", "1", "--horizon", "1", "--dt", "0.1",
+                        "--n-bar1", "10"]),
+    ("pendulum", None, ["--omega", "1", "--horizon", "1", "--dt", "0.1",
+                        "--n-bar1", "10", "--e-c", "-1"]),
+    # settings that moved no number of the report are gone
+    *[(name, None, [*argv, "--seed", "1"]) for name, argv in [
+        ("jj-evolve", [*JUNCTION_FLAGS, "--horizon", "1", "--dt", "0.1"]),
+        ("pendulum", ["--omega", "1", "--horizon", "1", "--dt", "0.1"]),
+        ("fluctuations", ["--n-bar1-values", "25,50,100"]),
+        ("compare", [*JUNCTION_FLAGS, "--horizon", "1"])]],
+    *[("fluctuations", None, ["--n-bar1-values", "25,50,100", flag, "0.5"])
+      for flag in ("--phi", "--e-c", "--lam")],
+]
 
 
 @pytest.mark.parametrize("name,config,argv", DEFECTS)

@@ -18,6 +18,7 @@ import beamlab.jj as jj
 import beamlab.polarization as pol
 from beamlab.errors import (
     ContractViolationError,
+    DomainError,
     FitError,
     IntegrationFailureError,
     ResourceLimitError,
@@ -423,6 +424,13 @@ def test_pendulum_n_reconstruction():
     assert np.all(np.isnan(bare.n1))
 
 
+def test_pendulum_needs_e_c_and_n_bar1_together():
+    # either alone would be accepted and then leave n1 empty
+    for lone in ({"e_c": 0.5}, {"n_bar1": 10.0}):
+        with pytest.raises(ContractViolationError, match="give both or neither"):
+            dyn.pendulum_trajectory(0.4, 0.0, 1.0, horizon=1.0, dt=0.01, **lone)
+
+
 # -- pendulum correspondence -------------------------------------------------------
 
 
@@ -737,8 +745,20 @@ def test_exact_run_refuses_a_column_off_the_unit_sphere(monkeypatch):
     dyn.evolve_exact(initial, params, horizon=2.0, dt_out=0.05)
     monkeypatch.setattr(fock, "OUTPUT_CHUNK_WORK", 31 * 10)
     monkeypatch.setattr(fock, "propagate", one_column_stretched)
-    with pytest.raises(ContractViolationError, match="norm deviates"):
+    with pytest.raises(ContractViolationError, match="norm deviates") as info:
         dyn.evolve_exact(initial, params, horizon=2.0, dt_out=0.05)
+    assert "np.float64" not in str(info.value)
+
+
+@pytest.mark.parametrize("e_c, lam, n_total", [
+    (1.0, 1e308, 10), (1e307, 1.0, 10), (1.0, 1e306, 2000), (6e306, 5e307, 10)])
+def test_exact_run_refuses_a_hamiltonian_beyond_the_float_range(e_c, lam, n_total):
+    # each once ended in a LinAlgError or a norm drift of NaN; the last has
+    # finite entries whose Gershgorin bound overflows
+    params = jj.JJParams(e_c=e_c, lam=lam, n_total=n_total, n_bar1=n_total / 2)
+    initial = jj.product_state(n_total, n_total / 2, 0.0, jj.sector_space(params))
+    with pytest.raises(DomainError, match="e_c = .* and lam = .* beyond the float"):
+        dyn.evolve_exact(initial, params, horizon=1.0, dt_out=0.1)
 
 
 def test_trajectories_do_not_depend_on_the_output_chunk(monkeypatch):

@@ -211,7 +211,7 @@ def test_evolve_zero_hamiltonian_is_identity():
                                hermitian=True)
     amps = np.exp(1j * np.arange(9))
     state = fock.StateVector(space, amps, normalize=True)
-    out = fock.evolve_unitary(state, zero, 3.7)
+    out = fock.evolve_unitary_sampled(state, zero, [3.7])[0]
     assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-14)
 
 
@@ -219,7 +219,7 @@ def test_evolve_number_phase():
     space = fock.FockSpace.truncated([3])
     n_op = fock.ladder_operator(space, 0, "number")
     state = fock.basis_state(space, (1,))
-    out = fock.evolve_unitary(state, n_op, 0.8)
+    out = fock.evolve_unitary_sampled(state, n_op, [0.8])[0]
     assert out.amplitudes[1] == pytest.approx(np.exp(-0.8j), abs=1e-13)
 
 
@@ -228,7 +228,7 @@ def test_evolve_requires_hermitian():
     a = fock.ladder_operator(space, 0, "annihilate")
     state = fock.basis_state(space, (1,))
     with pytest.raises(ContractViolationError):
-        fock.evolve_unitary(state, a, 1.0)
+        fock.evolve_unitary_sampled(state, a, [1.0])
 
 
 def test_sector_rabi_oscillation():
@@ -243,7 +243,7 @@ def test_sector_rabi_oscillation():
     h2 = np.array([[0.0, lam / 2], [lam / 2, 0.0]])
     w, v = np.linalg.eigh(h2)
     for t in np.linspace(0.0, 12.0, 17):
-        out = fock.evolve_unitary(state, h, t)
+        out = fock.evolve_unitary_sampled(state, h, [t])[0]
         got = fock.expectation(out, n1).real
         # independent route: propagate with the hand eigendecomposition
         c0 = v.conj().T @ np.array([0.0, 1.0])  # basis index 1 is (1, 0)
@@ -271,7 +271,7 @@ def test_sector_evolution_at_n2500_conserves_norm_energy_and_number():
     amps = np.exp(-0.5 * (k - n_tot / 2) ** 2 / 50.0).astype(complex)
     state = fock.StateVector(sector, amps, normalize=True)
     e0 = fock.expectation(state, h).real
-    out = fock.evolve_unitary(state, h, 0.5)
+    out = fock.evolve_unitary_sampled(state, h, [0.5])[0]
     assert abs(out.norm() - 1.0) < 1e-9
     e1 = fock.expectation(out, h).real
     assert abs(e1 - e0) <= 1e-8 * abs(e0)
@@ -293,7 +293,7 @@ def test_evolution_conserves_commuting_observable():
     amps[space.index_of((2, 1))] = 1.0
     state = fock.StateVector(space, amps)
     before = fock.expectation(state, n_tot).real
-    out = fock.evolve_unitary(state, h, 4.0)
+    out = fock.evolve_unitary_sampled(state, h, [4.0])[0]
     assert abs(out.norm() - 1.0) < 1e-9
     after = fock.expectation(out, n_tot).real
     assert after == pytest.approx(before, rel=1e-8)
@@ -309,7 +309,7 @@ def test_evolve_sampled_matches_single_calls():
     times = [0.0, 0.5, 1.25, 2.0]
     sampled = fock.evolve_unitary_sampled(state, h, times)
     for t, snap in zip(times, sampled):
-        direct = fock.evolve_unitary(state, h, t)
+        direct = fock.evolve_unitary_sampled(state, h, [t])[0]
         assert np.max(np.abs(snap.amplitudes - direct.amplitudes)) < 1e-10
 
 
@@ -328,7 +328,7 @@ def test_propagation_comes_in_bounded_blocks(monkeypatch):
     assert np.array_equal(np.concatenate([t for t, _ in blocks]), times)
     psi = np.concatenate([psi for _, psi in blocks], axis=1)
     for j, t in enumerate(times):
-        direct = fock.evolve_unitary(state, h, t)
+        direct = fock.evolve_unitary_sampled(state, h, [t])[0]
         assert np.max(np.abs(psi[:, j] - direct.amplitudes)) < 1e-13
 
 
@@ -340,12 +340,13 @@ def test_boundary_weight_monitor():
     amps[space.index_of((3, 2))] = 1.0
     state = fock.StateVector(space, amps)
     # number-conserving scenario: total 5 < cutoff 8, nothing can reach the edge
-    out = fock.evolve_unitary(state, h, 5.0)
+    out = fock.evolve_unitary_sampled(state, h, [5.0])[0]
     assert fock.boundary_weight(out) < 1e-12
     # a drive pushes population up; the monitor must see it
     a = fock.ladder_operator(space, 0, "annihilate")
     drive = (a + a.dagger()).marked_hermitian()
-    driven = fock.evolve_unitary(fock.basis_state(space, (0, 0)), drive, 3.0)
+    driven = fock.evolve_unitary_sampled(fock.basis_state(space, (0, 0)), drive,
+                                         [3.0])[0]
     assert fock.boundary_weight(driven) > 1e-6
     # sector spaces cannot leak
     sector = fock.FockSpace.fixed_sector(4)
@@ -382,8 +383,8 @@ def test_evolution_is_deterministic():
     n_op = fock.ladder_operator(space, 0, "number")
     amps = np.exp(0.3j * np.arange(6)) / np.sqrt(6)
     state = fock.StateVector(space, amps)
-    a = fock.evolve_unitary(state, n_op, 1.234).amplitudes
-    b = fock.evolve_unitary(state, n_op, 1.234).amplitudes
+    a = fock.evolve_unitary_sampled(state, n_op, [1.234])[0].amplitudes
+    b = fock.evolve_unitary_sampled(state, n_op, [1.234])[0].amplitudes
     assert np.array_equal(a, b)
 
 
@@ -396,7 +397,7 @@ def test_state_and_times_must_be_finite():
     n_op = fock.ladder_operator(space, 0, "number")
     state = fock.basis_state(space, (1,))
     with pytest.raises(ContractViolationError):
-        fock.evolve_unitary(state, n_op, float("nan"))
+        fock.evolve_unitary_sampled(state, n_op, [float("nan")])
     with pytest.raises(ContractViolationError):
         fock.evolve_unitary_sampled(state, n_op, [0.0, 1.0, float("inf")])
 
@@ -439,14 +440,14 @@ def test_eigendecomposition_beyond_the_budget_is_refused_at_once(monkeypatch):
     state = fock.basis_state(h.space, (3000, 3000))
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError):
-        fock.evolve_unitary(state, h, 1.0)
+        fock.evolve_unitary_sampled(state, h, [1.0])
     assert time.perf_counter() - start < 1.0
     monkeypatch.setattr(fock, "EIG_WORK_LIMIT", 100)
     small = _sector_hamiltonian(9)
-    fock.evolve_unitary(fock.basis_state(small.space, (4, 5)), small, 1.0)
+    fock.evolve_unitary_sampled(fock.basis_state(small.space, (4, 5)), small, [1.0])
     over = _sector_hamiltonian(10)
     with pytest.raises(ResourceLimitError):
-        fock.evolve_unitary(fock.basis_state(over.space, (5, 5)), over, 1.0)
+        fock.evolve_unitary_sampled(fock.basis_state(over.space, (5, 5)), over, [1.0])
 
 
 def test_tridiagonal_eigensolver_matches_scipy_on_both_sides_of_the_dense_limit(monkeypatch):
