@@ -431,10 +431,18 @@ def run_compare(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors raise, so they exit 1 with one line like any other error."""
+    """Usage errors raise, so they exit 1 with one line like any other error.
+    Text that `_flag_value` reads as a number is a value, so `--lam -1e-3`
+    parses as `--lam=-1e-3` does; argparse alone reads only forms like -1
+    and -.5 as numbers."""
 
     def error(self, message):
         raise BeamlabError(message)
+
+    def _parse_optional(self, arg_string):
+        if isinstance(_flag_value(arg_string), (int, float)):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def build_parser() -> argparse.ArgumentParser:

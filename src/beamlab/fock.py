@@ -1,4 +1,4 @@
-"""Bosonic Fock spaces, ladder operators, and exact unitary evolution.
+"""Bosonic Fock spaces, their states, and exact unitary evolution.
 
 Two kinds of spaces are supported:
 
@@ -17,21 +17,25 @@ amplitude an operator would push above a truncation cutoff is dropped;
 :func:`boundary_weight` reports the population sitting on the cutoff
 boundary so simulations can verify the drop is negligible.
 
-Evolution under a fixed Hamiltonian (:func:`evolve_unitary_sampled`)
-uses one exact Hermitian eigendecomposition, cached on the operator, and
-batched propagation to the output times, a block of OUTPUT_CHUNK_WORK
-entries at a time (:func:`propagate`, which the exact junction model also
-runs on its own tridiagonal arrays).  :func:`tridiagonal_expm_apply`
-turns every column of a block through its own time, by dot products of
-contiguous rows that give a column the same bits in any block and at any
-BLAS thread count; nothing in beamlab calls it, but the benchmark's span
-list wraps it by name.
-hbar = 1 throughout: times are inverse energies in the caller's unit.
+An operator is a plain matrix on a space's basis; beamlab reads every
+moment it reports by an index shift on the amplitudes instead.
+:func:`ladder_operator` gives one mode's operator as a scipy CSR matrix,
+and :func:`evolve_unitary_sampled` and :func:`tridiagonal_expm_apply`
+eigendecompose a Hermitian matrix, numpy or scipy sparse, on every call.
+Nothing in beamlab calls these three: the tests build oracles from them,
+and the benchmark's span list wraps them by name.
 
-scipy is imported where a sparse matrix is built, and where a tridiagonal
-eigensolve has more than DENSE_EIGH_LIMIT rows, not when this module
-loads; so the beam subcommands and both junction models up to that size
-never load it.
+:func:`propagate` turns eigenpairs to the output times, a block of
+OUTPUT_CHUNK_WORK entries at a time; the exact junction model runs it on
+its own tridiagonal arrays.  :func:`tridiagonal_expm_apply` turns every
+column of a block through its own time, by dot products of contiguous
+rows that give a column the same bits in any block and at any BLAS
+thread count.  hbar = 1: times are inverse energies in the caller's unit.
+
+scipy is imported where a sparse matrix is built or read, and where a
+tridiagonal eigensolve has more than DENSE_EIGH_LIMIT rows, not when this
+module loads; so the beam subcommands and both junction models up to that
+size never load it.
 """
 
 from __future__ import annotations
@@ -230,93 +234,9 @@ def boundary_weight(state: StateVector) -> float:
     return float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
 
 
-class LinearOperator:
-    """Square operator on a space, stored dense or sparse.
-
-    Its structure is read from the matrix: :attr:`tridiagonal` is set for
-    a real matrix of bandwidth <= 1, and evolution then uses the
-    tridiagonal eigensolver, whichever way the operator was built.
-    """
-
-    def __init__(self, space: FockSpace, matrix, hermitian: bool = False,
-                 _skip_check: bool = False):
-        self.space = space
-        self.matrix = matrix
-        self.hermitian = hermitian
-        self._eig = None
-        self._rows = None
-        if hermitian and not _skip_check:
-            if self.hermiticity_defect() > HERMITIAN_TOL:
-                raise ContractViolationError("operator marked hermitian is not")
-
-    def hermiticity_defect(self) -> float:
-        import scipy.sparse as sp
-        d = self.matrix - _adjoint_matrix(self.matrix)
-        if sp.issparse(d):
-            return float(np.max(np.abs(d.data))) if d.nnz else 0.0
-        return float(np.max(np.abs(d))) if d.size else 0.0
-
-    @property
-    def tridiagonal(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(diagonal, lower off-diagonal) as real vectors when the matrix is
-        real with bandwidth <= 1, else None."""
-        import scipy.sparse as sp
-        m = sp.coo_matrix(self.matrix)
-        if np.any((np.abs(m.row - m.col) > 1) & (m.data != 0)) or np.any(m.data.imag):
-            return None
-        return m.diagonal(0).real, m.diagonal(-1).real
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
-
-    def to_dense(self) -> np.ndarray:
-        import scipy.sparse as sp
-        if sp.issparse(self.matrix):
-            return np.asarray(self.matrix.todense(), dtype=complex)
-        return np.asarray(self.matrix, dtype=complex)
-
-    def dagger(self) -> "LinearOperator":
-        return LinearOperator(self.space, _adjoint_matrix(self.matrix),
-                              hermitian=self.hermitian, _skip_check=True)
-
-    def is_hermitian_numerically(self) -> bool:
-        return self.hermiticity_defect() <= HERMITIAN_TOL
-
-    def _binary(self, other, f):
-        if not isinstance(other, LinearOperator):
-            return NotImplemented
-        if self.space != other.space:
-            raise ContractViolationError("operators live on different spaces")
-        return LinearOperator(self.space, f(self.matrix, other.matrix))
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __matmul__(self, other):
-        return self._binary(other, lambda a, b: a @ b)
-
-    def __mul__(self, scalar):
-        return LinearOperator(self.space, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def marked_hermitian(self) -> "LinearOperator":
-        """Same matrix, with the hermitian contract asserted and flagged."""
-        return LinearOperator(self.space, self.matrix, hermitian=True)
-
-
-def _adjoint_matrix(m):
-    import scipy.sparse as sp
-    if sp.issparse(m):
-        return m.conjugate().transpose().tocsr()
-    return np.conjugate(np.asarray(m)).T
-
-
-def ladder_operator(space: FockSpace, mode: int, kind: str) -> LinearOperator:
-    """annihilate / create / number operator for one mode.
+def ladder_operator(space: FockSpace, mode: int, kind: str):
+    """annihilate / create / number operator for one mode, as a scipy CSR
+    matrix on the space's basis.
 
     annihilate: |..., n, ...> -> sqrt(n) |..., n-1, ...>; create is its exact
     adjoint, so raising off the top of the truncation drops the amplitude.
@@ -331,11 +251,9 @@ def ladder_operator(space: FockSpace, mode: int, kind: str) -> LinearOperator:
     if space.kind == "fixed_sector" and kind != "number":
         raise UnsupportedOperatorError(
             "single ladder operators leave the fixed-total-number sector; "
-            "use number operators or hopping_operator")
+            "only number operators exist on it")
     if kind == "number":
-        diag = space.number_diagonal(mode)
-        return LinearOperator(space, sp.diags(diag.astype(complex), format="csr"),
-                              hermitian=True, _skip_check=True)
+        return sp.diags(space.number_diagonal(mode).astype(complex), format="csr")
 
     occ_m = space.number_diagonal(mode).astype(int)
     stride = space._strides()[mode]
@@ -345,56 +263,24 @@ def ladder_operator(space: FockSpace, mode: int, kind: str) -> LinearOperator:
     lower = sp.csr_matrix((amp, (dst, src)),
                           shape=(space.dimension, space.dimension))
     if kind == "annihilate":
-        return LinearOperator(space, lower)
-    return LinearOperator(space, _adjoint_matrix(lower))
-
-
-def hopping_operator(space: FockSpace, dest: int, source: int) -> LinearOperator:
-    """The pair product (create on `dest`) @ (annihilate on `source`).
-
-    Available on both space kinds; on a fixed sector it is the only
-    off-diagonal primitive (it conserves the total quantum number).
-    """
-    import scipy.sparse as sp
-    if dest == source:
-        return ladder_operator(space, dest, "number")
-    if space.kind == "fixed_sector":
-        if {dest, source} != {0, 1}:
-            raise ContractViolationError("sector spaces have modes 0 and 1 only")
-        k = np.arange(space.n_total, dtype=float)      # transition k <-> k+1
-        amp = np.sqrt((k + 1.0) * (space.n_total - k))
-        offset = 1 if dest == 0 else -1                # dest 0 raises n_1 = k
-        mat = sp.diags(amp.astype(complex), -offset, shape=(space.dimension,) * 2,
-                       format="csr")
-        return LinearOperator(space, mat)
-    create = ladder_operator(space, dest, "create")
-    annihilate = ladder_operator(space, source, "annihilate")
-    return create @ annihilate
-
-
-def expectation(state: StateVector, op: LinearOperator) -> complex:
-    """<psi| O |psi>. Imaginary part is within 1e-12 for Hermitian O."""
-    if state.space != op.space:
-        raise ContractViolationError("state and operator live on different spaces")
-    val = complex(np.vdot(state.amplitudes, op.apply(state.amplitudes)))
-    return val
+        return lower
+    return lower.conjugate().transpose().tocsr()
 
 
 # -- evolution ---------------------------------------------------------------
 
 
-def evolve_unitary_sampled(state: StateVector, hamiltonian: LinearOperator,
+def evolve_unitary_sampled(state: StateVector, hamiltonian,
                            times: Iterable[float]) -> list[StateVector]:
-    """States exp(-i H t)|psi> at the given non-decreasing, finite times.
+    """States exp(-i H t)|psi> at the given non-decreasing, finite times, H
+    a Hermitian matrix (numpy or scipy sparse) on the state's basis.
 
     Every output comes from t = 0 through the eigendecomposition of H, the
     outputs of a :func:`propagate` block in one matrix product, so no error
     accumulates from step to step.  Raises ResourceLimitError when
     dimension^2 exceeds EIG_WORK_LIMIT.
     """
-    _require_hermitian(hamiltonian)
-    if state.space != hamiltonian.space:
-        raise ContractViolationError("state and Hamiltonian live on different spaces")
+    _require_hermitian(hamiltonian, state.space.dimension)
     times = np.array(list(times), dtype=float)
     if not np.all(np.isfinite(times)):
         raise ContractViolationError("output times must be finite")
@@ -425,11 +311,12 @@ def _real_or_complex_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (m @ np.ascontiguousarray(z).view(float)).view(complex)
 
 
-def _require_hermitian(op: LinearOperator):
-    if not op.hermitian:
-        if op.is_hermitian_numerically():
-            raise ContractViolationError(
-                "Hamiltonian must be marked hermitian (use marked_hermitian())")
+def _require_hermitian(h, dimension: int) -> None:
+    shape = getattr(h, "shape", None)
+    if shape != (dimension, dimension):
+        raise ContractViolationError(
+            f"Hamiltonian has shape {shape}, expected ({dimension}, {dimension})")
+    if not abs(h - h.conj().T).max() <= HERMITIAN_TOL:
         raise ContractViolationError("Hamiltonian is not Hermitian")
 
 
@@ -450,38 +337,34 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.linalg.eigh(dense)
 
 
-def _eigendecomposition(op: LinearOperator):
-    """(eigenvalues, eigenvectors) of a Hermitian operator, cached on it;
-    the eigenvectors of a real tridiagonal matrix stay real."""
-    if op._eig is None:
-        dim = op.space.dimension
-        check_work(float(dim) * dim, EIG_WORK_LIMIT, "eigendecomposition dimension^2")
-        tri = op.tridiagonal
-        op._eig = eigh_tridiagonal(*tri) if tri is not None else np.linalg.eigh(op.to_dense())
-    return op._eig
+def _eigendecomposition(h) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of a Hermitian matrix; a real matrix of
+    bandwidth <= 1 goes to :func:`eigh_tridiagonal`, so its eigenvectors
+    stay real."""
+    import scipy.sparse as sp
+    dim = h.shape[0]
+    check_work(float(dim) * dim, EIG_WORK_LIMIT, "eigendecomposition dimension^2")
+    m = sp.coo_matrix(h)
+    if np.any((np.abs(m.row - m.col) > 1) & (m.data != 0)) or np.any(m.data.imag):
+        return np.linalg.eigh(m.toarray())
+    return eigh_tridiagonal(m.diagonal(0).real, m.diagonal(-1).real)
 
 
-def tridiagonal_expm_apply(op: LinearOperator, psi: np.ndarray,
-                           times: np.ndarray) -> np.ndarray:
+def tridiagonal_expm_apply(h, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
     """exp(-i times[j] H) psi[:, j] for every column of a (dimension,
-    columns) block, H the Hermitian `op`, through its cached
-    eigendecomposition: one time per column.
+    columns) block, H a Hermitian matrix, through its eigendecomposition:
+    one time per column.
 
     Both basis changes are :func:`_row_dots`, so, given the
     eigendecomposition, a column comes out with the same bits in a block of
-    any width and at any BLAS thread count.  Any Hermitian H works.  Nothing
-    in beamlab calls it; it stays because the benchmark's span list
-    (perfbench/spans.py) wraps this kernel by name.
+    any width and at any BLAS thread count.  Any Hermitian H works.
     """
-    _require_hermitian(op)
-    w, v = _eigendecomposition(op)
-    if op._rows is None:        # V^T and conj(V): the rows the dot products run along
-        op._rows = np.ascontiguousarray(v.T), np.ascontiguousarray(v.conj())
-    columns, rows = op._rows
+    _require_hermitian(h, psi.shape[0])
+    w, v = _eigendecomposition(h)
     # psi + V (exp(-i t w) - 1) V^H psi, so a column with t = 0 comes back
-    # unchanged
-    c = np.expm1(-1j * np.outer(w, times)) * _row_dots(columns, psi)
-    return psi + _row_dots(rows, c)
+    # unchanged; V^T and conj(V) are the rows the dot products run along
+    c = np.expm1(-1j * np.outer(w, times)) * _row_dots(np.ascontiguousarray(v.T), psi)
+    return psi + _row_dots(np.ascontiguousarray(v.conj()), c)
 
 
 def _row_dots(a: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ Omega K_i+, completely positive and trace non-increasing.  Nonlinear maps
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,8 @@ class StokesVector:
     s: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.i, self.m, self.c, self.s)):
+            raise DomainError(f"Stokes components must be finite, got {self}")
         if self.i < 0:
             raise DomainError(f"intensity must be >= 0, got {self.i}")
         # tolerance reads at unit intensity; scaled so bright beams are not
@@ -56,7 +59,7 @@ class StokesVector:
                 f"I = {self.i}, sqrt(M^2+C^2+S^2) = {self.polarized_part()}")
 
     def polarized_part(self) -> float:
-        return float(np.sqrt(self.m ** 2 + self.c ** 2 + self.s ** 2))
+        return math.hypot(self.m, self.c, self.s)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.i, self.m, self.c, self.s], dtype=float)
@@ -69,11 +72,13 @@ class CorrelationMatrix2:
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (2, 2):
             raise DomainError(f"expected a 2x2 matrix, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise DomainError("matrix entries must be finite")
         scale = max(1.0, float(np.max(np.abs(m))))
         defect = np.max(np.abs(m - m.conj().T))
         if defect > 1e-12 * scale:
             raise DomainError(f"matrix is not Hermitian (defect {defect:.2e})")
-        m = 0.5 * (m + m.conj().T)
+        m = 0.5 * m + 0.5 * m.conj().T        # halves first: no overflow
         lo = float(np.linalg.eigvalsh(m)[0])
         if lo < -1e-12 * scale:
             raise DomainError(f"matrix is not PSD (lowest eigenvalue {lo:.2e})")
@@ -89,7 +94,7 @@ class CorrelationMatrix2:
 
 def stokes_to_omega(stokes: StokesVector) -> CorrelationMatrix2:
     comps = stokes.as_array()
-    m = 0.5 * sum(c * p for c, p in zip(comps, PAULIS))
+    m = sum(0.5 * c * p for c, p in zip(comps, PAULIS))
     return CorrelationMatrix2(m)
 
 
@@ -103,14 +108,23 @@ def omega_from_state(state: fock.StateVector) -> CorrelationMatrix2:
     """Correlation matrix of modes 0 and 1 of a Fock-space state (the two
     polarization modes of a beam, or the sector pair).
 
-    The trace equals <n_0> + <n_1>.
+    The trace equals <n_0> + <n_1>.  <a_1+ a_0> is an index shift on the
+    amplitudes: a_1+ a_0 takes row s, where n_0 >= 1 and n_1 is below its
+    cutoff, to row s - stride_0 + stride_1 (row k to k - 1 on a sector)
+    with the weight sqrt(n_0 (n_1 + 1)).
     """
-    space = state.space
-    n0 = fock.expectation(state, fock.ladder_operator(space, 0, "number")).real
-    n1 = fock.expectation(state, fock.ladder_operator(space, 1, "number")).real
+    space, psi = state.space, state.amplitudes
+    n0, n1 = space.number_diagonal(0), space.number_diagonal(1)
+    if space.kind == "fixed_sector":
+        shift, rows = -1, np.nonzero(n0 >= 1)[0]
+    else:
+        strides = space._strides()
+        shift = strides[1] - strides[0]
+        rows = np.nonzero((n0 >= 1) & (n1 < space.cutoffs[1]))[0]
+    prob = np.abs(psi) ** 2
     # row mu, column nu holds <a_nu+ a_mu>: Omega[0, 1] = <a_1+ a_0>
-    cross = fock.expectation(state, fock.hopping_operator(space, 1, 0))
-    mat = np.array([[n0, cross], [np.conj(cross), n1]], dtype=complex)
+    cross = np.vdot(psi[rows + shift], np.sqrt(n0[rows] * (n1[rows] + 1)) * psi[rows])
+    mat = np.array([[prob @ n0, cross], [np.conj(cross), prob @ n1]], dtype=complex)
     return CorrelationMatrix2(mat)
 
 
@@ -194,13 +208,16 @@ def tomography_simulate(omega_true: CorrelationMatrix2, shots_per_basis: int,
     the +1 projector of each Pauli basis.  Shot noise is additive Gaussian
     with variance (measured intensity)/shots, a stand-in for counting
     statistics; the estimator is unbiased and its reported standard errors
-    shrink as 1/sqrt(shots).  Fixed seed => bit-identical output.
+    shrink as 1/sqrt(shots).  Fixed seed => bit-identical output.  Sums
+    are taken of halves and quarters, so a bright scene does not overflow
+    on the way; one whose estimates or errors exceed the float range
+    raises DomainError.
     """
     if shots_per_basis < 1:
         raise DomainError("shots_per_basis must be >= 1")
     true = omega_to_stokes(omega_true)
     i_t, m_t, c_t, s_t = true.as_array()
-    ports = np.array([i_t, 0.5 * (i_t + m_t), 0.5 * (i_t + c_t), 0.5 * (i_t + s_t)])
+    ports = np.array([i_t, *(0.5 * i_t + 0.5 * np.array([m_t, c_t, s_t]))])
     if noise:
         rng = np.random.default_rng(seed)
         sigma = np.sqrt(np.maximum(ports, 0.0) / shots_per_basis)
@@ -208,12 +225,14 @@ def tomography_simulate(omega_true: CorrelationMatrix2, shots_per_basis: int,
     else:
         measured = ports.copy()
     i_est = measured[0]
-    comps = 2.0 * measured[1:] - i_est
+    comps = 2.0 * (measured[1:] - 0.5 * i_est)
     se_i = float(np.sqrt(max(measured[0], 0.0) / shots_per_basis))
-    se_comps = [float(np.sqrt((4.0 * max(m, 0.0) + max(measured[0], 0.0))
-                              / shots_per_basis)) for m in measured[1:]]
-    return TomographyResult(
-        estimate=(float(i_est), float(comps[0]), float(comps[1]), float(comps[2])),
-        standard_errors=(se_i, se_comps[0], se_comps[1], se_comps[2]),
-        true_values=(float(i_t), float(m_t), float(c_t), float(s_t)),
-    )
+    se_comps = [2.0 * float(np.sqrt((max(m, 0.0) + 0.25 * max(measured[0], 0.0))
+                                    / shots_per_basis)) for m in measured[1:]]
+    estimate = (float(i_est), float(comps[0]), float(comps[1]), float(comps[2]))
+    errors = (se_i, se_comps[0], se_comps[1], se_comps[2])
+    if not all(map(math.isfinite, estimate + errors)):
+        raise DomainError("the tomography estimates of this scene overflow "
+                          "the float range")
+    return TomographyResult(estimate=estimate, standard_errors=errors,
+                            true_values=(float(i_t), float(m_t), float(c_t), float(s_t)))

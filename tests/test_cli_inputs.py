@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beamlab import cli
+from beamlab import cli, reports
 
 NAN, INF = math.nan, math.inf
 PROJECTOR = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
@@ -265,6 +265,11 @@ DEFECTS += [
         ("compare", [*JUNCTION_FLAGS, "--horizon", "1"])]],
     *[("fluctuations", None, ["--n-bar1-values", "25,50,100", flag, "0.5"])
       for flag in ("--phi", "--e-c", "--lam")],
+    # tomography scenes whose intensity or errors exceed the float range
+    ("tomography", {"omega": [[[1e308, 0], [1e308, 0]], [[1e308, 0], [1e308, 0]]],
+                    "seed": 1}, []),
+    ("tomography", {"omega": [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]], "seed": 1}, []),
+    ("tomography", {"stokes": {"i": 1.7e308, "m": 1.7e308}, "seed": 1}, []),
 ]
 
 
@@ -297,6 +302,30 @@ def test_cli_runs_the_self_consistent_model_past_the_eigensolver_budget(tmp_path
             "--lam", "0.001", "--horizon", "23.57", "--dt", "0.2357"]
     assert run_cli(tmp_path, "jj-evolve", None, argv) == (0, "")
     assert (tmp_path / "report.csv").read_text().count("\n") == 101 + 2
+
+
+@pytest.mark.parametrize("name,argv,echo", [
+    ("jj-evolve", ["--n-total", "40", "--e-c", "0.2", "--lam", "-1e-3", "--horizon", "1",
+                   "--dt", "0.5"], '"lam": -0.001'),
+    ("pendulum", ["--phi0", "-1E2", "--omega", "1", "--horizon", "1", "--dt", "0.5"],
+     '"phi0": -100.0'),
+])
+def test_cli_reads_a_negative_number_in_exponent_form(tmp_path, name, argv, echo):
+    assert run_cli(tmp_path, name, None, argv) == (0, "")
+    assert echo in (tmp_path / "report.csv").read_text()
+
+
+@pytest.mark.parametrize("scene", [
+    {"stokes": {"i": 1e308, "m": 1e300}, "seed": 1},
+    {"stokes": {"i": 1e308, "m": 1e308}, "seed": 1},
+    {"stokes": {"i": 1e308, "s": 1e308}, "seed": 1, "shots": 1},
+    {"omega": [[[1e308, 0], [0, 0]], [[0, 0], [0, 0]]], "seed": 1},
+])
+def test_cli_runs_a_bright_tomography_scene_with_finite_cells(tmp_path, scene):
+    assert run_cli(tmp_path, "tomography", scene, []) == (0, "")
+    rows, _ = reports.load_report(str(tmp_path / "report.csv"))
+    cells = [row[c] for row in rows for c in ("estimate", "standard_error", "true_value")]
+    assert len(cells) == 12 and all(math.isfinite(c) for c in cells)
 
 
 def test_cli_null_config_value_means_not_given(tmp_path):

@@ -23,6 +23,7 @@ from beamlab.errors import (
     IntegrationFailureError,
     ResourceLimitError,
 )
+from oracles import expectation
 
 
 def canonical_params():
@@ -718,7 +719,7 @@ def test_measured_block_matches_single_states_and_keeps_its_nans():
     params = jj.JJParams(e_c=0.3, lam=0.2, n_total=n_total, n_bar1=8.5)
     d, e = jj.charging_diagonal(params), jj.tunneling_offdiagonal(n_total, params.lam)
     traj = dyn._measured([(times[:4], psi[:, :4]), (times[4:], psi[:, 4:])], d, e, n_total)
-    h = fock.LinearOperator(space, exact_hamiltonian(params), hermitian=True)
+    h = exact_hamiltonian(params)
     states = [fock.StateVector(space, psi[:, j]) for j in range(psi.shape[1])]
     z = np.array([jj.coherence(st) for st in states])
     assert np.array_equal(np.isnan(traj.phi), np.abs(z) <= jj.COHERENCE_FLOOR)
@@ -726,7 +727,7 @@ def test_measured_block_matches_single_states_and_keeps_its_nans():
     assert np.allclose(traj.n1, [jj.mean_n1(st) for st in states], rtol=0, atol=1e-12)
     assert np.allclose(traj.fidelity, [jj.best_fit_product(st)[2] for st in states],
                        rtol=0, atol=1e-12)
-    assert np.allclose(traj.energy, [fock.expectation(st, h).real for st in states],
+    assert np.allclose(traj.energy, [expectation(st, h).real for st in states],
                        rtol=0, atol=1e-12)
     assert np.all(traj.norm_drift <= 1e-15)
 

@@ -54,8 +54,8 @@ def test_gamma_singlet_matches_two_qubit_density_matrix():
     # brute-force oracle: evaluate all 16 matrix elements from ladder products
     oracle = np.empty((4, 4), dtype=complex)
     psi = singlet_state(space)
-    ann = [fock.ladder_operator(space, m, "annihilate").matrix for m in range(4)]
-    cre = [fock.ladder_operator(space, m, "create").matrix for m in range(4)]
+    ann = [fock.ladder_operator(space, m, "annihilate") for m in range(4)]
+    cre = [fock.ladder_operator(space, m, "create") for m in range(4)]
     for mu in (0, 1):
         for mup in (0, 1):
             for nu in (0, 1):
@@ -278,7 +278,7 @@ def test_sampling_is_seeded_per_index():
 
 def lowering_products(space):
     """The four a_mu b_mu' (row 2*mu + mu') as sparse ladder products."""
-    ann = [fock.ladder_operator(space, m, "annihilate").matrix for m in range(4)]
+    ann = [fock.ladder_operator(space, m, "annihilate") for m in range(4)]
     return [(ann[mu] @ ann[mup]).tocsr() for mu in ent.BEAM_A for mup in ent.BEAM_B]
 
 

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beamlab.fock as fock
+import beamlab.jj as jj
 import beamlab.polarization as pol
 from beamlab.errors import DomainError
+from oracles import expectation, hopping_operator
 
 
 def test_convert_trivial_cases():
@@ -101,17 +103,48 @@ def test_omega_from_state_trace_is_mean_photon_number():
         z = rng.standard_normal(space.dimension) + 1j * rng.standard_normal(space.dimension)
         state = fock.StateVector(space, z, normalize=True)
         om = pol.omega_from_state(state)
-        want = (fock.expectation(state, n0) + fock.expectation(state, n1)).real
+        want = (expectation(state, n0) + expectation(state, n1)).real
         assert om.trace == pytest.approx(want, abs=1e-10)
 
 
 def test_omega_from_state_sector_support():
     sector = fock.FockSpace.fixed_sector(6)
-    import beamlab.jj as jj
     state = jj.product_state(6, 2.5, 0.4, sector)
     om = pol.omega_from_state(state)
     assert om.trace == pytest.approx(6.0, abs=1e-10)
     assert om.matrix[0, 0].real == pytest.approx(2.5, abs=1e-10)
+
+
+def _seeded_states(space, seed, count=20):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        z = rng.standard_normal(space.dimension) + 1j * rng.standard_normal(space.dimension)
+        yield fock.StateVector(space, z, normalize=True)
+
+
+@pytest.mark.parametrize("space", [fock.FockSpace.truncated(c)
+                                   for c in ([2, 3], [1, 2, 2], [3, 3, 3, 3])]
+                         + [fock.FockSpace.fixed_sector(n) for n in (1, 17, 200)],
+                         ids=repr)
+def test_omega_from_state_matches_the_sparse_oracle(space):
+    # every entry <a_nu+ a_mu> from the sparse ladder and hopping matrices
+    ops = [[hopping_operator(space, nu, mu) for nu in (0, 1)] for mu in (0, 1)]
+    for state in _seeded_states(space, space.dimension):
+        want = np.array([[expectation(state, op) for op in row] for row in ops])
+        got = pol.omega_from_state(state).matrix
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_total", [1, 17, 200])
+def test_omega_from_state_on_a_sector_is_the_junction_bloch_matrix(n_total):
+    space = fock.FockSpace.fixed_sector(n_total)
+    states = [*_seeded_states(space, n_total),
+              jj.product_state(n_total, 0.3 * n_total, 0.8, space)]
+    for state in states:
+        n1, z = jj.mean_n1(state), jj.coherence(state)
+        want = np.array([[n1, np.conj(z)], [z, n_total - n1]])
+        got = pol.omega_from_state(state).matrix
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_additive_expectation_examples():
@@ -127,7 +160,7 @@ def test_additive_matches_operator_expectation():
     rng = np.random.default_rng(21)
     space = fock.FockSpace.truncated([3, 3])
     # entry (mu, nu) of the coefficient matrix multiplies a_nu+ a_mu
-    ops = {(mu, nu): fock.hopping_operator(space, nu, mu)
+    ops = {(mu, nu): hopping_operator(space, nu, mu)
            for mu in (0, 1) for nu in (0, 1)}
     for _ in range(1000):
         z = rng.standard_normal(space.dimension) + 1j * rng.standard_normal(space.dimension)
@@ -135,7 +168,7 @@ def test_additive_matches_operator_expectation():
         om = pol.omega_from_state(state)
         k = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         via_omega = pol.additive_expectation(om, k)
-        assembled = sum(k[mu, nu] * fock.expectation(state, ops[(mu, nu)])
+        assembled = sum(k[mu, nu] * expectation(state, ops[(mu, nu)])
                         for mu in (0, 1) for nu in (0, 1))
         assert abs(via_omega - assembled) < 1e-10
 
