@@ -290,8 +290,9 @@ def run_bound_check(args):
     WORKERS,
 ))
 def run_neg_sweep(args):
-    from . import entanglement
+    from . import entanglement, fock
     entanglement.check_sample_work(args.samples, args.k_max)     # the largest k
+    fock.FockSpace.truncated([args.k_max] * 4)      # and its dimension limit
     rows = []
     for k in range(1, args.k_max + 1):
         rows += _parallel_bound_rows(child_seed(args.seed, k), args.samples, k, k,

@@ -22,6 +22,7 @@ recorded alongside.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,7 +45,7 @@ SAMPLE_WORK_LIMIT = 10_000_000
 # bound_rows evaluates samples in chunks of about this many states x
 # dimension: the Gamma step holds about 40 bytes per entry (the states, the
 # moments' running sums, the operands of one group of Gamma entries; 36 at
-# cutoff 3, 43 at k = 10), so a chunk peaks near 20 MB.
+# cutoff 3, 43 at k = 10), so a chunk of several states peaks near 20 MB.
 CHUNK_WORK = 2 ** 19
 
 
@@ -98,30 +99,35 @@ BEAM_A, BEAM_B = (0, 1), (2, 3)
 _Plan = namedtuple("_Plan", ["pairs", "rows", "src", "weight", "n_a", "n_b", "n_ab"])
 
 
-@lru_cache(maxsize=4)       # a run works on one space at a time
+@lru_cache(maxsize=1)       # a run works on one space at a time
 def _plan(space: fock.FockSpace) -> _Plan:
-    """a_mu b_mu' (row 2*mu + mu') moves the amplitude at src to dst =
-    src - stride_mu - stride_mu', weighted sqrt(n_mu) * sqrt(n_mu'), the two
-    roots as a product of ladder matrices forms them, bit for bit."""
-    strides = space._strides()
-    lowered = []
-    for mu, mup in product(BEAM_A, BEAM_B):
-        n_mu, n_mup = space.number_diagonal(mu), space.number_diagonal(mup)
-        src = np.nonzero((n_mu > 0) & (n_mup > 0))[0]
-        lowered.append((src - strides[mu] - strides[mup], src,
-                        np.sqrt(n_mu[src]) * np.sqrt(n_mup[src])))
-    # where the rows both lowered states reach sit in each one's (c, r) arrays
-    shared = {(r, c): np.intersect1d(lowered[c][0], lowered[r][0], assume_unique=True,
-                                     return_indices=True)[1:]
-              for r, c in combinations_with_replacement(range(4), 2)}
-    pairs = sorted(shared, key=lambda pair: -shared[pair][0].size)
-    rows = np.array([shared[pair][0].size for pair in pairs])
+    """a_mu b_mu' (row 2*mu + mu') moves the amplitude at src = dst +
+    stride_mu + stride_mu' to dst, weighted sqrt(n_mu) * sqrt(n_mu') at src,
+    the two roots as a product of ladder matrices forms them, bit for bit.
+
+    The rows that both a_r b_r' and a_c b_c' reach form a box: occupations
+    0 to cutoff - 1 on each lowered mode and 0 to cutoff on the others.
+    Its index grid, raveled in C order, lists them ascending."""
+    strides, cutoffs = space._strides(), space.cutoffs
+    lowered = list(product(BEAM_A, BEAM_B))
+
+    def box(pair):
+        reached = lowered[pair[0]] + lowered[pair[1]]
+        return [cut + (mode not in reached) for mode, cut in enumerate(cutoffs)]
+
+    pairs = sorted(combinations_with_replacement(range(4), 2),
+                   key=lambda pair: -math.prod(box(pair)))
+    rows = np.array([math.prod(box(pair)) for pair in pairs])
     src = np.zeros((2, len(pairs), max(rows)), dtype=np.intp)
     weight = np.zeros(src.shape, dtype=complex)   # the cast a product with psi makes
     for p, (r, c) in enumerate(pairs):
-        for side, (row, at) in enumerate(zip((c, r), shared[r, c])):
-            src[side, p, :at.size] = lowered[row][1][at]
-            weight[side, p, :at.size] = lowered[row][2][at]
+        extents = box((r, c))
+        n = np.ix_(*map(np.arange, extents))    # the occupations at dst
+        dst = sum(n_m * stride for n_m, stride in zip(n, strides))
+        for side, (mu, mup) in enumerate((lowered[c], lowered[r])):
+            src[side, p, :rows[p]] = np.ravel(dst + strides[mu] + strides[mup])
+            roots = np.sqrt(n[mu] + 1.0) * np.sqrt(n[mup] + 1.0)
+            weight[side, p, :rows[p]] = np.broadcast_to(roots, extents).ravel()
     n_a, n_b = (sum(map(space.number_diagonal, beam)) for beam in (BEAM_A, BEAM_B))
     plan = _Plan(np.array(pairs), rows, src, weight, n_a, n_b, n_a * n_b)
     for array in plan:
@@ -397,7 +403,9 @@ def bound_rows(master_seed: int, indices: range, cutoff: int,
     rows = []
     for start, stop in zip(bounds[:-1], bounds[1:]):
         psi = sampler.sample_states(master_seed, indices[start:stop], photons_per_beam)
-        rows += _rows(indices[start:stop], cutoff, *sampler.gammas_and_moments(psi))
+        gammas_and_moments = sampler.gammas_and_moments(psi)
+        del psi                 # freed before the next chunk's states are drawn
+        rows += _rows(indices[start:stop], cutoff, *gammas_and_moments)
     return rows
 
 

@@ -1,11 +1,15 @@
-"""Sparse-matrix oracles that the tests check beamlab's index-shift moments
-against: the pair hopping operator and the expectation <psi| O |psi>,
-built from `fock.ladder_operator`'s CSR matrices the slow, obvious way."""
+"""Oracles that the tests check beamlab's index arithmetic against: the
+pair hopping operator and the expectation <psi| O |psi>, built from
+`fock.ladder_operator`'s CSR matrices the slow, obvious way, and the Gamma
+lowering plan, built by matching row sets with `np.intersect1d`."""
+
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import scipy.sparse as sp
 
 import beamlab.fock as fock
+from beamlab.entanglement import BEAM_A, BEAM_B
 from beamlab.errors import ContractViolationError
 
 
@@ -36,3 +40,35 @@ def expectation(state, op) -> complex:
     if op.shape != (dim, dim):
         raise ContractViolationError("state and operator live on different spaces")
     return complex(np.vdot(state.amplitudes, op @ state.amplitudes))
+
+
+def lowering_plan(space):
+    """The seven arrays of `entanglement._plan(space)`, built by matching the
+    destination rows of each pair of lowered states with `np.intersect1d`.
+
+    a_mu b_mu' (row 2*mu + mu') moves the amplitude at src to dst = src -
+    stride_mu - stride_mu', weighted sqrt(n_mu) * sqrt(n_mu').  The ten
+    (r, c), r <= c, are ordered by the number of rows both lowered states
+    reach, most first; side 0 is a_c b_c', side 1 a_r b_r', padded with
+    zeros to the first pair's rows.
+    """
+    strides = space._strides()
+    lowered = []
+    for mu, mup in product(BEAM_A, BEAM_B):
+        n_mu, n_mup = space.number_diagonal(mu), space.number_diagonal(mup)
+        src = np.nonzero((n_mu > 0) & (n_mup > 0))[0]
+        lowered.append((src - strides[mu] - strides[mup], src,
+                        np.sqrt(n_mu[src]) * np.sqrt(n_mup[src])))
+    shared = {(r, c): np.intersect1d(lowered[c][0], lowered[r][0], assume_unique=True,
+                                     return_indices=True)[1:]
+              for r, c in combinations_with_replacement(range(4), 2)}
+    pairs = sorted(shared, key=lambda pair: -shared[pair][0].size)
+    rows = np.array([shared[pair][0].size for pair in pairs])
+    src = np.zeros((2, len(pairs), max(rows)), dtype=np.intp)
+    weight = np.zeros(src.shape, dtype=complex)
+    for p, (r, c) in enumerate(pairs):
+        for side, (row, at) in enumerate(zip((c, r), shared[r, c])):
+            src[side, p, :at.size] = lowered[row][1][at]
+            weight[side, p, :at.size] = lowered[row][2][at]
+    n_a, n_b = (sum(map(space.number_diagonal, beam)) for beam in (BEAM_A, BEAM_B))
+    return np.array(pairs), rows, src, weight, n_a, n_b, n_a * n_b

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from beamlab.errors import (
     ResourceLimitError,
 )
 from beamlab.seeding import rng_for
+from oracles import lowering_plan
 
 
 def four_mode_space(cutoff):
@@ -342,10 +345,35 @@ def test_lowering_plan_is_built_once_per_space_and_read_only():
     assert ent._plan.cache_info().misses == 1
     ent._plan(four_mode_space(2))
     assert ent._plan.cache_info().misses == 2
+    assert ent._plan.cache_info().currsize == 1     # the first plan is let go
     for array in plan:
         assert not array.flags.writeable
     with pytest.raises(ValueError):
         plan.n_a[0] = 1.0
+
+
+def test_a_bright_sweep_holds_one_plan_at_a_time():
+    ent._plan.cache_clear()
+    held = []
+    for k in range(1, 5):
+        ent.bound_rows(k, range(3), k, photons_per_beam=k)
+        assert ent._plan.cache_info().currsize == 1
+        held.append(weakref.ref(ent._plan(four_mode_space(k)).src))
+    assert ent._plan.cache_info().misses == 4
+    # nothing else keeps an earlier plan's arrays alive
+    assert [ref() is None for ref in held] == [True, True, True, False]
+
+
+@pytest.mark.parametrize("cutoffs", [
+    [1] * 4, [2] * 4, [3] * 4, [10] * 4, [1, 2, 3, 2], [0, 1, 1, 1], [1, 0, 2, 0],
+    [0] * 4, [4, 0, 0, 3], [5, 4, 3, 2], [3, 1, 2, 2, 2], [1, 1, 1, 1, 0, 2]])
+def test_lowering_plan_boxes_equal_the_intersect1d_oracle(cutoffs):
+    # zero cutoffs leave some pairs, or all, with no shared rows
+    space = fock.FockSpace.truncated(cutoffs)
+    plan = ent._plan(space)
+    for got, want in zip(plan, lowering_plan(space), strict=True):
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_partial_transpose_of_a_stack_matches_index_oracle():
