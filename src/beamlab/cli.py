@@ -202,7 +202,7 @@ COMMANDS = {}
 
 
 def command(name: str, help_text: str, table: tuple[Param, ...]):
-    """Register a function of the resolved arguments returning (rows, extra)."""
+    """Register a function of the resolved arguments returning (columns, extra)."""
     def register(run):
         COMMANDS[name] = (run, table, help_text)
         return run
@@ -262,6 +262,11 @@ def _parallel_bound_rows(seed, samples, cutoff, photons, workers):
     return [row for chunk in chunks for row in chunk]
 
 
+def _columns(rows: list[dict]) -> dict:
+    """The report columns of `bound_rows` dicts, which share their keys."""
+    return {key: [row[key] for row in rows] for key in rows[0]}
+
+
 SEED = Param("seed", _integer, REQUIRED, "master seed for the run")
 WORKERS = Param("workers", _integer, 1, "worker tasks, at most one process per CPU",
                 "[1, inf)", source="flag")
@@ -280,7 +285,8 @@ def run_bound_check(args):
     rows = _parallel_bound_rows(args.seed, args.samples, args.cutoff, None,
                                 args.workers)
     mixtures = range(args.samples, args.samples + args.mixtures)
-    return rows + entanglement.mixture_rows(args.seed, mixtures, args.cutoff), None
+    rows += entanglement.mixture_rows(args.seed, mixtures, args.cutoff)
+    return _columns(rows), None
 
 
 @command("neg-sweep", "max negativity vs photons per beam (k = 1..k_max)", (
@@ -297,7 +303,7 @@ def run_neg_sweep(args):
     for k in range(1, args.k_max + 1):
         rows += _parallel_bound_rows(child_seed(args.seed, k), args.samples, k, k,
                                      args.workers)
-    return rows, None
+    return _columns(rows), None
 
 
 @command("tomography", "simulated Stokes tomography", (
@@ -321,9 +327,9 @@ def run_tomography(args):
     if args.format == "json":       # one object per quantity, keyed by component
         return None, {key: dict(zip("imcs", getattr(result, key)))
                       for key in ("estimate", "standard_errors", "true_values")}
-    return [{"component": n, "estimate": e, "standard_error": se, "true_value": t}
-            for n, e, se, t in zip("imcs", result.estimate, result.standard_errors,
-                                   result.true_values)], None
+    return {"component": list("imcs"), "estimate": result.estimate,
+            "standard_error": result.standard_errors,
+            "true_value": result.true_values}, None
 
 
 # -- dynamics subcommands --------------------------------------------------------
@@ -374,7 +380,7 @@ def run_jj_evolve(args):
                                jj.sector_space(params))
     evolve = (dynamics.evolve_meanfield if args.model == "mean_field"
               else dynamics.evolve_exact)
-    return evolve(initial, params, args.horizon, args.dt).rows(), None
+    return evolve(initial, params, args.horizon, args.dt).columns(), None
 
 
 @command("pendulum", "classical pendulum trajectory", (
@@ -394,7 +400,7 @@ def run_pendulum(args):
     traj = dynamics.pendulum_trajectory(args.phi0, args.phidot0, args.omega,
                                         args.horizon, args.dt, e_c=args.e_c,
                                         n_bar1=args.n_bar1)
-    return traj.rows(), None
+    return traj.columns(), None
 
 
 @command("fluctuations", "number/phase fluctuation scaling scan", (
@@ -412,7 +418,7 @@ def run_fluctuations(args):
                    for nb in args.n_bar1_values]
     report = dynamics.fluctuation_scan(params_list)
     number, phase = report.fitted_exponents
-    return report.rows(), {"fitted_exponents": {"number": number, "phase": phase}}
+    return report.columns(), {"fitted_exponents": {"number": number, "phase": phase}}
 
 
 @command("compare", "exact vs self-consistent vs pendulum", (
@@ -427,8 +433,8 @@ def run_compare(args):
     from . import dynamics
     record = dynamics.model_compare(_jj_params(vars(args)), args.n0, args.phi0,
                                     args.horizon)
-    return record.rows(), {"max_divergence": {"n1": record.max_div_n1,
-                                              "phi": record.max_div_phi}}
+    return record.columns(), {"max_divergence": {"n1": record.max_div_n1,
+                                                 "phi": record.max_div_phi}}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -469,15 +475,15 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
             values, echo = resolve(args.table, args)
             vars(args).update(values)
-            rows, extra = args.func(args)
+            columns, extra = args.func(args)
             config = {"subcommand": args.subcommand, **echo, "format": args.format}
-            reports.emit_report(rows, args.format, args.out, config=config, extra=extra)
+            reports.emit_report(columns, args.format, args.out, config, extra)
         except BeamlabError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)
-    if any(row.get("satisfied") is False for row in rows or ()):
+    if False in (columns or {}).get("satisfied", ()):
         return EXIT_VIOLATION
     return EXIT_OK
 

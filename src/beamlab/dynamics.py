@@ -125,21 +125,13 @@ class Trajectory:
         if np.any(np.diff(self.times) <= 0):
             raise ContractViolationError("trajectory times must be strictly increasing")
 
-    def rows(self) -> list[dict]:
-        """Report rows: the shared columns, then `fidelity` and/or `phidot`
-        where the model carries them."""
-        return _rows({"time": self.times, "n1": self.n1, "phi": self.phi,
-                      "norm_drift": self.norm_drift, "energy": self.energy,
-                      "fidelity": self.fidelity, "phidot": self.phidot})
-
-
-def _rows(columns: dict) -> list[dict]:
-    """One report row per index of the equal-length `columns` {name: values},
-    leaving out a None column; a NaN stays, for the report to write as a
-    missing value."""
-    lists = {name: np.asarray(values, dtype=float).tolist()
-             for name, values in columns.items() if values is not None}
-    return [dict(zip(lists, row)) for row in zip(*lists.values())]
+    def columns(self) -> dict:
+        """Report columns, the arrays themselves: the shared columns, then
+        `fidelity` and/or `phidot` where the model carries them."""
+        named = {"time": self.times, "n1": self.n1, "phi": self.phi,
+                 "norm_drift": self.norm_drift, "energy": self.energy,
+                 "fidelity": self.fidelity, "phidot": self.phidot}
+        return {name: values for name, values in named.items() if values is not None}
 
 
 def _unwrap_keeping_nans(raw: np.ndarray) -> np.ndarray:
@@ -417,18 +409,25 @@ def pendulum_trajectory(phi0: float, phidot0: float, omega: float, horizon: floa
     When `e_c` and `n_bar1` are supplied, n(t) is reconstructed from the
     phase-velocity relation n = nbar1 + phidot / E_C (constant n for
     E_C = 0, where the relation is degenerate); when neither is, n1 is
-    NaN.  One without the other raises ContractViolationError.
+    NaN.  One without the other raises ContractViolationError.  Inputs
+    whose energy or n1 columns would overflow raise DomainError before any
+    array is built.
     """
     if (e_c is None) != (n_bar1 is None):
         raise ContractViolationError("e_c and n_bar1 reconstruct n1 together: "
                                      "give both or neither")
-    times = _output_times(horizon, dt)
-    if not math.isfinite(0.5 * phidot0 * phidot0 + omega * omega):
-        raise DomainError(f"omega = {omega!r} and phidot0 = {phidot0!r} put the "
-                          "pendulum energy beyond the float range")
     w, turns = abs(omega), 2.0 * math.pi * round(phi0 / (2.0 * math.pi))
     p = phi0 - turns
     q = math.hypot(w * math.sin(0.5 * p), 0.5 * phidot0)
+    # |phidot| reaches 2q, which bounds the energy and n1 columns
+    if not math.isfinite(4.0 * q * q + omega * omega):
+        raise DomainError(f"omega = {omega!r}, phi0 = {phi0!r} and phidot0 = "
+                          f"{phidot0!r} put the pendulum energy beyond the float range")
+    if e_c is not None and e_c > 0 and not math.isfinite(abs(n_bar1) + 2.0 * q / e_c):
+        raise DomainError(f"e_c = {e_c!r} puts n1 = n_bar1 + phidot / e_c beyond the "
+                          f"float range at omega = {omega!r}, phi0 = {phi0!r} and "
+                          f"phidot0 = {phidot0!r}")
+    times = _output_times(horizon, dt)
     if 0 < q < w:
         m = (q / w) ** 2
         am = _jacobi_am(w * times + _elliptic_f(
@@ -472,10 +471,9 @@ class FluctuationReport:
         if any(v <= 0 for v in self.number_variance + self.phase_width):
             raise ContractViolationError("fluctuation entries must be positive")
 
-    def rows(self) -> list[dict]:
-        return _rows({"n_bar1": self.n_bar1_values,
-                      "number_variance": self.number_variance,
-                      "phase_width": self.phase_width})
+    def columns(self) -> dict:
+        return {"n_bar1": self.n_bar1_values, "number_variance": self.number_variance,
+                "phase_width": self.phase_width}
 
 
 def _overlap_magnitude(probs: np.ndarray, delta: float) -> float:
@@ -562,11 +560,10 @@ class ComparisonRecord:
     max_div_n1: float
     max_div_phi: float
 
-    def rows(self) -> list[dict]:
-        columns = ("n1_exact", "n1_meanfield", "n1_pendulum", "phi_exact",
-                   "phi_meanfield", "phi_pendulum", "div_n1", "div_phi",
-                   "fidelity_exact")
-        return _rows({"time": self.times, **{c: getattr(self, c) for c in columns}})
+    def columns(self) -> dict:
+        names = ("n1_exact", "n1_meanfield", "n1_pendulum", "phi_exact",
+                 "phi_meanfield", "phi_pendulum", "div_n1", "div_phi", "fidelity_exact")
+        return {"time": self.times, **{name: getattr(self, name) for name in names}}
 
 
 def model_compare(params: jj.JJParams, n0: float, phi0: float, horizon: float

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -19,83 +20,91 @@ import numpy as np
 from .errors import BeamlabError, ContractViolationError
 
 _INT_RE = re.compile(r"^-?\d+$")
-
-
-def _plain(value):
-    if isinstance(value, (np.generic,)):
-        value = value.item()
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    return value
+# rows converted to built-in values at a time: a report holds its columns
+# and, at most, one block of rows
+BLOCK_ROWS = 20_000
 
 
 def _cell(value) -> str:
-    # the exact built-in types first: a report writes one cell per value
+    # a cell is a built-in value (`_blocks`); exact types, as it runs per cell
     kind = type(value)
     if kind is float:
         return "" if math.isnan(value) else repr(value)
     if kind is bool:
         return "true" if value else "false"
-    if kind is int or kind is str:
-        return str(value)
-    value = _plain(value)
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else str(value)
 
 
-def emit_report(rows: list[dict] | None, fmt: str, path: str, config: dict,
+def _blocks(columns: dict):
+    """The rows of `columns`, BLOCK_ROWS at a time, as one list of built-in
+    values per column; each column slice converts as one numpy array."""
+    n = len(next(iter(columns.values())))
+    for start in range(0, n, BLOCK_ROWS):
+        yield [np.asarray(c[start:start + BLOCK_ROWS]).tolist() for c in columns.values()]
+
+
+def emit_report(columns: dict | None, fmt: str, path: str, config: dict,
                 extra: dict | None = None) -> None:
-    """Write `rows` to `path` as csv or json.
+    """Write `columns` {name: array, list or tuple} to `path` as csv or json,
+    one row per index.
 
     `config` (the effective run configuration) and `extra` (scalar results,
     e.g. fitted exponents) go into the CSV comment header / the JSON
     object.  A report has at least one row, except that a JSON report may
     have none (None): its object then holds only `config` and `extra`.
+    The columns are checked before the file opens.  A column converts as
+    one numpy array, so it holds values of one type (None aside).  A value
+    that JSON cannot hold (an infinity) raises BeamlabError and leaves no
+    file.
     """
-    if rows is None and fmt != "json":
+    if columns is None and fmt != "json":
         raise ContractViolationError("only a json report may have no rows")
-    # the column set is checked before the file opens; cells are converted
-    # as they are written, so the rows are never copied (JSON aside)
-    if rows is not None:
-        if not rows:
-            raise ContractViolationError("a report needs at least one row")
-        keys = list(rows[0])
-        if any(list(row) != keys for row in rows):
-            raise ContractViolationError("report rows must share one column set")
+    if columns is not None:
+        lengths = {len(c) for c in columns.values()}
+        if len(lengths) != 1 or 0 in lengths:
+            raise ContractViolationError(
+                "a report needs columns of one length, at least one row long")
     try:
         if fmt == "csv":
-            _write_csv(rows, path, config, extra)
+            _write_csv(columns, path, config, extra)
         elif fmt == "json":
-            _write_json(rows, path, config, extra)
+            _write_json(columns, path, config, extra)
         else:
             raise ContractViolationError(f"unknown report format {fmt!r}")
     except OSError as exc:
         raise BeamlabError(f"cannot write report to {path}: {exc}") from exc
 
 
-def _write_csv(rows, path, config, extra):
+def _write_csv(columns, path, config, extra):
     with open(path, "w", newline="") as fh:
         fh.write("# config: " + json.dumps(config, sort_keys=True) + "\r\n")
         for key, value in (extra or {}).items():
             fh.write(f"# {key}: " + json.dumps(value, sort_keys=True) + "\r\n")
         writer = csv.writer(fh)
-        writer.writerow(rows[0].keys())
-        for row in rows:
-            writer.writerow([_cell(v) for v in row.values()])
+        writer.writerow(columns)
+        for block in _blocks(columns):
+            writer.writerows([_cell(v) for v in row] for row in zip(*block))
 
 
-def _write_json(rows, path, config, extra):
-    payload = {"config": config, **(extra or {})}
-    if rows is not None:
-        payload["rows"] = [{k: _plain(v) for k, v in row.items()} for row in rows]
+def _write_json(columns, path, config, extra):
+    # json.dump({"config": ..., **extra, "rows": [...]}, indent=2), the rows
+    # encoded a block at a time; NaN, the one value unequal to itself, is null
+    encode = json.JSONEncoder(indent=2, allow_nan=False).encode
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        try:
+            text = encode({"config": config, **(extra or {})})
+            if columns is not None:
+                fh.write(text[:-2] + ',\n  "rows": [')
+                for i, block in enumerate(_blocks(columns)):
+                    rows = [{k: v if v == v else None for k, v in zip(columns, row)}
+                            for row in zip(*block)]
+                    fh.write("," * (i > 0) + encode(rows)[1:-2].replace("\n", "\n  "))
+                text = "\n  ]\n}"
+            fh.write(text + "\n")
+        except ValueError as exc:   # a value JSON cannot hold: no report
+            fh.close()
+            os.remove(path)
+            raise BeamlabError(f"cannot write report to {path}: {exc}") from exc
 
 
 def _parse_cell(text: str):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from beamlab import cli, reports
@@ -212,8 +213,9 @@ assert scipy_loaded()
 """
 
 
-def run_fresh(script, *args):
-    """Run `script` in a fresh interpreter that imports beamlab from src/."""
+def run_fresh(script, *args) -> str:
+    """Run `script` in a fresh interpreter that imports beamlab from src/;
+    its stdout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -221,6 +223,7 @@ def run_fresh(script, *args):
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
         timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_beam_subcommands_never_load_scipy(tmp_path):
@@ -232,6 +235,25 @@ def test_beam_subcommands_never_load_scipy(tmp_path):
     scene.write_text(json.dumps({"stokes": {"i": 1.0, "m": 0.2, "c": 0.0, "s": 0.1},
                                  "shots": 100, "seed": 4}))
     run_fresh(SCIPY_FREE_RUNS, tmp_path / "out.csv", scene)
+
+
+# one CLI run in a child of its own, so that RUSAGE_CHILDREN's peak is its
+PEAK_OF_ONE_RUN = r"""
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "beamlab.cli", *sys.argv[1:]], check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+def test_report_memory_is_bounded_by_the_model_arrays(tmp_path):
+    # a report holds its columns and one block of rows: 2e5 pendulum rows,
+    # whose arrays take about 12 MB, peak within 30 MB of 101 rows (one dict
+    # per row took about 106 MB more)
+    peaks = [int(run_fresh(PEAK_OF_ONE_RUN, "pendulum", "--omega", "1", "--phi0", "1",
+                           "--horizon", "1", "--dt", dt, "--out", tmp_path / "r.csv"))
+             / 1024 for dt in ("1e-2", "5e-6")]
+    assert peaks[1] - peaks[0] < 30, peaks
 
 
 WARM_WORKER_RUNS = r"""
@@ -461,6 +483,20 @@ def test_exit_code_2_on_violation(tmp_path, monkeypatch):
     out = tmp_path / "viol.csv"
     assert run(["bound-check", "--seed", "1", "--samples", "1", "--cutoff", "1",
                 "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("satisfied,code", [
+    ([True, False], 2), (np.array([True, False]), 2), ([np.True_, np.False_], 2),
+    (np.array([True, True]), 0)])
+def test_a_false_satisfied_cell_exits_2(tmp_path, monkeypatch, satisfied, code):
+    def run_columns(args):
+        return {"seed": [0, 1], "satisfied": satisfied}, None
+
+    monkeypatch.setitem(cli.COMMANDS, "columns", (run_columns, (), "given columns"))
+    out = tmp_path / "columns.csv"
+    assert run(["columns", "--out", str(out)]) == code
+    written = "true" if code == 0 else "false"
+    assert out.read_text().splitlines()[1:] == ["seed,satisfied", "0,true", f"1,{written}"]
 
 
 def test_tomography_scene_file(tmp_path):

@@ -271,6 +271,16 @@ DEFECTS += [
     ("tomography", {"omega": [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]], "seed": 1}, []),
     ("tomography", {"stokes": {"i": 1.7e308, "m": 1.7e308}, "seed": 1}, []),
 ]
+PENDULUM_RUN = ["--horizon", "1", "--dt", "0.5"]
+DEFECTS += [
+    # |phidot| reaches 2q, beyond the start's energy: an inf energy column
+    ("pendulum", None, ["--omega", "1.3e154", "--phi0", "3", *PENDULUM_RUN]),
+    # n1 = n_bar1 + phidot / e_c beyond the float range: an inf n1 cell, and
+    # in JSON a traceback and a half-written file
+    *[("pendulum", None, ["--omega", "1", "--phidot0", "1", "--e-c", "1e-310",
+                          "--n-bar1", "1", *PENDULUM_RUN, *fmt])
+      for fmt in ([], ["--format", "json"])],
+]
 
 
 @pytest.mark.parametrize("name,config,argv", DEFECTS)
