@@ -46,8 +46,9 @@ def summary(name: str, rows: list[dict], header: dict) -> list[str]:
         return [f"fitted exponents: number {fit['number']:+.4f} (expect +1), "
                 f"phase {fit['phase']:+.4f} (expect -0.5)"]
     div = header["max_divergence"]
+    phi = "undefined" if div["phi"] is None else f"{div['phi']:.4e}"  # NaN reads None
     return [f"max |n1_exact - n1_mf| = {div['n1']:.4e}, max |phi_exact - phi_mf| = "
-            f"{div['phi']:.4e}, min product fidelity of the exact state = "
+            f"{phi}, min product fidelity of the exact state = "
             f"{min(r['fidelity_exact'] for r in rows):.4f}"]
 
 

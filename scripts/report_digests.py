@@ -56,6 +56,8 @@ JOBS = [
     ["neg-sweep", "--seed", "3", "--samples", "20", "--k-max", "10"],
     # 50,001 rows: a report written in three blocks of reports.BLOCK_ROWS
     ["pendulum", "--omega", "1", "--phi0", "1", "--horizon", "1", "--dt", "2e-5"],
+    # the fluctuation scan at a filling other than 1/2
+    ["fluctuations", "--n-bar1-values", "30,300,3000", "--p", "0.3"],
 ]
 SCENE = {"stokes": {"i": 1.0, "m": 0.2, "c": 0.0, "s": 0.1}, "seed": 3, "shots": 500}
 

@@ -409,9 +409,8 @@ def run_pendulum(args):
 ))
 def run_fluctuations(args):
     from . import dynamics, fock, jj
-    for nb in args.n_bar1_values:
-        fock.check_work(nb / args.p, fock.DEFAULT_DIMENSION_LIMIT,
-                        "n_total = n_bar1 / p")
+    for nb in args.n_bar1_values:   # closed forms: only the float range bounds N
+        fock.check_work(nb / args.p, sys.float_info.max, "n_total = n_bar1 / p")
     # product-state statistics depend on N and n_bar1 alone, not on E_C or lam
     params_list = [jj.JJParams(e_c=0.0, lam=0.0, n_total=int(round(nb / args.p)),
                                n_bar1=nb)

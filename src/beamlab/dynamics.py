@@ -476,44 +476,17 @@ class FluctuationReport:
                 "phase_width": self.phase_width}
 
 
-def _overlap_magnitude(probs: np.ndarray, delta: float) -> float:
-    k = np.arange(len(probs))
-    return abs(np.sum(probs * np.exp(1j * k * delta)))
-
-
-def phase_half_width(state: fock.StateVector) -> float:
-    """Phase offset at which |<n,phi | n,phi+delta>| drops to 1/2, solved by
-    bisection on the exact amplitude sum."""
-    probs = state.probabilities()
-    if _overlap_magnitude(probs, math.pi) > 0.5:
-        raise DomainError("overlap never drops to 1/2")
-    lo, hi = 0.0, math.pi
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _overlap_magnitude(probs, mid) > 0.5:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def number_moments(state: fock.StateVector) -> tuple[float, float]:
-    """(mean, variance) of n1 on a sector state, with compensated sums so the
-    binomial identities hold to ~1e-12 even at N of a few thousand."""
-    probs = state.probabilities()
-    k = np.arange(len(probs), dtype=float)
-    mean = math.fsum(k * probs)
-    var = math.fsum((k - mean) ** 2 * probs)
-    return mean, var
-
-
 def fluctuation_scan(params_list: list[jj.JJParams], phi: float = 0.0
                      ) -> FluctuationReport:
     """Var(n1) and phase half-width of the product configuration per params,
     plus log-log slopes versus nbar1.
 
-    At fixed filling p = nbar1/N the expected exponents are +1 (variance)
-    and -1/2 (phase width).
+    Both are closed forms of the binomial that `jj.product_state` is built
+    from, with p = nbar1/N, and neither depends on phi:
+    Var(n1) = nbar1 (N - nbar1) / N, and the half-width delta, where
+    |<n,phi | n,phi+delta>| = |1 - p + p e^{i delta}|^N drops to 1/2, solves
+    sin^2(delta/2) = (1 - 2^(-2/N)) N / (4 Var(n1)).  At fixed filling the
+    expected exponents are +1 (variance) and -1/2 (phase width).
     """
     if len(params_list) < 3:
         raise FitError("fluctuation fit needs at least 3 scan points")
@@ -521,12 +494,14 @@ def fluctuation_scan(params_list: list[jj.JJParams], phi: float = 0.0
         raise FitError("fluctuation fit needs at least 2 distinct n_bar1 values")
     nb, variances, widths = [], [], []
     for params in params_list:
-        space = jj.sector_space(params)
-        state = jj.product_state(params.n_total, params.n_bar1, phi, space)
-        _, var = number_moments(state)
-        nb.append(float(params.n_bar1))
+        n, n1 = params.n_total, float(params.n_bar1)
+        var = n1 * ((n - n1) / n)       # nbar1 (N - nbar1) / N, without overflow
+        half = -math.expm1(-2.0 * math.log(2.0) / n) * n / (4.0 * var)
+        if half > 1.0:
+            raise DomainError("overlap never drops to 1/2")
+        nb.append(n1)
         variances.append(var)
-        widths.append(phase_half_width(state))
+        widths.append(2.0 * math.asin(math.sqrt(half)))
     slope_num = float(np.polyfit(np.log(nb), np.log(variances), 1)[0])
     slope_phase = float(np.polyfit(np.log(nb), np.log(widths), 1)[0])
     return FluctuationReport(

@@ -35,6 +35,13 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
+def _nan_to_none(value):
+    # a scalar result, or a dict of them, with each NaN as None (JSON null)
+    if isinstance(value, dict):
+        return {k: _nan_to_none(v) for k, v in value.items()}
+    return None if value != value else value
+
+
 def _blocks(columns: dict):
     """The rows of `columns`, BLOCK_ROWS at a time, as one list of built-in
     values per column; each column slice converts as one numpy array."""
@@ -49,9 +56,10 @@ def emit_report(columns: dict | None, fmt: str, path: str, config: dict,
     one row per index.
 
     `config` (the effective run configuration) and `extra` (scalar results,
-    e.g. fitted exponents) go into the CSV comment header / the JSON
-    object.  A report has at least one row, except that a JSON report may
-    have none (None): its object then holds only `config` and `extra`.
+    e.g. fitted exponents, a NaN in them written as null) go into the CSV
+    comment header / the JSON object.  A report has at least one row,
+    except that a JSON report may have none (None): its object then holds
+    only `config` and `extra`.
     The columns are checked before the file opens.  A column converts as
     one numpy array, so it holds values of one type (None aside).  A value
     that JSON cannot hold (an infinity) raises BeamlabError and leaves no
@@ -64,6 +72,7 @@ def emit_report(columns: dict | None, fmt: str, path: str, config: dict,
         if len(lengths) != 1 or 0 in lengths:
             raise ContractViolationError(
                 "a report needs columns of one length, at least one row long")
+    extra = {k: _nan_to_none(v) for k, v in (extra or {}).items()}
     try:
         if fmt == "csv":
             _write_csv(columns, path, config, extra)
@@ -78,7 +87,7 @@ def emit_report(columns: dict | None, fmt: str, path: str, config: dict,
 def _write_csv(columns, path, config, extra):
     with open(path, "w", newline="") as fh:
         fh.write("# config: " + json.dumps(config, sort_keys=True) + "\r\n")
-        for key, value in (extra or {}).items():
+        for key, value in extra.items():
             fh.write(f"# {key}: " + json.dumps(value, sort_keys=True) + "\r\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
@@ -92,7 +101,7 @@ def _write_json(columns, path, config, extra):
     encode = json.JSONEncoder(indent=2, allow_nan=False).encode
     with open(path, "w") as fh:
         try:
-            text = encode({"config": config, **(extra or {})})
+            text = encode({"config": config, **extra})
             if columns is not None:
                 fh.write(text[:-2] + ',\n  "rows": [')
                 for i, block in enumerate(_blocks(columns)):

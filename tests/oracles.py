@@ -1,14 +1,19 @@
-"""Oracles that the tests check beamlab's index arithmetic against: the
-pair hopping operator and the expectation <psi| O |psi>, built from
-`fock.ladder_operator`'s CSR matrices the slow, obvious way, and the Gamma
-lowering plan, built by matching row sets with `np.intersect1d`."""
+"""Oracles that the tests check beamlab's shortcuts against: the pair
+hopping operator and the expectation <psi| O |psi>, built from
+`fock.ladder_operator`'s CSR matrices the slow, obvious way; the Gamma
+lowering plan, built by matching row sets with `np.intersect1d`; and the
+number variance and phase half-width of a product state, measured on its
+amplitudes."""
 
+import math
 from itertools import combinations_with_replacement, product
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import brentq
 
 import beamlab.fock as fock
+import beamlab.jj as jj
 from beamlab.entanglement import BEAM_A, BEAM_B
 from beamlab.errors import ContractViolationError
 
@@ -72,3 +77,21 @@ def lowering_plan(space):
             weight[side, p, :at.size] = lowered[row][2][at]
     n_a, n_b = (sum(map(space.number_diagonal, beam)) for beam in (BEAM_A, BEAM_B))
     return np.array(pairs), rows, src, weight, n_a, n_b, n_a * n_b
+
+
+def product_fluctuations(n_total, n_bar1):
+    """(Var(n1), phase half-width) of `jj.product_state(n_total, n_bar1)`,
+    measured on the state: the compensated variance of its probabilities
+    p_k, and the offset delta at which the overlap |sum_k p_k e^{i k delta}|
+    drops to 1/2, by `brentq` on (0, pi)."""
+    space = fock.FockSpace.fixed_sector(n_total)
+    probs = jj.product_state(n_total, n_bar1, 0.0, space).probabilities()
+    k = np.arange(len(probs), dtype=float)
+    mean = math.fsum(k * probs)
+    var = math.fsum((k - mean) ** 2 * probs)
+
+    def overlap_above_half(delta):
+        return abs(np.sum(probs * np.exp(1j * k * delta))) - 0.5
+
+    width = brentq(overlap_above_half, 0.0, math.pi, xtol=1e-300)
+    return var, width

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -641,6 +642,37 @@ def test_fluctuations_cli(tmp_path):
     exps = header["fitted_exponents"]
     assert exps["number"] == pytest.approx(1.0, abs=1e-6)
     assert exps["phase"] == pytest.approx(-0.5, abs=0.05)
+
+
+def test_fluctuations_cli_runs_far_beyond_a_stored_state(tmp_path):
+    # closed forms: N up to 2e12 costs what N = 2e3 costs
+    out = tmp_path / "fluct.csv"
+    start = time.perf_counter()
+    assert run(["fluctuations", "--n-bar1-values", "1e3,1e6,1e9,1e12",
+                "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 1.0
+    exps = reports.load_report(str(out))[1]["fitted_exponents"]
+    assert exps["number"] == pytest.approx(1.0, abs=1e-6)
+    assert exps["phase"] == pytest.approx(-0.5, abs=1e-4)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_compare_writes_an_undefined_phase_as_null(tmp_path, fmt):
+    # lam = 0 from a Fock state: no coherence, so max |phi_exact - phi_mf| is NaN
+    out = tmp_path / f"cmp.{fmt}"
+    assert run(["compare", "--n-total", "4", "--e-c", "1", "--lam", "0", "--n0", "0",
+                "--horizon", "1", "--format", fmt, "--out", str(out)]) == 0
+    _, header = reports.load_report(str(out))
+    assert header["max_divergence"] == {"n1": 0.0, "phi": None}
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    text = out.read_text()
+    if fmt == "csv":
+        line = next(x for x in text.splitlines() if x.startswith("# max_divergence: "))
+        text = line.removeprefix("# max_divergence: ")
+    json.loads(text, parse_constant=refuse)
 
 
 def test_compare_cli_defaults(tmp_path):

@@ -280,6 +280,8 @@ DEFECTS += [
     *[("pendulum", None, ["--omega", "1", "--phidot0", "1", "--e-c", "1e-310",
                           "--n-bar1", "1", *PENDULUM_RUN, *fmt])
       for fmt in ([], ["--format", "json"])],
+    # N = 1, 2, 3 at p = 0.9: |1 - p + p e^{i delta}|^N never drops to 1/2
+    ("fluctuations", None, ["--n-bar1-values", "0.9,1.8,2.7", "--p", "0.9"]),
 ]
 
 

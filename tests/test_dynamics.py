@@ -23,7 +23,7 @@ from beamlab.errors import (
     IntegrationFailureError,
     ResourceLimitError,
 )
-from oracles import expectation
+from oracles import expectation, product_fluctuations
 
 
 def canonical_params():
@@ -623,19 +623,27 @@ def test_fluctuation_scan_needs_three_points():
 def test_phase_half_width_matches_closed_form():
     # oracle: |p e^{i d} + 1 - p|^N = 1/2 solved on the closed form
     from scipy.optimize import brentq
-    for nb in (25, 400):
-        params = scan_params(nb)
-        space = jj.sector_space(params)
-        state = jj.product_state(params.n_total, params.n_bar1, 0.0, space)
-        width = dyn.phase_half_width(state)
-        p = 0.5
-        n_tot = params.n_total
+    rep = dyn.fluctuation_scan([scan_params(nb) for nb in (25, 100, 400)])
+    for nb, width in zip(rep.n_bar1_values, rep.phase_width):
+        p, n_tot = 0.5, int(2 * nb)
 
         def closed(d):
             return abs(p * np.exp(1j * d) + 1 - p) ** n_tot - 0.5
 
         want = brentq(closed, 1e-6, np.pi)
         assert width == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3])
+def test_fluctuation_scan_matches_the_product_state(p):
+    # the closed forms against the variance and overlap of the state itself
+    params = [jj.JJParams(e_c=0.0, lam=0.0, n_total=round(nb / p), n_bar1=float(nb))
+              for nb in (25, 100, 400, 1600)]
+    rep = dyn.fluctuation_scan(params)
+    for par, var, width in zip(params, rep.number_variance, rep.phase_width):
+        want_var, want_width = product_fluctuations(par.n_total, par.n_bar1)
+        assert var == pytest.approx(want_var, rel=1e-12, abs=0)
+        assert width == pytest.approx(want_width, rel=1e-12, abs=0)
 
 
 def test_trajectory_validation():

@@ -1,5 +1,6 @@
 """The scripts run end to end and write their reports."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from beamlab import cli, reports
 
 ROOT = Path(__file__).resolve().parent.parent
 REPORTS = {"negativity_sweep.csv": "seed,cutoff,n_a,n_b,n_ab,negativity,bound_exact",
@@ -75,8 +78,21 @@ def test_report_digests_prints_one_digest_per_job():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 21
+    assert len(lines) == 22
     digests = [line.split("  ", 1) for line in lines]
     assert all(len(d) == 64 and int(d, 16) >= 0 and job for d, job in digests)
     # the pooled bound-check run writes the serial run's bytes
     assert digests[4][0] == digests[5][0] and digests[5][1].endswith("--workers 3")
+
+
+def test_paper_results_summary_prints_an_undefined_phase(tmp_path):
+    # a compare report whose phase divergence is NaN, which reads back None
+    out = tmp_path / "cmp.csv"
+    assert cli.main(["compare", "--n-total", "4", "--e-c", "1", "--lam", "0",
+                     "--n0", "0", "--horizon", "1", "--out", str(out)]) == 0
+    spec = importlib.util.spec_from_file_location(
+        "paper_results", ROOT / "scripts" / "paper_results.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    lines = script.summary("jj_dichotomy.csv", *reports.load_report(str(out)))
+    assert "max |phi_exact - phi_mf| = undefined," in lines[0]
