@@ -324,9 +324,6 @@ def run_tomography(args):
         omega = polarization.apply_device_map(omega, device)
     result = polarization.tomography_simulate(omega, args.shots, args.seed,
                                               noise=args.noise)
-    if args.format == "json":       # one object per quantity, keyed by component
-        return None, {key: dict(zip("imcs", getattr(result, key)))
-                      for key in ("estimate", "standard_errors", "true_values")}
     return {"component": list("imcs"), "estimate": result.estimate,
             "standard_error": result.standard_errors,
             "true_value": result.true_values}, None
@@ -387,10 +384,10 @@ def run_jj_evolve(args):
     Param("phi0", _number, 0.0, "initial phase"),
     Param("phidot0", _number, 0.0, "initial phase velocity"),
     Param("omega", _number, REQUIRED, "plasma frequency"),
-    Param("horizon", _number, lambda v: 10.0 / v["omega"] if v["omega"] > 0 else 10.0,
-          "end time", "[0, inf)"),
-    Param("dt", _number, lambda v: 0.01 / v["omega"] if v["omega"] > 0 else 0.01,
-          "output spacing", "(0, inf)"),
+    Param("horizon", _number, lambda v: 10.0 / (abs(v["omega"]) or 1.0), "end time",
+          "[0, inf)"),
+    Param("dt", _number, lambda v: 0.01 / (abs(v["omega"]) or 1.0), "output spacing",
+          "(0, inf)"),
     Param("e_c", _number, None, "charging energy, with --n-bar1 to reconstruct n1",
           "[0, inf)"),
     Param("n_bar1", _number, None, "background pairs, with --e-c to reconstruct n1"),
@@ -409,12 +406,15 @@ def run_pendulum(args):
 ))
 def run_fluctuations(args):
     from . import dynamics, fock, jj
+    params_list = []
     for nb in args.n_bar1_values:   # closed forms: only the float range bounds N
         fock.check_work(nb / args.p, sys.float_info.max, "n_total = n_bar1 / p")
-    # product-state statistics depend on N and n_bar1 alone, not on E_C or lam
-    params_list = [jj.JJParams(e_c=0.0, lam=0.0, n_total=int(round(nb / args.p)),
-                               n_bar1=nb)
-                   for nb in args.n_bar1_values]
+        n_total = int(round(nb / args.p))
+        if not 0 < nb < n_total:
+            raise BeamlabError(f"--n-bar1-values entry {nb!r} gives N = round(n_bar1 "
+                               f"/ p) = {n_total} pairs, and needs 0 < n_bar1 < N")
+        # product-state statistics depend on N and n_bar1 alone, not on E_C or lam
+        params_list.append(jj.JJParams(e_c=0.0, lam=0.0, n_total=n_total, n_bar1=nb))
     report = dynamics.fluctuation_scan(params_list)
     number, phase = report.fitted_exponents
     return report.columns(), {"fitted_exponents": {"number": number, "phase": phase}}
@@ -482,7 +482,7 @@ def main(argv=None) -> int:
             return EXIT_ERROR
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)
-    if False in (columns or {}).get("satisfied", ()):
+    if False in columns.get("satisfied", ()):
         return EXIT_VIOLATION
     return EXIT_OK
 

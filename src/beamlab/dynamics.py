@@ -551,12 +551,14 @@ def model_compare(params: jj.JJParams, n0: float, phi0: float, horizon: float
     (phi0, E_C (n0 - nbar1)) with the matched linearized frequency.  All
     three models are given the output spacing 0.1 / rate (`_junction_rate`)
     and so share one grid (`_output_times`); the self-consistent run steps
-    at most about 0.01 / rate between outputs.  The self-consistent run goes
-    first, as its step budget is the one the exact run does not check.  The
-    exact run's fock.EIG_WORK_LIMIT bounds N.
+    at most about 0.01 / rate between outputs.  The exact run's (N + 1)^2
+    budget, fock.EIG_WORK_LIMIT, is checked first; the self-consistent run
+    goes next, as its step budget is the one the exact run does not check.
     """
     dt = 0.1 / _junction_rate(params)
     space = jj.sector_space(params)
+    fock.check_work(float(space.dimension) * space.dimension, fock.EIG_WORK_LIMIT,
+                    "eigendecomposition dimension^2")
     label0 = locked_phase_label(params) - phi0
     initial = jj.product_state(params.n_total, n0, label0, space)
 

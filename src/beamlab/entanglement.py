@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
@@ -238,23 +237,27 @@ def partial_transpose(mat: np.ndarray) -> np.ndarray:
     return m.reshape(*lead, 2, 2, 2, 2).swapaxes(-3, -1).reshape(*lead, 4, 4)
 
 
-# Bound statistics of a batch of states, one array entry per state; excess
-# is (Tr |Gamma~^PT| - 1)/2 before it is clipped at 0 into negativity.
-_BoundStats = namedtuple("_BoundStats", [
-    "pt_eigenvalues", "trace_abs", "excess", "negativity", "bound_exact",
-    "bound_approx", "trace_abs_bound", "satisfied"])
+# Bound statistics, arrays of one entry per state (`_bound_stats`) or the
+# built-in values of one state (`bound_report`).  excess, (Tr|Gamma~^PT| - 1)/2,
+# is clipped at 0 into negativity; the bounds are min(2 n_a, 2 n_b) / <n_a n_b>,
+# 2 / max(n_a, n_b) and, on Tr|Gamma~^PT|, 1 + 4 n_a / <n_a n_b>.
+BoundReport = namedtuple("BoundReport", [
+    "pt_eigenvalues", "trace_abs_pt", "excess", "negativity", "bound_exact",
+    "bound_approx", "trace_abs_bound", "satisfied", "trace_bound_satisfied"])
 
 
 def _bound_stats(gammas: np.ndarray, n_a: np.ndarray, n_b: np.ndarray,
-                 n_ab: np.ndarray) -> _BoundStats:
+                 n_ab: np.ndarray) -> BoundReport:
     lam = BeamSampler.pt_eigenvalues(gammas, n_ab)
     trace_abs = np.sum(np.abs(lam), axis=-1)
     excess = 0.5 * (trace_abs - 1.0)
     neg = np.maximum(excess, 0.0)
     bound_exact = np.minimum(2.0 * n_a, 2.0 * n_b) / n_ab
-    return _BoundStats(lam, trace_abs, excess, neg, bound_exact,
-                       2.0 / np.maximum(n_a, n_b), 1.0 + 4.0 * n_a / n_ab,
-                       neg <= bound_exact + BOUND_TOL)
+    trace_abs_bound = 1.0 + 4.0 * n_a / n_ab
+    return BoundReport(lam, trace_abs, excess, neg, bound_exact,
+                       2.0 / np.maximum(n_a, n_b), trace_abs_bound,
+                       neg <= bound_exact + BOUND_TOL,
+                       trace_abs <= trace_abs_bound + BOUND_TOL)
 
 
 def negativity(sigma: np.ndarray) -> float:
@@ -274,29 +277,11 @@ def negativity(sigma: np.ndarray) -> float:
     return float(stats.negativity[0])
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Negativity of Gamma~ against its moment bound for one state/mixture."""
-
-    negativity: float
-    bound_exact: float        # min(2 n_a, 2 n_b) / <n_a n_b>
-    bound_approx: float       # 2 / max(n_a, n_b), exact for uncorrelated beams
-    satisfied: bool
-    pt_eigenvalues: tuple[float, float, float, float]
-    trace_abs_pt: float       # Tr |Gamma~^PT|
-    trace_abs_bound: float    # 1 + 4 n_a / <n_a n_b>
-    trace_bound_satisfied: bool
-
-
 def bound_report(corr: TwoBeamCorrelation) -> BoundReport:
+    """The bound statistics of one state or mixture, as floats and bools."""
     moments = (np.array([m]) for m in (corr.n_a, corr.n_b, corr.n_ab))
-    s = _BoundStats(*(field[0] for field in _bound_stats(corr.gamma[None], *moments)))
-    return BoundReport(
-        negativity=float(s.negativity), bound_exact=float(s.bound_exact),
-        bound_approx=float(s.bound_approx), satisfied=bool(s.satisfied),
-        pt_eigenvalues=tuple(float(x) for x in s.pt_eigenvalues),
-        trace_abs_pt=float(s.trace_abs), trace_abs_bound=float(s.trace_abs_bound),
-        trace_bound_satisfied=bool(s.trace_abs <= s.trace_abs_bound + BOUND_TOL))
+    lam, *rest = (field[0].tolist() for field in _bound_stats(corr.gamma[None], *moments))
+    return BoundReport(tuple(lam), *rest)
 
 
 def check_bound(state: fock.StateVector) -> BoundReport:

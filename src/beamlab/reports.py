@@ -50,28 +50,23 @@ def _blocks(columns: dict):
         yield [np.asarray(c[start:start + BLOCK_ROWS]).tolist() for c in columns.values()]
 
 
-def emit_report(columns: dict | None, fmt: str, path: str, config: dict,
+def emit_report(columns: dict, fmt: str, path: str, config: dict,
                 extra: dict | None = None) -> None:
     """Write `columns` {name: array, list or tuple} to `path` as csv or json,
-    one row per index.
+    one row per index; a report has at least one row.
 
     `config` (the effective run configuration) and `extra` (scalar results,
     e.g. fitted exponents, a NaN in them written as null) go into the CSV
-    comment header / the JSON object.  A report has at least one row,
-    except that a JSON report may have none (None): its object then holds
-    only `config` and `extra`.
+    comment header / the JSON object.
     The columns are checked before the file opens.  A column converts as
     one numpy array, so it holds values of one type (None aside).  A value
     that JSON cannot hold (an infinity) raises BeamlabError and leaves no
     file.
     """
-    if columns is None and fmt != "json":
-        raise ContractViolationError("only a json report may have no rows")
-    if columns is not None:
-        lengths = {len(c) for c in columns.values()}
-        if len(lengths) != 1 or 0 in lengths:
-            raise ContractViolationError(
-                "a report needs columns of one length, at least one row long")
+    lengths = {len(c) for c in (columns or {}).values()}
+    if len(lengths) != 1 or 0 in lengths:
+        raise ContractViolationError(
+            "a report needs columns of one length, at least one row long")
     extra = {k: _nan_to_none(v) for k, v in (extra or {}).items()}
     try:
         if fmt == "csv":
@@ -101,15 +96,12 @@ def _write_json(columns, path, config, extra):
     encode = json.JSONEncoder(indent=2, allow_nan=False).encode
     with open(path, "w") as fh:
         try:
-            text = encode({"config": config, **extra})
-            if columns is not None:
-                fh.write(text[:-2] + ',\n  "rows": [')
-                for i, block in enumerate(_blocks(columns)):
-                    rows = [{k: v if v == v else None for k, v in zip(columns, row)}
-                            for row in zip(*block)]
-                    fh.write("," * (i > 0) + encode(rows)[1:-2].replace("\n", "\n  "))
-                text = "\n  ]\n}"
-            fh.write(text + "\n")
+            fh.write(encode({"config": config, **extra})[:-2] + ',\n  "rows": [')
+            for i, block in enumerate(_blocks(columns)):
+                rows = [{k: v if v == v else None for k, v in zip(columns, row)}
+                        for row in zip(*block)]
+                fh.write("," * (i > 0) + encode(rows)[1:-2].replace("\n", "\n  "))
+            fh.write("\n  ]\n}\n")
         except ValueError as exc:   # a value JSON cannot hold: no report
             fh.close()
             os.remove(path)
@@ -133,8 +125,7 @@ def _parse_cell(text: str):
 
 def load_report(path: str):
     """Parse a report back into (rows, header) where header holds the config
-    and any extra scalars; CSV cells come back through type inference.  A
-    JSON report written without rows loads with rows None."""
+    and any extra scalars; CSV cells come back through type inference."""
     try:
         with open(path) as fh:
             text = fh.read()
@@ -149,9 +140,10 @@ def load_report(path: str):
 
 def _parse_report(text: str):
     if text.lstrip().startswith("{"):
-        payload = json.loads(text)
-        header = {k: v for k, v in payload.items() if k != "rows"}
-        return payload.get("rows"), header
+        header = json.loads(text)
+        if "rows" not in header:
+            raise ValueError('no "rows" key')
+        return header.pop("rows"), header
     header = {}
     lines = []
     for line in text.splitlines():

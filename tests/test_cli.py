@@ -38,6 +38,19 @@ def test_pendulum_report_columns(tmp_path):
     assert all(r["n1"] == pytest.approx(10.0 + r["phidot"] / 0.5) for r in rows)
 
 
+def test_pendulum_defaults_follow_the_size_of_omega(tmp_path):
+    # the model reads |omega|, and so do the default horizon and dt
+    loaded = []
+    for omega in ("2", "-2"):
+        out = tmp_path / f"pend{omega}.csv"
+        assert run(["pendulum", "--phi0", "0.3", "--omega", omega, "--out", str(out)]) == 0
+        loaded.append(reports.load_report(str(out)))
+    (rows, header), (flipped_rows, flipped_header) = loaded
+    assert rows == flipped_rows
+    for config in (header["config"], flipped_header["config"]):
+        assert (config["horizon"], config["dt"]) == (5.0, 0.005)
+
+
 def test_bound_check_deterministic_across_runs_and_workers(tmp_path):
     args = ["bound-check", "--seed", "7", "--samples", "60", "--cutoff", "2",
             "--mixtures", "5"]
@@ -382,16 +395,9 @@ def test_every_report_loads_back_with_its_configuration(tmp_path, subcommand):
         rows, header = reports.load_report(str(out))
         assert header["config"] == json.loads(json.dumps(config))
         loaded[fmt] = rows, header
-    (csv_rows, _), (json_rows, json_header) = loaded["csv"], loaded["json"]
+    (csv_rows, _), (json_rows, _) = loaded["csv"], loaded["json"]
     assert csv_rows
-    if subcommand == "tomography":      # its JSON report keys by component, no rows
-        assert json_rows is None
-        columns = {"estimate": "estimate", "standard_errors": "standard_error",
-                   "true_values": "true_value"}
-        for key, column in columns.items():
-            assert [json_header[key][c] for c in "imcs"] == [r[column] for r in csv_rows]
-    else:
-        assert csv_rows == json_rows
+    assert csv_rows == json_rows
 
 
 # One other value for every parameter of every subcommand that is not a
@@ -515,16 +521,18 @@ def test_tomography_scene_file(tmp_path):
     out = tmp_path / "tomo.json"
     assert run(["tomography", "--config", str(scene_path), "--out", str(out),
                 "--format", "json"]) == 0
-    payload = json.loads(out.read_text())
+    json_rows, header = reports.load_report(str(out))
+    by_comp = {r["component"]: r for r in json_rows}
+    assert list(by_comp) == list("imcs")
     # mode-0 projector on unpolarized light: I = 0.5, S = 0.5
-    assert payload["true_values"]["i"] == pytest.approx(0.5)
-    assert payload["true_values"]["s"] == pytest.approx(0.5)
-    assert payload["config"]["seed"] == 5
+    assert by_comp["i"]["true_value"] == pytest.approx(0.5)
+    assert by_comp["s"]["true_value"] == pytest.approx(0.5)
+    assert header["config"]["seed"] == 5
     # the report echoes the scene it measured, as the file gave it
-    assert payload["config"]["stokes"] == scene["stokes"]
-    assert payload["config"]["device_maps"] == scene["device_maps"]
-    assert "omega" not in payload["config"]
-    assert abs(payload["estimate"]["s"] - 0.5) < 5 * payload["standard_errors"]["s"]
+    assert header["config"]["stokes"] == scene["stokes"]
+    assert header["config"]["device_maps"] == scene["device_maps"]
+    assert "omega" not in header["config"]
+    assert abs(by_comp["s"]["estimate"] - 0.5) < 5 * by_comp["s"]["standard_error"]
 
     # 5-sigma-ish agreement and byte determinism
     out2 = tmp_path / "tomo2.json"
@@ -536,8 +544,7 @@ def test_tomography_scene_file(tmp_path):
     outc = tmp_path / "tomo.csv"
     assert run(["tomography", "--config", str(scene_path), "--out", str(outc)]) == 0
     rows, _ = reports.load_report(str(outc))
-    by_comp = {r["component"]: r for r in rows}
-    assert by_comp["s"]["estimate"] == payload["estimate"]["s"]
+    assert rows == json_rows
 
 
 def test_tomography_flag_overrides_scene(tmp_path):

@@ -285,12 +285,28 @@ DEFECTS += [
 ]
 
 
+# entries whose N = round(n_bar1 / p) holds fewer than one pair, or
+# not more than n_bar1
+TOO_FEW_PAIRS = [
+    ["--n-bar1-values", "10,20,-30"],
+    ["--n-bar1-values", "0.2,0.4,0.6"],
+    ["--n-bar1-values", "10,1.341", "--p", "0.9"],
+]
+DEFECTS += [("fluctuations", None, argv) for argv in TOO_FEW_PAIRS]
+
+
 @pytest.mark.parametrize("name,config,argv", DEFECTS)
 def test_cli_defect_inputs_exit_1_with_one_line(tmp_path, name, config, argv):
     code, err = run_cli(tmp_path, name, config, argv)
     assert code == 1
     assert_clean_outcome(code, err)
     assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("argv", TOO_FEW_PAIRS)
+def test_fluctuations_names_the_flag_of_an_entry_with_too_few_pairs(tmp_path, argv):
+    code, err = run_cli(tmp_path, "fluctuations", None, argv)
+    assert code == 1 and err.startswith("error: --n-bar1-values entry ")
 
 
 @pytest.mark.parametrize("name,argv,message", DERIVED)

@@ -672,6 +672,18 @@ def test_meanfield_output_budget_counts_the_sampled_outputs(monkeypatch):
         dyn.evolve_meanfield(initial, params, 1.0, 2.0 * dt)
 
 
+def test_compare_checks_the_exact_eigen_budget_before_any_run(monkeypatch):
+    def past_the_budget(*args):
+        raise LookupError("the self-consistent run started")
+
+    # (N + 1)^2 = 25,010,001 is past fock.EIG_WORK_LIMIT: refused before the
+    # self-consistent run, which goes first, takes a step
+    monkeypatch.setattr(dyn, "_meanfield_rotations", past_the_budget)
+    params = jj.JJParams(e_c=1.0, lam=0.001, n_total=5000, n_bar1=2500.0)
+    with pytest.raises(ResourceLimitError, match="eigendecomposition dimension"):
+        dyn.model_compare(params, 2501.0, 0.0, 1.0)
+
+
 def test_work_budgets_refuse_before_running():
     params = jj.JJParams(e_c=0.2, lam=0.1, n_total=4, n_bar1=2.0)
     initial = jj.product_state(4, 2.0, 0.0, jj.sector_space(params))

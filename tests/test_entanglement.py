@@ -394,14 +394,25 @@ def test_batched_bound_stats_equal_one_state_at_a_time():
         lam = np.linalg.eigvalsh(ent.partial_transpose(gammas[col] / n_ab[col]))
         assert np.array_equal(stats.pt_eigenvalues[col], lam)
         trace_abs = float(np.sum(np.abs(lam)))
-        assert stats.trace_abs[col] == trace_abs
+        assert stats.trace_abs_pt[col] == trace_abs
+        assert stats.excess[col] == 0.5 * (trace_abs - 1.0)
         assert stats.negativity[col] == max(0.5 * (trace_abs - 1.0), 0.0)
         na, nb, nab = float(n_a[col]), float(n_b[col]), float(n_ab[col])
         assert stats.bound_exact[col] == min(2.0 * na, 2.0 * nb) / nab
         assert stats.bound_approx[col] == 2.0 / max(na, nb)
         assert stats.trace_abs_bound[col] == 1.0 + 4.0 * na / nab
-    rep = ent.bound_report(ent.TwoBeamCorrelation(gammas[0], n_a[0], n_b[0], n_ab[0]))
-    assert rep.pt_eigenvalues == tuple(stats.pt_eigenvalues[0])
+        assert stats.trace_bound_satisfied[col] == (
+            trace_abs <= 1.0 + 4.0 * na / nab + ent.BOUND_TOL)
+        # one state's record holds the batch's values as built-in ones
+        rep = ent.bound_report(
+            ent.TwoBeamCorrelation(gammas[col], n_a[col], n_b[col], n_ab[col]))
+        assert type(rep) is type(stats)
+        assert rep.pt_eigenvalues == tuple(stats.pt_eigenvalues[col].tolist())
+        assert all(type(x) is float for x in rep.pt_eigenvalues)
+        for name in rep._fields[1:]:
+            want = getattr(stats, name)[col].item()
+            assert type(getattr(rep, name)) is type(want), name
+            assert getattr(rep, name) == want, name
 
 
 def test_sample_budget_is_checked_before_sampling():

@@ -14,7 +14,7 @@ from beamlab.errors import BeamlabError, ContractViolationError
 
 def test_empty_csv_raises(tmp_path):
     path = tmp_path / "empty.csv"
-    for columns in ({"x": []}, {}):
+    for columns in ({"x": []}, {}, None):
         with pytest.raises(ContractViolationError):
             reports.emit_report(columns, "csv", str(path), config={})
         with pytest.raises(ContractViolationError):
@@ -49,13 +49,11 @@ def test_csv_json_round_trip_identical_values(tmp_path):
     assert json_header["config"] == cfg
 
 
-def test_json_report_without_rows_loads_with_rows_none(tmp_path):
+def test_json_report_without_rows_is_refused_with_its_path(tmp_path):
     path = tmp_path / "scalars.json"
-    reports.emit_report(None, "json", str(path), config={"seed": 1},
-                        extra={"estimate": {"i": 1.0}})
-    rows, header = reports.load_report(str(path))
-    assert rows is None
-    assert header == {"config": {"seed": 1}, "estimate": {"i": 1.0}}
+    path.write_text(json.dumps({"config": {"seed": 1}, "estimate": {"i": 1.0}}))
+    with pytest.raises(BeamlabError, match="scalars.json"):
+        reports.load_report(str(path))
 
 
 def test_empty_report_file_is_refused_with_its_path(tmp_path):
