@@ -54,6 +54,9 @@ JOBS = [
     ["bound-check", "--seed", "3", "--samples", "2000", "--cutoff", "3",
      "--mixtures", "200"],
     ["neg-sweep", "--seed", "3", "--samples", "20", "--k-max", "10"],
+    # five states in chunks of two and three from k = 13, two states past
+    # the operand budget from k = 16
+    ["neg-sweep", "--seed", "3", "--samples", "5", "--k-max", "16"],
     # 50,001 rows: a report written in three blocks of reports.BLOCK_ROWS
     ["pendulum", "--omega", "1", "--phi0", "1", "--horizon", "1", "--dt", "2e-5"],
     # the fluctuation scan at a filling other than 1/2

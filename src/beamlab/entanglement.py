@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -41,11 +40,14 @@ BOUND_TOL = 1e-9
 
 # Work budget in sampled states x basis dimension.
 SAMPLE_WORK_LIMIT = 10_000_000
-# bound_rows evaluates samples in chunks of about this many states x
-# dimension: the Gamma step holds about 40 bytes per entry (the states, the
-# moments' running sums, the operands of one group of Gamma entries; 36 at
-# cutoff 3, 43 at k = 10), so a chunk of several states peaks near 20 MB.
-CHUNK_WORK = 2 ** 19
+# One Gamma operand (the lowered states of a group of Gamma entries, over a
+# chunk of states) holds at most this many 16-byte entries, 2 MB, unless a
+# chunk's least width, two states, forces more: bound_rows sizes its chunks
+# by the largest entry and _pair_groups packs entries up to it.  Measured
+# peak RSS: 50 MB for the benchmark's beam workload, 0.20 GB for neg-sweep
+# --samples 20 --k-max 24 and 0.69 GB for --samples 1 --k-max 30, whose
+# lone state gathers all ten entries at once.
+OPERAND_WORK = 2 ** 17
 
 
 def check_sample_work(samples: int, cutoff: int) -> None:
@@ -98,7 +100,35 @@ BEAM_A, BEAM_B = (0, 1), (2, 3)
 _Plan = namedtuple("_Plan", ["pairs", "rows", "src", "weight", "n_a", "n_b", "n_ab"])
 
 
-@lru_cache(maxsize=1)       # a run works on one space at a time
+_CacheInfo = namedtuple("_CacheInfo", ["misses", "currsize"])
+
+
+class _OneSpaceCache:
+    """`build(space)` cached for the last space it was called with.  A run
+    works on one space at a time, and unlike lru_cache(maxsize=1) this lets
+    the held result go before it builds the next one, so a sweep over
+    cutoffs never holds two plans."""
+
+    def __init__(self, build):
+        self.build = build
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self.space = self.value = None
+        self.misses = 0
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.misses, int(self.value is not None))
+
+    def __call__(self, space: fock.FockSpace):
+        if space != self.space:
+            self.space = self.value = None
+            self.misses += 1
+            self.value, self.space = self.build(space), space
+        return self.value
+
+
+@_OneSpaceCache
 def _plan(space: fock.FockSpace) -> _Plan:
     """a_mu b_mu' (row 2*mu + mu') moves the amplitude at src = dst +
     stride_mu + stride_mu' to dst, weighted sqrt(n_mu) * sqrt(n_mu') at src,
@@ -118,7 +148,7 @@ def _plan(space: fock.FockSpace) -> _Plan:
                    key=lambda pair: -math.prod(box(pair)))
     rows = np.array([math.prod(box(pair)) for pair in pairs])
     src = np.zeros((2, len(pairs), max(rows)), dtype=np.intp)
-    weight = np.zeros(src.shape, dtype=complex)   # the cast a product with psi makes
+    weight = np.zeros(src.shape)    # np.multiply casts it to complex, bits kept
     for p, (r, c) in enumerate(pairs):
         extents = box((r, c))
         n = np.ix_(*map(np.arange, extents))    # the occupations at dst
@@ -136,11 +166,11 @@ def _plan(space: fock.FockSpace) -> _Plan:
 
 def _pair_groups(plan: _Plan, width: int):
     """Runs of consecutive pairs whose operands, `width` columns each and
-    padded to the first pair's rows, hold at most CHUNK_WORK / 4 entries
+    padded to the first pair's rows, hold at most OPERAND_WORK entries
     (2 MB) each; a pair alone may hold more.  An operand is gathered,
     weighted and read by einsum in turn, so a small one stays in cache: on
     a 2-core Xeon with 2 MB of L2 per core, a 200-state chunk at k = 4 took
-    7 ms in groups of this size and 13 ms in groups of CHUNK_WORK.
+    7 ms in groups of this size and 13 ms in groups four times as large.
 
     A single state's pairs form one group.  einsum sums one pair of one
     state, which keeps no axis but the summed one, in chunks (at 12,100
@@ -150,7 +180,7 @@ def _pair_groups(plan: _Plan, width: int):
         return
     start = 0
     while start < len(plan.pairs):
-        count = max(1, CHUNK_WORK // 4 // max(1, plan.rows[start] * width))
+        count = max(1, OPERAND_WORK // max(1, plan.rows[start] * width))
         yield slice(start, start + count)
         start += count
 
@@ -383,10 +413,13 @@ def bound_rows(master_seed: int, indices: range, cutoff: int,
     check_sample_work(len(indices), cutoff)
     sampler = BeamSampler(cutoff)
     n = len(indices)
-    count = min(-(-n * sampler.space.dimension // CHUNK_WORK), n) or 1
-    bounds = np.linspace(0, n, count + 1, dtype=int)
+    # chunks as wide as the largest entry's operand allows, but of two
+    # states at least unless the call has one: a lone state's chunk
+    # gathers all ten entries at once (_pair_groups)
+    width = max(OPERAND_WORK // max(1, _plan(sampler.space).rows[0]), 2)
+    count = max(min(-(-n // width), n // 2), 1)
     rows = []
-    for start, stop in zip(bounds[:-1], bounds[1:]):
+    for start, stop in ((i * n // count, (i + 1) * n // count) for i in range(count)):
         psi = sampler.sample_states(master_seed, indices[start:stop], photons_per_beam)
         gammas_and_moments = sampler.gammas_and_moments(psi)
         del psi                 # freed before the next chunk's states are drawn

@@ -70,7 +70,7 @@ def lowering_plan(space):
     pairs = sorted(shared, key=lambda pair: -shared[pair][0].size)
     rows = np.array([shared[pair][0].size for pair in pairs])
     src = np.zeros((2, len(pairs), max(rows)), dtype=np.intp)
-    weight = np.zeros(src.shape, dtype=complex)
+    weight = np.zeros(src.shape)
     for p, (r, c) in enumerate(pairs):
         for side, (row, at) in enumerate(zip((c, r), shared[r, c])):
             src[side, p, :at.size] = lowered[row][1][at]

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -364,6 +365,21 @@ def test_a_bright_sweep_holds_one_plan_at_a_time():
     assert [ref() is None for ref in held] == [True, True, True, False]
 
 
+def test_the_held_plan_is_let_go_before_the_next_is_built(monkeypatch):
+    ent._plan.cache_clear()
+    held = weakref.ref(ent._plan(four_mode_space(1)).src)
+    build, freed = ent._plan.build, []
+
+    def spy(space):
+        freed.append(held() is None)
+        return build(space)
+
+    monkeypatch.setattr(ent._plan, "build", spy)
+    ent._plan(four_mode_space(2))
+    assert freed == [True]
+    assert ent._plan.cache_info() == (2, 1)
+
+
 @pytest.mark.parametrize("cutoffs", [
     [1] * 4, [2] * 4, [3] * 4, [10] * 4, [1, 2, 3, 2], [0, 1, 1, 1], [1, 0, 2, 0],
     [0] * 4, [4, 0, 0, 3], [5, 4, 3, 2], [3, 1, 2, 2, 2], [1, 1, 1, 1, 0, 2]])
@@ -425,10 +441,48 @@ def test_sample_budget_is_checked_before_sampling():
 def test_bound_rows_do_not_depend_on_the_chunk_width(monkeypatch):
     whole = ent.bound_rows(4, range(3, 13), 1)
     sector = ent.bound_rows(4, range(3, 13), 2, photons_per_beam=2)
-    monkeypatch.setattr(ent, "CHUNK_WORK", 3 * 16)      # widths 2, 3, 2, 3 at cutoff 1
+    monkeypatch.setattr(ent, "OPERAND_WORK", 3 * 4)     # widths 2, 3, 2, 3 at cutoff 1
     assert ent.bound_rows(4, range(3, 13), 1) == whole
-    monkeypatch.setattr(ent, "CHUNK_WORK", 1)           # one state per chunk
+    monkeypatch.setattr(ent, "OPERAND_WORK", 1)         # two states per chunk, the least
     assert ent.bound_rows(4, range(3, 13), 2, photons_per_beam=2) == sector
+
+
+@pytest.mark.parametrize("cutoff,photons,n", [
+    (1, None, 1), (1, None, 7), (3, None, 2000), (10, 10, 25), (13, 13, 5), (16, 16, 4),
+    (16, 16, 1)])
+def test_chunks_hold_two_states_and_operands_of_at_most_the_budget(cutoff, photons, n,
+                                                                   monkeypatch):
+    widths = []
+    gammas_and_moments = ent.BeamSampler.gammas_and_moments
+
+    def spy(sampler, psi):
+        widths.append(psi.shape[1])
+        return gammas_and_moments(sampler, psi)
+
+    monkeypatch.setattr(ent.BeamSampler, "gammas_and_moments", spy)
+    ent.bound_rows(2, range(n), cutoff, photons_per_beam=photons)
+    rows = ent._plan(four_mode_space(cutoff)).rows[0]
+    fits = ent.OPERAND_WORK // rows
+    assert sum(widths) == n
+    for width in widths:
+        assert width >= 2 or n == 1
+        # past the budget only where two states per chunk force it (one
+        # chunk of three when n is odd)
+        assert width * rows <= ent.OPERAND_WORK or width <= 2 + n % 2
+        assert width >= min(fits, n) // 2       # and no needless split
+
+
+def test_the_gamma_step_holds_operands_of_2_mb(monkeypatch):
+    # k = 10: the largest entry has 12,100 rows, so a chunk holds 10 states;
+    # chunks of 2^19 states x dimension (34 states) peaked at 20.4 MB
+    ent.prepare_bound_rows(10)          # the plan is not counted
+    tracemalloc.start()
+    try:
+        ent.bound_rows(7, range(200), 10, photons_per_beam=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
 
 
 def test_mixture_rows_equal_per_index_bound_reports():
@@ -462,8 +516,8 @@ def test_each_column_alone_equals_its_batch_column_bit_for_bit(cutoff, photons,
     alone = [ent._gammas_and_moments(sampler.space, psi[:, [j]]) for j in range(48)]
     layouts = set()
     # the default pair groups, then smaller ones that split at these widths
-    for chunk_work in (ent.CHUNK_WORK, 2 ** 12):
-        monkeypatch.setattr(ent, "CHUNK_WORK", chunk_work)
+    for operand_work in (ent.OPERAND_WORK, 2 ** 10):
+        monkeypatch.setattr(ent, "OPERAND_WORK", operand_work)
         for width in (1, 2, 5, 48):
             plan = ent._plan(sampler.space)
             layouts.add(tuple((g.start, g.stop) for g in ent._pair_groups(plan, width)))

@@ -78,7 +78,7 @@ def test_report_digests_prints_one_digest_per_job():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 22
+    assert len(lines) == 23
     digests = [line.split("  ", 1) for line in lines]
     assert all(len(d) == 64 and int(d, 16) >= 0 and job for d, job in digests)
     # the pooled bound-check run writes the serial run's bytes
