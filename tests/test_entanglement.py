@@ -472,9 +472,9 @@ def test_chunks_hold_two_states_and_operands_of_at_most_the_budget(cutoff, photo
         assert width >= min(fits, n) // 2       # and no needless split
 
 
-def test_the_gamma_step_holds_operands_of_2_mb(monkeypatch):
-    # k = 10: the largest entry has 12,100 rows, so a chunk holds 10 states;
-    # chunks of 2^19 states x dimension (34 states) peaked at 20.4 MB
+def test_the_gamma_step_holds_operands_of_2_mb():
+    # k = 10: the largest entry has 12,100 rows, so a chunk holds 10 states
+    # and peaks near 6 MB; chunks of 34 states peak near 20 MB
     ent.prepare_bound_rows(10)          # the plan is not counted
     tracemalloc.start()
     try:
