@@ -31,7 +31,14 @@ import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 
-import numpy as np
+# After each threaded call an idle OpenBLAS thread busy-waits for
+# 2^OPENBLAS_THREAD_TIMEOUT cycles before it sleeps: by default 2^28, about
+# 0.1 s, a third to a half of the CPU time of a CLI run, for no wall time.
+# 2^20 is under 1 ms.  The thread count, and so every report, is unchanged,
+# and a value the user set wins.  OpenBLAS reads it when numpy loads.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
+import numpy as np  # noqa: E402
 
 from . import reports
 from .errors import BeamlabError
@@ -267,7 +274,9 @@ def _columns(rows: list[dict]) -> dict:
     return {key: [row[key] for row in rows] for key in rows[0]}
 
 
-SEED = Param("seed", _integer, REQUIRED, "master seed for the run")
+# child_seed reduces a seed mod 2^64: one outside would repeat another's rows
+SEED = Param("seed", _integer, REQUIRED, "master seed for the run",
+             "[0, 18446744073709551616)")
 WORKERS = Param("workers", _integer, 1, "worker tasks, at most one process per CPU",
                 "[1, inf)", source="flag")
 

@@ -156,6 +156,39 @@ def test_neg_sweep_cli_pool_with_blas_threads_matches_serial(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+BLAS_TIMEOUT_AT_NUMPY_LOAD = r"""
+import os, sys
+
+class Probe:                # notes the variable when numpy starts to load
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not hasattr(self, "seen"):
+            self.seen = os.environ.get("OPENBLAS_THREAD_TIMEOUT")
+
+probe = Probe()
+sys.meta_path.insert(0, probe)
+import beamlab.cli
+print(probe.seen, os.environ["OPENBLAS_THREAD_TIMEOUT"])
+"""
+
+
+@pytest.mark.parametrize("given,expected", [(None, "20"), ("28", "28")])
+def test_cli_sets_the_blas_thread_timeout_before_numpy_loads(given, expected):
+    # OpenBLAS reads the variable once, when numpy loads it; a value the
+    # user set wins.  This process has imported beamlab.cli and so has the
+    # variable set: each child's is dropped or given explicitly.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {name: value for name, value in os.environ.items()
+           if name != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = path
+    if given is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = given
+    proc = subprocess.run([sys.executable, "-c", BLAS_TIMEOUT_AT_NUMPY_LOAD],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [expected, expected]
+
+
 def test_cli_stderr_is_one_error_line_or_one_line_per_warning(tmp_path):
     # a fresh process, free of pytest's warning filters; N = 4 puts fewer
     # than 10 pairs on each electrode, which warns

@@ -48,7 +48,7 @@ JUNCTION = {
 }
 SPACE = {
     "bound-check": {
-        "seed": ints(-5, 5),
+        "seed": ints(0, 5, -1),
         "samples": ints(1, 3, 0, -3),
         "cutoff": ints(1, 2, 0),
         "mixtures": ints(0, 2, -1),
@@ -382,6 +382,27 @@ def test_cli_flag_words_for_bool(tmp_path):
         code, err = run_cli(tmp_path, "tomography", scene, [f"--noise={word}"])
         assert (code, err) == (0, "")
         assert f'"noise": {json.dumps(noise)}' in (tmp_path / "report.csv").read_text()
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("bound-check", ["--samples", "3"]),
+    ("neg-sweep", ["--samples", "3", "--k-max", "1"]),
+])
+def test_cli_master_seed_lies_in_the_64_bit_range(tmp_path, name, argv):
+    # child_seed reduces a master seed mod 2^64, so -1 and 2^64 - 1 once
+    # wrote the same rows; both ends of the range run, and one step past
+    # either end exits 1 naming --seed, given as a flag or in a config file
+    interval = "must be in [0, 18446744073709551616)"
+    for seed in (0, 2 ** 64 - 1):
+        assert run_cli(tmp_path, name, None, [*argv, "--seed", str(seed)]) == (0, "")
+        assert f'"seed": {seed}' in (tmp_path / "report.csv").read_text()
+        (tmp_path / "report.csv").unlink()
+    for seed in (-1, 2 ** 64):
+        assert run_cli(tmp_path, name, None, [*argv, "--seed", str(seed)]) == (
+            1, f"error: --seed {interval}, got '{seed}'\n")
+        code, err = run_cli(tmp_path, name, {"seed": seed}, argv)
+        assert code == 1 and err.endswith(f": seed {interval}, got {seed}\n")
+        assert not (tmp_path / "report.csv").exists()
 
 
 @settings(deadline=None, max_examples=300, derandomize=True)

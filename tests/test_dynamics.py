@@ -279,17 +279,23 @@ def test_half_integer_spin_does_not_see_the_sign_of_u(monkeypatch):
 
 
 def test_meanfield_report_does_not_depend_on_the_blas_thread_count(tmp_path):
-    # dimension 101 x 287 outputs and dimension 5000: the model reads its
-    # rows from the Bloch vector and fits the product state with numpy's
-    # elementwise sums; this keeps out of the report any BLAS product,
-    # which may split its sums across threads; at phi0 = 0 both runs
-    # would stand still
+    # self-consistent model, dimension 101 x 287 outputs and dimension 5000:
+    # the model reads its rows from the Bloch vector and fits the product
+    # state with numpy's elementwise sums; this keeps out of the report any
+    # BLAS product, which may split its sums across threads; at phi0 = 0
+    # both runs would stand still.  The exact model at N = 200 and the
+    # benchmark's N = 1999 run (a 556-row window, 301 outputs): its
+    # window's dense eigh gives the same bits at 1 and 2 threads.
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     runs = [(["--n-total", "100", "--e-c", "0.2", "--lam", "0.1", "--phi0", "2.0",
               "--horizon", "20", "--dt", "0.07"], 287),
             (["--n-total", "4999", "--e-c", "0.01", "--lam", "0.001", "--phi0", "2.0",
-              "--horizon", "23.57", "--dt", "0.2357"], 101)]
+              "--horizon", "23.57", "--dt", "0.2357"], 101),
+            (["--model", "bose_hubbard", "--n-total", "200", "--e-c", "0.2",
+              "--lam", "0.1", "--phi0", "2.0", "--horizon", "20", "--dt", "0.07"], 287),
+            (["--model", "bose_hubbard", "--n-total", "1999", "--e-c", "0.01",
+              "--lam", "0.001", "--dt", "0.2357"], 301)]
     for argv, outputs in runs:
         reports = []
         for threads in ("1", "2"):

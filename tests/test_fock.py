@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beamlab.fock as fock
+import beamlab.jj as jj
 from beamlab.errors import (
     ContractViolationError,
     ResourceLimitError,
@@ -477,6 +478,26 @@ def test_tridiagonal_eigensolver_matches_scipy_on_both_sides_of_the_dense_limit(
         assert np.allclose(np.diag(rebuilt, -1), e, rtol=0, atol=1e-12)
         assert np.allclose(np.tril(rebuilt, -2), 0.0, rtol=0, atol=1e-12)
     assert calls == [fock.DENSE_EIGH_LIMIT + 1]     # only above the limit
+
+
+@pytest.mark.parametrize("n_total", [1999, 4999])
+def test_dense_and_tridiagonal_eigensolvers_give_the_same_bits(n_total):
+    # windows of the exact model's matrix about n_bar1 = N / 2, below and
+    # above DENSE_EIGH_LIMIT: numpy's dense eigh and scipy's stevd agree
+    # bit for bit, so the limit picks a solver and moves no report
+    import scipy.linalg
+    params = jj.JJParams(e_c=0.01, lam=0.001, n_total=n_total, n_bar1=n_total / 2)
+    d = jj.charging_diagonal(params)
+    e = jj.tunneling_offdiagonal(n_total, params.lam)
+    for rows in (301, 1_201, 2_000):
+        lo = (n_total + 1 - rows) // 2
+        window = d[lo:lo + rows], e[lo:lo + rows - 1]
+        dense = np.diag(window[0])
+        dense[np.arange(1, rows), np.arange(rows - 1)] = window[1]
+        w, v = np.linalg.eigh(dense)
+        w_tri, v_tri = scipy.linalg.eigh_tridiagonal(*window)
+        assert np.array_equal(w, w_tri), rows
+        assert np.array_equal(v, v_tri), rows
 
 
 def test_budget_message_tells_the_count_from_the_limit():

@@ -85,6 +85,28 @@ def test_report_digests_prints_one_digest_per_job():
     assert digests[4][0] == digests[5][0] and digests[5][1].endswith("--workers 3")
 
 
+def test_report_digests_do_not_depend_on_the_blas_thread_timeout():
+    # the timeout sets how long an idle OpenBLAS thread spins, not how a sum
+    # is split: at 2 threads every report keeps its bytes between the CLI's
+    # default and OpenBLAS's own, 28.  This process has imported beamlab.cli
+    # and so has the variable set; the first child drops it.
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    outputs = []
+    for timeout in (None, "28"):
+        env = {name: value for name, value in os.environ.items()
+               if name != "OPENBLAS_THREAD_TIMEOUT"}
+        env |= {"PYTHONPATH": os.pathsep.join(filter(None, paths)),
+                "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
+        if timeout is not None:
+            env["OPENBLAS_THREAD_TIMEOUT"] = timeout
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "report_digests.py")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 23
+    assert outputs[0] == outputs[1]
+
+
 def test_paper_results_summary_prints_an_undefined_phase(tmp_path):
     # a compare report whose phase divergence is NaN, which reads back None
     out = tmp_path / "cmp.csv"
