@@ -84,10 +84,6 @@ class TwoBeamCorrelation:
         self.n_b = float(n_b)
         self.n_ab = float(n_ab)
 
-    @property
-    def gamma_tilde(self) -> np.ndarray:
-        return self.gamma / self.n_ab
-
 
 BEAM_A, BEAM_B = (0, 1), (2, 3)
 
@@ -98,9 +94,6 @@ BEAM_A, BEAM_B = (0, 1), (2, 3)
 # src is 0 and weight is 0.  n_a, n_b and n_ab are the beam-number
 # diagonals.  Every array is read-only.
 _Plan = namedtuple("_Plan", ["pairs", "rows", "src", "weight", "n_a", "n_b", "n_ab"])
-
-
-_CacheInfo = namedtuple("_CacheInfo", ["misses", "currsize"])
 
 
 class _OneSpaceCache:
@@ -116,9 +109,6 @@ class _OneSpaceCache:
     def cache_clear(self) -> None:
         self.space = self.value = None
         self.misses = 0
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.misses, int(self.value is not None))
 
     def __call__(self, space: fock.FockSpace):
         if space != self.space:
@@ -290,23 +280,6 @@ def _bound_stats(gammas: np.ndarray, n_a: np.ndarray, n_b: np.ndarray,
                        trace_abs <= trace_abs_bound + BOUND_TOL)
 
 
-def negativity(sigma: np.ndarray) -> float:
-    """N(sigma) = (Tr|sigma^PT| - 1)/2 for a Hermitian trace-1 4x4 matrix,
-    which is its own Gamma~ at unit moments."""
-    s = np.asarray(sigma, dtype=complex)
-    if s.shape != (4, 4):
-        raise ContractViolationError("negativity expects a 4x4 matrix")
-    if np.max(np.abs(s - s.conj().T)) > 1e-10:
-        raise ContractViolationError("negativity expects a Hermitian matrix")
-    if abs(np.trace(s).real - 1.0) > 1e-10:
-        raise ContractViolationError("negativity expects a trace-1 matrix")
-    stats = _bound_stats(s[None], *np.ones((3, 1)))
-    if stats.excess[0] < -1e-12:
-        raise ContractViolationError(
-            f"negativity evaluated to {stats.excess[0]}, below -1e-12")
-    return float(stats.negativity[0])
-
-
 def bound_report(corr: TwoBeamCorrelation) -> BoundReport:
     """The bound statistics of one state or mixture, as floats and bools."""
     moments = (np.array([m]) for m in (corr.n_a, corr.n_b, corr.n_ab))
@@ -339,15 +312,6 @@ def _sector_indices(space: fock.FockSpace, k_a: int, k_b: int) -> np.ndarray:
     if idx.size == 0:
         raise DomainError(f"no basis states with beam photon numbers ({k_a}, {k_b})")
     return idx
-
-
-def sector_state(space: fock.FockSpace, k_a: int, k_b: int,
-                 rng: np.random.Generator) -> fock.StateVector:
-    """Haar-random state with exactly k_a photons in beam a and k_b in beam b."""
-    idx = _sector_indices(space, k_a, k_b)
-    amps = np.zeros(space.dimension, dtype=complex)
-    amps[idx] = _draw(rng, idx.size)
-    return fock.StateVector(space, amps)
 
 
 class BeamSampler:

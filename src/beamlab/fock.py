@@ -123,19 +123,6 @@ class FockSpace:
             acc *= c + 1
         return tuple(reversed(strides))
 
-    def occupation_of(self, index: int) -> tuple[int, ...]:
-        """Occupation tuple of a basis index (inverse of :meth:`index_of`)."""
-        if not 0 <= index < self.dimension:
-            raise ContractViolationError(f"basis index {index} out of range")
-        if self.kind == "fixed_sector":
-            return (index, self.n_total - index)
-        occ = []
-        rem = index
-        for s, c in zip(self._strides(), self.cutoffs):
-            n, rem = divmod(rem, s)
-            occ.append(n)
-        return tuple(occ)
-
     def index_of(self, occupation: Sequence[int]) -> int:
         occ = tuple(int(n) for n in occupation)
         if self.kind == "fixed_sector":
@@ -198,17 +185,6 @@ class StateVector:
         amps.flags.writeable = False
         self.space = space
         self.amplitudes = amps
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "StateVector") -> complex:
-        if self.space != other.space:
-            raise ContractViolationError("overlap of states on different spaces")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
     def __repr__(self):
         return f"StateVector(dim={self.space.dimension})"

@@ -15,6 +15,9 @@ I >= sqrt(M^2 + C^2 + S^2) is equivalent to Omega >= 0.
 Linear optical elements act in operator-sum form, Omega -> sum_i K_i
 Omega K_i+, completely positive and trace non-increasing.  Nonlinear maps
 (e.g. from photon-photon scattering) are out of scope.
+
+This module is the 2x2 calculus alone: it takes Omega as given and loads
+no Fock space.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock
 from .errors import DomainError
 
 SIGMA_0 = np.eye(2, dtype=complex)
@@ -84,10 +86,6 @@ class CorrelationMatrix2:
             raise DomainError(f"matrix is not PSD (lowest eigenvalue {lo:.2e})")
         self.matrix = m
 
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
-
     def __repr__(self):
         return f"CorrelationMatrix2({self.matrix.tolist()})"
 
@@ -102,39 +100,6 @@ def omega_to_stokes(omega: CorrelationMatrix2) -> StokesVector:
     m = omega.matrix
     vals = [float(np.real(np.trace(p @ m))) for p in PAULIS]
     return StokesVector(*vals)
-
-
-def omega_from_state(state: fock.StateVector) -> CorrelationMatrix2:
-    """Correlation matrix of modes 0 and 1 of a Fock-space state (the two
-    polarization modes of a beam, or the sector pair).
-
-    The trace equals <n_0> + <n_1>.  <a_1+ a_0> is an index shift on the
-    amplitudes: a_1+ a_0 takes row s, where n_0 >= 1 and n_1 is below its
-    cutoff, to row s - stride_0 + stride_1 (row k to k - 1 on a sector)
-    with the weight sqrt(n_0 (n_1 + 1)).
-    """
-    space, psi = state.space, state.amplitudes
-    n0, n1 = space.number_diagonal(0), space.number_diagonal(1)
-    if space.kind == "fixed_sector":
-        shift, rows = -1, np.nonzero(n0 >= 1)[0]
-    else:
-        strides = space._strides()
-        shift = strides[1] - strides[0]
-        rows = np.nonzero((n0 >= 1) & (n1 < space.cutoffs[1]))[0]
-    prob = np.abs(psi) ** 2
-    # row mu, column nu holds <a_nu+ a_mu>: Omega[0, 1] = <a_1+ a_0>
-    cross = np.vdot(psi[rows + shift], np.sqrt(n0[rows] * (n1[rows] + 1)) * psi[rows])
-    mat = np.array([[prob @ n0, cross], [np.conj(cross), prob @ n1]], dtype=complex)
-    return CorrelationMatrix2(mat)
-
-
-def additive_expectation(omega: CorrelationMatrix2, k: np.ndarray) -> complex:
-    """Mean of the additive one-body observable with coefficient matrix k,
-    i.e. of sum_{mu,nu} k[mu,nu] a_nu+ a_mu."""
-    k = np.asarray(k, dtype=complex)
-    if k.shape != (2, 2):
-        raise DomainError("coefficient matrix must be 2x2")
-    return complex(np.sum(k * omega.matrix))
 
 
 @dataclass(frozen=True)
@@ -161,33 +126,9 @@ class DeviceMap:
                 f"map increases trace: max eigenvalue of sum K+K - 1 is {excess:.2e}")
 
 
-def identity_map() -> DeviceMap:
-    return DeviceMap((np.eye(2, dtype=complex),))
-
-
-def polarizer_map(mode: int = 0, transmission: float = 1.0) -> DeviceMap:
-    """Ideal (possibly lossy) projector onto one basis mode."""
-    if mode not in (0, 1):
-        raise DomainError("mode must be 0 or 1")
-    if not 0.0 <= transmission <= 1.0:
-        raise DomainError("transmission must be in [0, 1]")
-    k = np.zeros((2, 2), dtype=complex)
-    k[mode, mode] = np.sqrt(transmission)
-    return DeviceMap((k,))
-
-
 def apply_device_map(omega: CorrelationMatrix2, device: DeviceMap) -> CorrelationMatrix2:
     out = sum(k @ omega.matrix @ k.conj().T for k in device.kraus)
     return CorrelationMatrix2(out)
-
-
-def mueller_matrix(device: DeviceMap) -> np.ndarray:
-    """Real 4x4 action of the map on (I, M, C, S)."""
-    cols = []
-    for p in PAULIS:
-        image = sum(k @ p @ k.conj().T for k in device.kraus)
-        cols.append([0.5 * np.real(np.trace(q @ image)) for q in PAULIS])
-    return np.array(cols, dtype=float).T
 
 
 @dataclass(frozen=True)

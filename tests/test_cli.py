@@ -214,7 +214,7 @@ def test_cli_stderr_is_one_error_line_or_one_line_per_warning(tmp_path):
 
 SCIPY_FREE_RUNS = r"""
 import sys
-from beamlab import cli, fock, polarization
+from beamlab import cli, fock
 
 def scipy_loaded():
     return any(name.partition(".")[0] == "scipy" for name in sys.modules)
@@ -229,11 +229,6 @@ def checked_chunk(task):        # what each forked pool worker runs
 if cli.START_METHOD == "fork":
     cli._bound_chunk = checked_chunk
 out, scene = sys.argv[1:]
-# Omega is read by an index shift, on a truncated space and on a sector
-for space, occupation in ((fock.FockSpace.truncated([2, 3]), (1, 2)),
-                          (fock.FockSpace.fixed_sector(5), (2, 3))):
-    polarization.omega_from_state(fock.basis_state(space, occupation))
-assert not scipy_loaded(), "omega_from_state loaded scipy"
 for argv in (["bound-check", "--seed", "1", "--samples", "20", "--cutoff", "1",
               "--mixtures", "3"],
              ["neg-sweep", "--seed", "2", "--samples", "8", "--k-max", "2",
@@ -275,8 +270,7 @@ def run_fresh(script, *args) -> str:
 
 def test_beam_subcommands_never_load_scipy(tmp_path):
     # nor does either junction model, which builds no sparse matrix, while the
-    # exact model's eigensolve stays within fock.DENSE_EIGH_LIMIT rows, nor
-    # polarization.omega_from_state
+    # exact model's eigensolve stays within fock.DENSE_EIGH_LIMIT rows
     # a fresh process: the test session itself has scipy loaded
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps({"stokes": {"i": 1.0, "m": 0.2, "c": 0.0, "s": 0.1},
@@ -311,11 +305,11 @@ bound_chunk = cli._bound_chunk
 
 def checked_chunk(task):        # what each forked pool worker runs
     modules = set(sys.modules)
-    misses = entanglement._plan.cache_info().misses
+    misses = entanglement._plan.misses
     rows = bound_chunk(task)
     loaded = sorted(set(sys.modules) - modules)
     assert not loaded, f"a pool worker loaded {loaded}"
-    assert entanglement._plan.cache_info().misses == misses, \
+    assert entanglement._plan.misses == misses, \
         "a pool worker built a plan"
     return rows
 
@@ -379,7 +373,8 @@ BEAM_RUNS = [
     (BEAM_RUNS, ["beamlab.dynamics", "beamlab.jj", "beamlab.polarization",
                  "multiprocessing"]),
     ([["tomography", "--config", "{scene}"]],
-     ["beamlab.entanglement", "beamlab.dynamics", "beamlab.jj", "multiprocessing"]),
+     ["beamlab.entanglement", "beamlab.dynamics", "beamlab.jj", "beamlab.fock",
+      "multiprocessing"]),
 ], ids=["junction", "beam", "tomography"])
 def test_a_subcommand_loads_only_its_own_modules(tmp_path, runs, unloaded):
     # a fresh process: the test session itself has every module loaded

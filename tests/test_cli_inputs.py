@@ -326,13 +326,13 @@ def test_cli_refuses_work_beyond_the_budget_at_once(tmp_path, name, argv):
 def test_neg_sweep_refuses_a_space_beyond_the_dimension_limit_at_once(tmp_path):
     # one sample at k = 31 is within the sample budget, but 32^4 states are
     # beyond the dimension limit: refused before k = 1 runs
-    misses = entanglement._plan.cache_info().misses
+    misses = entanglement._plan.misses
     start = time.perf_counter()
     code, err = run_cli(tmp_path, "neg-sweep", None,
                         ["--seed", "1", "--samples", "1", "--k-max", "31"])
     assert time.perf_counter() - start < 1.0
     assert (code, err) == (1, "error: dimension 1048576+ exceeds the limit 1000000\n")
-    assert entanglement._plan.cache_info().misses == misses, "a plan was built"
+    assert entanglement._plan.misses == misses, "a plan was built"
     assert not (tmp_path / "report.csv").exists()
 
 

@@ -15,7 +15,7 @@ from beamlab.errors import (
     ResourceLimitError,
 )
 from beamlab.seeding import rng_for
-from oracles import lowering_plan
+from oracles import lowering_plan, sector_state
 
 
 def four_mode_space(cutoff):
@@ -48,7 +48,7 @@ def test_gamma_product_of_single_photons():
     corr = ent.gamma_from_state(state)
     proj = np.zeros((4, 4), dtype=complex)
     proj[0, 0] = 1.0                       # (mu, mu') = (x, x) is row 0
-    assert np.allclose(corr.gamma_tilde, proj, atol=1e-12)
+    assert np.allclose(corr.gamma / corr.n_ab, proj, atol=1e-12)
     assert ent.bound_report(corr).negativity == 0.0
 
 
@@ -68,7 +68,7 @@ def test_gamma_singlet_matches_two_qubit_density_matrix():
                     oracle[2 * mu + mup, 2 * nu + nup] = np.vdot(
                         psi.amplitudes, op @ psi.amplitudes)
     assert np.allclose(corr.gamma, oracle, atol=1e-13)
-    assert np.allclose(corr.gamma_tilde, SINGLET_DM, atol=1e-13)
+    assert np.allclose(corr.gamma / corr.n_ab, SINGLET_DM, atol=1e-13)
     assert corr.n_a == pytest.approx(1.0)
     assert corr.n_b == pytest.approx(1.0)
     assert corr.n_ab == pytest.approx(1.0)
@@ -80,7 +80,7 @@ def test_gamma_trace_is_photon_number_product():
         state = state_from_occupations(space, {(k, 0, k, 0): 1.0})
         corr = ent.gamma_from_state(state)
         assert np.trace(corr.gamma).real == pytest.approx(k * k, abs=1e-10)
-        assert np.trace(corr.gamma_tilde).real == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(corr.gamma / corr.n_ab).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_beam_correlation_validates_invariants():
@@ -134,29 +134,34 @@ def test_partial_transpose_involution_hermiticity_trace(seed):
     assert np.trace(pt) == pytest.approx(np.trace(m))
 
 
+def negativity(sigma):
+    # a Hermitian trace-1 4x4 matrix is its own Gamma~ at unit moments
+    return ent.bound_report(ent.TwoBeamCorrelation(sigma, 1.0, 1.0, 1.0)).negativity
+
+
 def test_negativity_examples():
-    assert ent.negativity(SINGLET_DM) == pytest.approx(0.5, abs=1e-12)
-    assert ent.negativity(np.eye(4) / 4.0) == 0.0
+    assert negativity(SINGLET_DM) == pytest.approx(0.5, abs=1e-12)
+    assert negativity(np.eye(4) / 4.0) == 0.0
     for p in (0.0, 0.2, 1.0 / 3.0, 0.5, 0.8, 1.0):
         werner = p * SINGLET_DM + (1 - p) * np.eye(4) / 4.0
         # independent oracle: eigenvalues of the reindexed matrix
         pt = werner.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
         lam = np.linalg.eigvalsh(pt)
         oracle = max(0.0, 0.5 * (np.sum(np.abs(lam)) - 1.0))
-        got = ent.negativity(werner)
+        got = negativity(werner)
         assert got == pytest.approx(oracle, abs=1e-12)
         assert got == pytest.approx(max(0.0, (3 * p - 1) / 4), abs=1e-12)
-    assert ent.negativity(0.5 * SINGLET_DM + 0.5 * np.eye(4) / 4.0) == pytest.approx(
+    assert negativity(0.5 * SINGLET_DM + 0.5 * np.eye(4) / 4.0) == pytest.approx(
         0.125, abs=1e-12)
 
 
 def test_negativity_contract_errors():
     bad = np.eye(4, dtype=complex)
     bad[0, 1] = 1.0
-    with pytest.raises(ContractViolationError):
-        ent.negativity(bad)
-    with pytest.raises(ContractViolationError):
-        ent.negativity(np.eye(4))   # trace 4
+    with pytest.raises(DomainError, match="Hermitian"):
+        negativity(bad)
+    with pytest.raises(DomainError, match="trace"):
+        negativity(np.eye(4))   # trace 4
 
 
 def test_check_bound_singlet():
@@ -175,7 +180,7 @@ def test_bound_is_2_over_k_for_equal_photon_sectors():
         space = four_mode_space(k)
         rng = np.random.default_rng(k)
         for _ in range(20):
-            state = ent.sector_state(space, k, k, rng)
+            state = sector_state(space, k, k, rng)
             rep = ent.check_bound(state)
             assert rep.bound_exact == pytest.approx(2.0 / k, rel=1e-12)
             assert rep.negativity <= rep.bound_exact + 1e-9
@@ -249,7 +254,7 @@ def test_sector_sampler_matches_single_state_path():
         for col in range(7):
             rng = rng_for(42, col)
             state = (ent.haar_state(sampler.space, rng) if photons is None else
-                     ent.sector_state(sampler.space, photons, photons, rng))
+                     sector_state(sampler.space, photons, photons, rng))
             assert np.array_equal(state.amplitudes, psi[:, col])
             corr = ent.gamma_from_state(state)
             assert np.array_equal(corr.gamma, gammas[col])
@@ -340,13 +345,13 @@ def test_lowering_plan_is_built_once_per_space_and_read_only():
     n_a, n_b = number[0] + number[1], number[2] + number[3]
     assert np.array_equal(plan.n_a, n_a) and np.array_equal(plan.n_b, n_b)
     assert np.array_equal(plan.n_ab, n_a * n_b)
-    assert ent._plan.cache_info().misses == 1
+    assert ent._plan.misses == 1
     # an equal space built apart reads the same plan
     assert ent._plan(fock.FockSpace.truncated([1, 2, 3, 2])) is plan
-    assert ent._plan.cache_info().misses == 1
+    assert ent._plan.misses == 1
     ent._plan(four_mode_space(2))
-    assert ent._plan.cache_info().misses == 2
-    assert ent._plan.cache_info().currsize == 1     # the first plan is let go
+    assert ent._plan.misses == 2
+    assert ent._plan.value is not None     # one plan is held; the first is let go
     for array in plan:
         assert not array.flags.writeable
     with pytest.raises(ValueError):
@@ -358,9 +363,9 @@ def test_a_bright_sweep_holds_one_plan_at_a_time():
     held = []
     for k in range(1, 5):
         ent.bound_rows(k, range(3), k, photons_per_beam=k)
-        assert ent._plan.cache_info().currsize == 1
+        assert ent._plan.value is not None
         held.append(weakref.ref(ent._plan(four_mode_space(k)).src))
-    assert ent._plan.cache_info().misses == 4
+    assert ent._plan.misses == 4
     # nothing else keeps an earlier plan's arrays alive
     assert [ref() is None for ref in held] == [True, True, True, False]
 
@@ -377,7 +382,7 @@ def test_the_held_plan_is_let_go_before_the_next_is_built(monkeypatch):
     monkeypatch.setattr(ent._plan, "build", spy)
     ent._plan(four_mode_space(2))
     assert freed == [True]
-    assert ent._plan.cache_info() == (2, 1)
+    assert (ent._plan.misses, ent._plan.value is not None) == (2, True)
 
 
 @pytest.mark.parametrize("cutoffs", [
