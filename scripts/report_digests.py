@@ -54,13 +54,18 @@ JOBS = [
     ["bound-check", "--seed", "3", "--samples", "2000", "--cutoff", "3",
      "--mixtures", "200"],
     ["neg-sweep", "--seed", "3", "--samples", "20", "--k-max", "10"],
-    # five states in chunks of two and three from k = 13, two states past
-    # the operand budget from k = 16
+    # five states in chunks of two and three from k = 12, two states past
+    # the chunk budget from k = 16
     ["neg-sweep", "--seed", "3", "--samples", "5", "--k-max", "16"],
     # 50,001 rows: a report written in three blocks of reports.BLOCK_ROWS
     ["pendulum", "--omega", "1", "--phi0", "1", "--horizon", "1", "--dt", "2e-5"],
     # the fluctuation scan at a filling other than 1/2
     ["fluctuations", "--n-bar1-values", "30,300,3000", "--p", "0.3"],
+    # bound records reach JSON as ints, floats and true/false
+    ["bound-check", "--seed", "7", "--samples", "120", "--cutoff", "2",
+     "--mixtures", "10", "--format", "json"],
+    # records pickled out of pool workers: the serial job's digest
+    ["neg-sweep", "--seed", "9", "--samples", "15", "--k-max", "3", "--workers", "2"],
 ]
 SCENE = {"stokes": {"i": 1.0, "m": 0.2, "c": 0.0, "s": 0.1}, "seed": 3, "shots": 500}
 

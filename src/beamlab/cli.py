@@ -243,7 +243,8 @@ def _usable_cpus() -> int:
 def _parallel_bound_rows(seed, samples, cutoff, photons, workers):
     """`bound_rows(seed, range(samples), cutoff, photons)`, split into
     `workers` contiguous tasks mapped over a pool of at most one process
-    per usable CPU.
+    per usable CPU; each task sends back its rows as one record array,
+    and the tasks' arrays are joined in order.
 
     Each row draws from its own `rng_for(seed, index)`, so the rows do not
     depend on the split or on the process that computes them, and the
@@ -265,13 +266,12 @@ def _parallel_bound_rows(seed, samples, cutoff, photons, workers):
              for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
     entanglement.prepare_bound_rows(cutoff)
     with get_context(START_METHOD).Pool(min(workers, _usable_cpus())) as pool:
-        chunks = pool.map(_bound_chunk, tasks)
-    return [row for chunk in chunks for row in chunk]
+        return np.concatenate(pool.map(_bound_chunk, tasks))
 
 
-def _columns(rows: list[dict]) -> dict:
-    """The report columns of `bound_rows` dicts, which share their keys."""
-    return {key: [row[key] for row in rows] for key in rows[0]}
+def _report(rows: np.ndarray) -> dict:
+    """The report columns of `bound_rows` records: their fields, as views."""
+    return {name: rows[name] for name in rows.dtype.names}
 
 
 # child_seed reduces a seed mod 2^64: one outside would repeat another's rows
@@ -294,8 +294,9 @@ def run_bound_check(args):
     rows = _parallel_bound_rows(args.seed, args.samples, args.cutoff, None,
                                 args.workers)
     mixtures = range(args.samples, args.samples + args.mixtures)
-    rows += entanglement.mixture_rows(args.seed, mixtures, args.cutoff)
-    return _columns(rows), None
+    rows = np.concatenate([rows, entanglement.mixture_rows(args.seed, mixtures,
+                                                           args.cutoff)])
+    return _report(rows), None
 
 
 @command("neg-sweep", "max negativity vs photons per beam (k = 1..k_max)", (
@@ -308,11 +309,10 @@ def run_neg_sweep(args):
     from . import entanglement, fock
     entanglement.check_sample_work(args.samples, args.k_max)     # the largest k
     fock.FockSpace.truncated([args.k_max] * 4)      # and its dimension limit
-    rows = []
-    for k in range(1, args.k_max + 1):
-        rows += _parallel_bound_rows(child_seed(args.seed, k), args.samples, k, k,
-                                     args.workers)
-    return _columns(rows), None
+    rows = np.concatenate([_parallel_bound_rows(child_seed(args.seed, k), args.samples,
+                                                k, k, args.workers)
+                           for k in range(1, args.k_max + 1)])
+    return _report(rows), None
 
 
 @command("tomography", "simulated Stokes tomography", (

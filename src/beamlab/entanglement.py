@@ -40,13 +40,15 @@ BOUND_TOL = 1e-9
 
 # Work budget in sampled states x basis dimension.
 SAMPLE_WORK_LIMIT = 10_000_000
-# One Gamma operand (the lowered states of a group of Gamma entries, over a
-# chunk of states) holds at most this many 16-byte entries, 2 MB, unless a
-# chunk's least width, two states, forces more: bound_rows sizes its chunks
-# by the largest entry and _pair_groups packs entries up to it.  Measured
-# peak RSS: 50 MB for the benchmark's beam workload, 0.20 GB for neg-sweep
-# --samples 20 --k-max 24 and 0.69 GB for --samples 1 --k-max 30, whose
-# lone state gathers all ten entries at once.
+# A chunk's state block (its amplitudes, dimension x width) and each of its
+# Gamma operands (the lowered states of a group of Gamma entries) hold at
+# most this many 16-byte entries, 2 MB, unless a chunk's least width, two
+# states, forces more: bound_rows sizes its chunks by the state block, which
+# outgrows every operand since (c + 1)^4 > c^2 (c + 1)^2 rows, and
+# _pair_groups packs entries up to it.  Measured peak RSS: 44 MB for the
+# benchmark's beam workload, 0.20 GB for neg-sweep --samples 20 --k-max 24
+# and 0.69 GB for --samples 1 --k-max 30, whose lone state gathers all ten
+# entries at once.
 OPERAND_WORK = 2 ** 17
 
 
@@ -204,7 +206,8 @@ def _gammas_and_moments(space: fock.FockSpace, psi: np.ndarray):
     state can fill), and the padding's exact zeros come after the last
     term.  The lower triangle is written as the exact conjugate."""
     plan = _plan(space)
-    probs = np.abs(psi) ** 2
+    probs = np.abs(psi)
+    np.square(probs, out=probs)
     weighted = np.empty_like(probs)
     n_a, n_b, n_ab = (np.add.accumulate(np.multiply(w[:, None], probs, out=weighted),
                                         axis=0, out=weighted)[-1].copy()
@@ -331,12 +334,15 @@ class BeamSampler:
         """Columns of normalized amplitudes, one per task index, drawn
         straight into one C-ordered (dimension, n_samples) block."""
         dim = self.space.dimension
-        psi = np.zeros((dim, len(indices)), dtype=complex)
         if photons_per_beam is None:
             support, size = slice(None), dim
         else:
             support = _sector_indices(self.space, photons_per_beam, photons_per_beam)
             size = support.size
+        # allocated after the plan (which _sector_indices builds and which
+        # outlives the block): a plan built above the first chunk's block
+        # pinned the heap, and a bright sweep peaked 2 MB higher
+        psi = np.zeros((dim, len(indices)), dtype=complex)
         for column, i in enumerate(indices):
             psi[support, column] = _draw(rng_for(master_seed, i), size)
         return psi
@@ -358,42 +364,58 @@ def prepare_bound_rows(cutoff: int) -> None:
     _plan(BeamSampler(cutoff).space)
 
 
+# A report row of the bound-checking sweeps, 65 bytes: its fields are the
+# report's columns, in order.
+ROW = np.dtype([("seed", np.int64), ("cutoff", np.int64),
+                *((name, np.float64) for name in ("n_a", "n_b", "n_ab", "negativity",
+                                                  "bound_exact", "bound_approx")),
+                ("satisfied", np.bool_)])
+
+
 def _rows(indices: range, cutoff: int, gammas: np.ndarray, n_a: np.ndarray,
-          n_b: np.ndarray, n_ab: np.ndarray) -> list[dict]:
-    """Report rows, one per index, from a Gamma stack and its moments."""
+          n_b: np.ndarray, n_ab: np.ndarray) -> np.ndarray:
+    """Report rows, one ROW record per index, from a Gamma stack and its
+    moments."""
     if np.any(n_ab <= 0.0):
         raise NormalizationUndefinedError("sampled state with <n_a n_b> = 0")
     stats = _bound_stats(gammas, n_a, n_b, n_ab)
-    columns = [c.tolist() for c in (n_a, n_b, n_ab, stats.negativity, stats.bound_exact,
-                                     stats.bound_approx, stats.satisfied)]
-    return [{"seed": int(i), "cutoff": int(cutoff), "n_a": a, "n_b": b, "n_ab": ab,
-             "negativity": neg, "bound_exact": exact, "bound_approx": approx, "satisfied": ok}
-            for i, a, b, ab, neg, exact, approx, ok in zip(indices, *columns)]
+    rows = np.empty(len(indices), ROW)
+    for name, column in zip(ROW.names, (indices, cutoff, n_a, n_b, n_ab, stats.negativity,
+                                        stats.bound_exact, stats.bound_approx,
+                                        stats.satisfied)):
+        rows[name] = column
+    return rows
 
 
 def bound_rows(master_seed: int, indices: range, cutoff: int,
-               photons_per_beam: int | None = None) -> list[dict]:
-    """Report rows (one per sampled state) for the bound-checking sweeps."""
+               photons_per_beam: int | None = None) -> np.ndarray:
+    """Report rows (ROW records, one per sampled state) for the
+    bound-checking sweeps.
+
+    The states are drawn and reduced in chunks as wide as keeps the state
+    block, dimension x width amplitudes, within OPERAND_WORK, and so every
+    Gamma operand too; a chunk holds two states at least unless the call
+    has one, since a lone state gathers all ten entries at once
+    (_pair_groups).  A run grows with the number of states only by its
+    65-byte records."""
     check_sample_work(len(indices), cutoff)
     sampler = BeamSampler(cutoff)
     n = len(indices)
-    # chunks as wide as the largest entry's operand allows, but of two
-    # states at least unless the call has one: a lone state's chunk
-    # gathers all ten entries at once (_pair_groups)
-    width = max(OPERAND_WORK // max(1, _plan(sampler.space).rows[0]), 2)
+    width = max(OPERAND_WORK // sampler.space.dimension, 2)
     count = max(min(-(-n // width), n // 2), 1)
-    rows = []
+    rows = np.empty(n, ROW)
     for start, stop in ((i * n // count, (i + 1) * n // count) for i in range(count)):
         psi = sampler.sample_states(master_seed, indices[start:stop], photons_per_beam)
         gammas_and_moments = sampler.gammas_and_moments(psi)
         del psi                 # freed before the next chunk's states are drawn
-        rows += _rows(indices[start:stop], cutoff, *gammas_and_moments)
+        rows[start:stop] = _rows(indices[start:stop], cutoff, *gammas_and_moments)
     return rows
 
 
-def mixture_rows(master_seed: int, indices: range, cutoff: int) -> list[dict]:
-    """Report rows for two-component mixtures of Haar-random states, one per
-    index; each draws both components and the weight from its own RNG."""
+def mixture_rows(master_seed: int, indices: range, cutoff: int) -> np.ndarray:
+    """Report rows (ROW records) for two-component mixtures of Haar-random
+    states, one per index; each draws both components and the weight from
+    its own RNG."""
     check_sample_work(len(indices), cutoff)
     space = fock.FockSpace.truncated([cutoff] * 4)
     mixes = []

@@ -297,6 +297,16 @@ def test_report_memory_is_bounded_by_the_model_arrays(tmp_path):
     assert peaks[1] - peaks[0] < 30, peaks
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+def test_bound_check_memory_grows_only_by_its_records(tmp_path):
+    # a bound row is one 65-byte record from chunk to report: 60,000 states
+    # peak within 30 MB of 600, about 15 MB apart (a dict per row took 56 MB)
+    peaks = [int(run_fresh(PEAK_OF_ONE_RUN, "bound-check", "--seed", "3", "--cutoff", "1",
+                           "--samples", samples, "--out", tmp_path / "b.csv")) / 1024
+             for samples in ("600", "60000")]
+    assert peaks[1] - peaks[0] < 30, peaks
+
+
 WARM_WORKER_RUNS = r"""
 import sys
 from beamlab import cli, entanglement
@@ -510,9 +520,7 @@ def test_exit_code_2_on_violation(tmp_path, monkeypatch):
     import beamlab.entanglement as ent
 
     def fake_rows(seed, indices, cutoff, photons_per_beam=None):
-        return [{"seed": 0, "cutoff": cutoff, "n_a": 1.0, "n_b": 1.0,
-                 "n_ab": 1.0, "negativity": 3.0, "bound_exact": 2.0,
-                 "bound_approx": 2.0, "satisfied": False}]
+        return np.array([(0, cutoff, 1.0, 1.0, 1.0, 3.0, 2.0, 2.0, False)], ent.ROW)
 
     monkeypatch.setattr(ent, "bound_rows", fake_rows)
     out = tmp_path / "viol.csv"

@@ -2,10 +2,11 @@
 
 A report's bytes depend on numpy's SIMD dispatch and on the OpenBLAS
 kernel, so another host may write other bits.  Here one child process per
-setting runs four reports, with numpy's AVX-512 and AVX2 kernels turned off
-in one child and OpenBLAS's Haswell kernels forced in another, and every
-cell must stay within 1e-12 relative (absolute below 1) of the default
-run's.  Only the children's environment is set.  On a CPU without those
+setting runs four reports twice, with numpy's AVX-512 and AVX2 kernels
+turned off in one child and OpenBLAS's Haswell kernels forced in another.
+Each setting must repeat its own bytes, and every cell must stay within
+1e-12 relative (absolute below 1) of the default run's.  Only the
+children's environment is set.  On a CPU without those
 features a setting changes nothing, and the check still holds."""
 
 import json
@@ -38,12 +39,14 @@ import json, sys
 from beamlab import cli
 
 jobs, out = json.loads(sys.argv[1]), sys.argv[2]
-for name, argv in jobs.items():
-    assert cli.main([name, *argv, "--out", f"{out}/{name}.csv"]) == 0, name
+for copy in ("", ".again"):
+    for name, argv in jobs.items():
+        assert cli.main([name, *argv, "--out", f"{out}/{name}{copy}.csv"]) == 0, name
 """
 
 
 def run_jobs(out: Path, setting: dict) -> None:
+    """Each job's report twice, as `<job>.csv` and `<job>.again.csv`."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {name: value for name, value in os.environ.items()
            if name not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
@@ -95,6 +98,9 @@ def default_run(tmp_path_factory) -> Path:
 def test_report_values_agree_across_cpu_kernels(tmp_path, default_run, setting):
     run_jobs(tmp_path / setting, SETTINGS[setting])
     for name in JOBS:
+        for run in (default_run, tmp_path / setting):
+            assert (run / f"{name}.csv").read_bytes() == (
+                run / f"{name}.again.csv").read_bytes(), (run.name, name)
         want, got = (cells(run / f"{name}.csv") for run in (default_run, tmp_path / setting))
         assert want.keys() == got.keys(), name
         worst = max(want, key=lambda key: moved(key, want[key], got[key]))

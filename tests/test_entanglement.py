@@ -34,6 +34,16 @@ def singlet_state(space):
     return state_from_occupations(space, {(1, 0, 0, 1): 1.0, (0, 1, 1, 0): -1.0})
 
 
+# the bound-checking sweeps' report columns, in order
+REPORT_COLUMNS = ("seed", "cutoff", "n_a", "n_b", "n_ab", "negativity", "bound_exact",
+                  "bound_approx", "satisfied")
+
+
+def same_records(got, want):
+    """Bound rows equal record by record, with the report's columns as fields."""
+    return got.dtype.names == REPORT_COLUMNS and np.array_equal(got, want)
+
+
 SINGLET_DM = 0.5 * np.array([
     [0, 0, 0, 0],
     [0, 1, -1, 0],
@@ -238,9 +248,18 @@ def test_mixture_bound_and_affine_moments():
 def test_bound_rows_independent_of_chunking():
     short = ent.bound_rows(5, range(0, 10), 2)
     long = ent.bound_rows(5, range(0, 20), 2)
-    assert short == long[:10]
+    assert same_records(short, long[:10])
     again = ent.bound_rows(5, range(10, 20), 2)
-    assert again == long[10:]
+    assert same_records(again, long[10:])
+
+
+def test_a_bound_row_is_a_65_byte_record_of_the_report_columns():
+    rows = ent.bound_rows(5, range(3), 1)
+    assert rows.dtype.names == REPORT_COLUMNS and rows.dtype.itemsize == 65
+    kinds = [rows.dtype[name] for name in REPORT_COLUMNS]
+    assert kinds == [np.dtype(np.int64)] * 2 + [np.dtype(np.float64)] * 6 + [
+        np.dtype(bool)]
+    assert rows["seed"].tolist() == [0, 1, 2] and rows["cutoff"].tolist() == [1] * 3
 
 
 def test_sector_sampler_matches_single_state_path():
@@ -446,10 +465,10 @@ def test_sample_budget_is_checked_before_sampling():
 def test_bound_rows_do_not_depend_on_the_chunk_width(monkeypatch):
     whole = ent.bound_rows(4, range(3, 13), 1)
     sector = ent.bound_rows(4, range(3, 13), 2, photons_per_beam=2)
-    monkeypatch.setattr(ent, "OPERAND_WORK", 3 * 4)     # widths 2, 3, 2, 3 at cutoff 1
-    assert ent.bound_rows(4, range(3, 13), 1) == whole
+    monkeypatch.setattr(ent, "OPERAND_WORK", 3 * 16)    # widths 2, 3, 2, 3 at cutoff 1
+    assert same_records(ent.bound_rows(4, range(3, 13), 1), whole)
     monkeypatch.setattr(ent, "OPERAND_WORK", 1)         # two states per chunk, the least
-    assert ent.bound_rows(4, range(3, 13), 2, photons_per_beam=2) == sector
+    assert same_records(ent.bound_rows(4, range(3, 13), 2, photons_per_beam=2), sector)
 
 
 @pytest.mark.parametrize("cutoff,photons,n", [
@@ -466,20 +485,25 @@ def test_chunks_hold_two_states_and_operands_of_at_most_the_budget(cutoff, photo
 
     monkeypatch.setattr(ent.BeamSampler, "gammas_and_moments", spy)
     ent.bound_rows(2, range(n), cutoff, photons_per_beam=photons)
+    dimension = four_mode_space(cutoff).dimension
     rows = ent._plan(four_mode_space(cutoff)).rows[0]
-    fits = ent.OPERAND_WORK // rows
+    fits = ent.OPERAND_WORK // dimension
     assert sum(widths) == n
     for width in widths:
         assert width >= 2 or n == 1
-        # past the budget only where two states per chunk force it (one
-        # chunk of three when n is odd)
+        # the state block and the largest operand are past the budget only
+        # where two states per chunk force it (one chunk of three when n is
+        # odd)
+        assert dimension * width <= ent.OPERAND_WORK or width <= 2 + n % 2
         assert width * rows <= ent.OPERAND_WORK or width <= 2 + n % 2
         assert width >= min(fits, n) // 2       # and no needless split
 
 
 def test_the_gamma_step_holds_operands_of_2_mb():
-    # k = 10: the largest entry has 12,100 rows, so a chunk holds 10 states
-    # and peaks near 6 MB; chunks of 34 states peak near 20 MB
+    # k = 10: the state block has 14,641 rows, so a chunk holds 8 states
+    # and peaks near 4.9 MB (its amplitudes and two operands of the largest
+    # entry, 12,100 rows each); chunks of 10 states peaked near 6.1 MB, and
+    # of 34 states near 20 MB
     ent.prepare_bound_rows(10)          # the plan is not counted
     tracemalloc.start()
     try:
@@ -487,24 +511,24 @@ def test_the_gamma_step_holds_operands_of_2_mb():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2 ** 20
+    assert peak < 5.5 * 2 ** 20
 
 
 def test_mixture_rows_equal_per_index_bound_reports():
     space = four_mode_space(2)
     rows = ent.mixture_rows(9, range(4, 10), 2)
-    assert ent.mixture_rows(9, range(0), 2) == []
-    for row, i in zip(rows, range(4, 10), strict=True):
+    assert same_records(ent.mixture_rows(9, range(0), 2), np.empty(0, ent.ROW))
+    want = []
+    for i in range(4, 10):
         rng = rng_for(9, i)
         g1 = ent.gamma_from_state(ent.haar_state(space, rng))
         g2 = ent.gamma_from_state(ent.haar_state(space, rng))
         w = float(rng.uniform())
         mix = ent.gamma_from_mixture([(w, g1), (1.0 - w, g2)])
         rep = ent.bound_report(mix)
-        assert row == {
-            "seed": i, "cutoff": 2, "n_a": mix.n_a, "n_b": mix.n_b, "n_ab": mix.n_ab,
-            "negativity": rep.negativity, "bound_exact": rep.bound_exact,
-            "bound_approx": rep.bound_approx, "satisfied": rep.satisfied}
+        want.append((i, 2, mix.n_a, mix.n_b, mix.n_ab, rep.negativity, rep.bound_exact,
+                     rep.bound_approx, rep.satisfied))
+    assert same_records(rows, np.array(want, ent.ROW))
 
 
 def same_bits(a, b):

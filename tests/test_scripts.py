@@ -78,11 +78,12 @@ def test_report_digests_prints_one_digest_per_job():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 23
+    assert len(lines) == 25
     digests = [line.split("  ", 1) for line in lines]
     assert all(len(d) == 64 and int(d, 16) >= 0 and job for d, job in digests)
-    # the pooled bound-check run writes the serial run's bytes
+    # the pooled bound-check and neg-sweep runs write the serial runs' bytes
     assert digests[4][0] == digests[5][0] and digests[5][1].endswith("--workers 3")
+    assert digests[1][0] == digests[24][0] and digests[24][1].endswith("--workers 2")
 
 
 def test_report_digests_do_not_depend_on_the_blas_thread_timeout():
@@ -103,7 +104,7 @@ def test_report_digests_do_not_depend_on_the_blas_thread_timeout():
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert len(outputs[0].splitlines()) == 23
+    assert len(outputs[0].splitlines()) == 25
     assert outputs[0] == outputs[1]
 
 
