@@ -50,12 +50,12 @@ JOBS = [
     ["jj-evolve", "--model", "bose_hubbard", *JUNCTION, "--horizon", "10", "--dt", "1.0",
      "--format", "json"],
     # smaller copies of the benchmark's bound-mix and bright-sweep steps:
-    # cutoff-3 chunks, mixtures, and split pair groups up to k = 10
+    # cutoff-3 chunks, mixtures, and chunks of two states at k = 10
     ["bound-check", "--seed", "3", "--samples", "2000", "--cutoff", "3",
      "--mixtures", "200"],
     ["neg-sweep", "--seed", "3", "--samples", "20", "--k-max", "10"],
-    # five states in chunks of two and three from k = 12, two states past
-    # the chunk budget from k = 16
+    # five states in chunks of two and three from k = 8, two states past
+    # the chunk budget from k = 11
     ["neg-sweep", "--seed", "3", "--samples", "5", "--k-max", "16"],
     # 50,001 rows: a report written in three blocks of reports.BLOCK_ROWS
     ["pendulum", "--omega", "1", "--phi0", "1", "--horizon", "1", "--dt", "2e-5"],
@@ -66,6 +66,8 @@ JOBS = [
      "--mixtures", "10", "--format", "json"],
     # records pickled out of pool workers: the serial job's digest
     ["neg-sweep", "--seed", "9", "--samples", "15", "--k-max", "3", "--workers", "2"],
+    # one lone state per k, summed in one einsum over up to 83,521 rows
+    ["neg-sweep", "--seed", "3", "--samples", "1", "--k-max", "16"],
 ]
 SCENE = {"stokes": {"i": 1.0, "m": 0.2, "c": 0.0, "s": 0.1}, "seed": 3, "shots": 500}
 

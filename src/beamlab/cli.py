@@ -240,17 +240,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _parallel_bound_rows(seed, samples, cutoff, photons, workers):
-    """`bound_rows(seed, range(samples), cutoff, photons)`, split into
-    `workers` contiguous tasks mapped over a pool of at most one process
-    per usable CPU; each task sends back its rows as one record array,
-    and the tasks' arrays are joined in order.
+def _parallel_bound_rows(rows, seed, cutoff, photons, workers):
+    """Fill `rows`, a ROW array, with `bound_rows(seed, range(len(rows)),
+    cutoff, photons)`, split into `workers` contiguous tasks mapped over a
+    pool of at most one process per usable CPU; each task sends back its
+    rows as one record array, which is copied into place and let go before
+    the next.
 
     Each row draws from its own `rng_for(seed, index)`, so the rows do not
     depend on the split or on the process that computes them, and the
     report is byte-identical at every --workers.  On Linux the pool forks
     the CLI process just after it has loaded `numpy.random` and built the
-    run's plan, so its workers start with numpy, `numpy.random`, the plan
+    run's layout, so its workers start with numpy, `numpy.random`, the layout
     and the beamlab modules of the run (`cli`, `errors`, `reports`,
     `seeding`, `fock`, `entanglement`), and a task loads and builds
     nothing.  A spawned worker imports them afresh, which costs more than
@@ -258,15 +259,19 @@ def _parallel_bound_rows(seed, samples, cutoff, photons, workers):
     or unsafe, the pool spawns.  No process of these runs loads scipy.
     """
     from . import entanglement
+    samples = len(rows)
     entanglement.check_sample_work(samples, cutoff)
     if workers <= 1 or samples < 2 * workers:
-        return entanglement.bound_rows(seed, range(samples), cutoff, photons)
+        entanglement.bound_rows(seed, range(samples), cutoff, photons, out=rows)
+        return
     bounds = np.linspace(0, samples, workers + 1, dtype=int)
     tasks = [(seed, int(a), int(b), cutoff, photons)
              for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
     entanglement.prepare_bound_rows(cutoff)
     with get_context(START_METHOD).Pool(min(workers, _usable_cpus())) as pool:
-        return np.concatenate(pool.map(_bound_chunk, tasks))
+        parts = pool.map(_bound_chunk, tasks)
+    for _, start, stop, _, _ in tasks:
+        rows[start:stop] = parts.pop(0)
 
 
 def _report(rows: np.ndarray) -> dict:
@@ -290,12 +295,12 @@ WORKERS = Param("workers", _integer, 1, "worker tasks, at most one process per C
 ))
 def run_bound_check(args):
     from . import entanglement
-    entanglement.check_sample_work(args.mixtures, args.cutoff)
-    rows = _parallel_bound_rows(args.seed, args.samples, args.cutoff, None,
-                                args.workers)
+    for count in (args.mixtures, args.samples):
+        entanglement.check_sample_work(count, args.cutoff)
+    rows = np.empty(args.samples + args.mixtures, entanglement.ROW)
+    _parallel_bound_rows(rows[:args.samples], args.seed, args.cutoff, None, args.workers)
     mixtures = range(args.samples, args.samples + args.mixtures)
-    rows = np.concatenate([rows, entanglement.mixture_rows(args.seed, mixtures,
-                                                           args.cutoff)])
+    rows[args.samples:] = entanglement.mixture_rows(args.seed, mixtures, args.cutoff)
     return _report(rows), None
 
 
@@ -309,9 +314,10 @@ def run_neg_sweep(args):
     from . import entanglement, fock
     entanglement.check_sample_work(args.samples, args.k_max)     # the largest k
     fock.FockSpace.truncated([args.k_max] * 4)      # and its dimension limit
-    rows = np.concatenate([_parallel_bound_rows(child_seed(args.seed, k), args.samples,
-                                                k, k, args.workers)
-                           for k in range(1, args.k_max + 1)])
+    rows = np.empty(args.samples * args.k_max, entanglement.ROW)
+    for k in range(1, args.k_max + 1):
+        _parallel_bound_rows(rows[(k - 1) * args.samples:k * args.samples],
+                             child_seed(args.seed, k), k, k, args.workers)
     return _report(rows), None
 
 

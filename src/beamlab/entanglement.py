@@ -12,6 +12,9 @@ modes 2 and 3 (BEAM_A, BEAM_B).  Gamma is the Gram matrix of the lowering
 products a_mu b_mu', hence Hermitian PSD, and its trace is the
 photon-number product moment <n_a n_b>.  The normalized matrix
 Gamma~ = Gamma / <n_a n_b> plays the role of a two-qubit density matrix.
+Each lowered state a_mu b_mu' psi is a weighted slice of the amplitudes
+viewed as an array of one axis per mode (`_layout`), so Gamma takes no
+index arrays, only the four lowered states of the states at hand.
 
 Negativity of Gamma~ is bounded by min(2 n_a, 2 n_b) / <n_a n_b>, which for
 uncorrelated beams is approximately 2 / max(n_a, n_b): macroscopically
@@ -22,9 +25,9 @@ recorded alongside.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
-from itertools import combinations_with_replacement, product
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -40,15 +43,13 @@ BOUND_TOL = 1e-9
 
 # Work budget in sampled states x basis dimension.
 SAMPLE_WORK_LIMIT = 10_000_000
-# A chunk's state block (its amplitudes, dimension x width) and each of its
-# Gamma operands (the lowered states of a group of Gamma entries) hold at
-# most this many 16-byte entries, 2 MB, unless a chunk's least width, two
-# states, forces more: bound_rows sizes its chunks by the state block, which
-# outgrows every operand since (c + 1)^4 > c^2 (c + 1)^2 rows, and
-# _pair_groups packs entries up to it.  Measured peak RSS: 44 MB for the
-# benchmark's beam workload, 0.20 GB for neg-sweep --samples 20 --k-max 24
-# and 0.69 GB for --samples 1 --k-max 30, whose lone state gathers all ten
-# entries at once.
+# A chunk's four lowered states (4 x dimension x width amplitudes, the
+# largest arrays of its Gamma step) hold at most this many 16-byte entries,
+# 2 MB, unless a chunk's least width, two states, forces more: bound_rows
+# sizes its chunks by them.  Measured peak RSS: 42.8 MB for the benchmark's
+# beam workload, 0.14 GB for neg-sweep --samples 20 --k-max 24 and 0.21 GB for
+# --samples 1 --k-max 30, whose lone state holds its four lowered states
+# and their conjugates at once.
 OPERAND_WORK = 2 ** 17
 
 
@@ -89,105 +90,53 @@ class TwoBeamCorrelation:
 
 BEAM_A, BEAM_B = (0, 1), (2, 3)
 
-# The ten upper-triangle Gamma entries (r, c), r <= c, most rows first.
-# Entry p of `pairs` sums conj(weight[0, p] psi[src[0, p]]) (a_c b_c' psi)
-# times weight[1, p] psi[src[1, p]] (a_r b_r' psi) over the rows[p] basis
-# rows that both lowered states reach, ascending; beyond rows[p] (padding)
-# src is 0 and weight is 0.  n_a, n_b and n_ab are the beam-number
-# diagonals.  Every array is read-only.
-_Plan = namedtuple("_Plan", ["pairs", "rows", "src", "weight", "n_a", "n_b", "n_ab"])
+# The four lowered states as slices of the state block, which
+# _lowered_states views as its occupation box (cutoff + 1 per mode, then
+# the states).  Entry j of `lowered`, j = 2*mu + mu' (Gamma's row), writes
+# a_mu b_mu' psi at dst: the block's amplitudes at src (occupations 1 to
+# cutoff on modes mu and mu', all on the others) times weight,
+# sqrt(n_mu + 1) * sqrt(n_mu' + 1) at the occupations of dst = src - 1 on
+# both.  n_a, n_b and n_ab are the beam-number diagonals.  Every array is
+# read-only.
+_Layout = namedtuple("_Layout", ["lowered", "n_a", "n_b", "n_ab"])
 
 
-class _OneSpaceCache:
-    """`build(space)` cached for the last space it was called with.  A run
-    works on one space at a time, and unlike lru_cache(maxsize=1) this lets
-    the held result go before it builds the next one, so a sweep over
-    cutoffs never holds two plans."""
+@lru_cache(maxsize=1)
+def _layout(cutoffs: tuple[int, ...]) -> _Layout:
+    """The layout of the truncated space of these cutoffs, built once for
+    the space a run works on; its arrays take 24 bytes per basis state."""
+    box = [c + 1 for c in cutoffs]
 
-    def __init__(self, build):
-        self.build = build
-        self.cache_clear()
+    def occupation(mode, count):
+        """0 .. count - 1 along `mode`'s axis of the box."""
+        return np.arange(count).reshape([count if m == mode else 1 for m in range(len(box))])
 
-    def cache_clear(self) -> None:
-        self.space = self.value = None
-        self.misses = 0
-
-    def __call__(self, space: fock.FockSpace):
-        if space != self.space:
-            self.space = self.value = None
-            self.misses += 1
-            self.value, self.space = self.build(space), space
-        return self.value
-
-
-@_OneSpaceCache
-def _plan(space: fock.FockSpace) -> _Plan:
-    """a_mu b_mu' (row 2*mu + mu') moves the amplitude at src = dst +
-    stride_mu + stride_mu' to dst, weighted sqrt(n_mu) * sqrt(n_mu') at src,
-    the two roots as a product of ladder matrices forms them, bit for bit.
-
-    The rows that both a_r b_r' and a_c b_c' reach form a box: occupations
-    0 to cutoff - 1 on each lowered mode and 0 to cutoff on the others.
-    Its index grid, raveled in C order, lists them ascending."""
-    strides, cutoffs = space._strides(), space.cutoffs
-    lowered = list(product(BEAM_A, BEAM_B))
-
-    def box(pair):
-        reached = lowered[pair[0]] + lowered[pair[1]]
-        return [cut + (mode not in reached) for mode, cut in enumerate(cutoffs)]
-
-    pairs = sorted(combinations_with_replacement(range(4), 2),
-                   key=lambda pair: -math.prod(box(pair)))
-    rows = np.array([math.prod(box(pair)) for pair in pairs])
-    src = np.zeros((2, len(pairs), max(rows)), dtype=np.intp)
-    weight = np.zeros(src.shape)    # np.multiply casts it to complex, bits kept
-    for p, (r, c) in enumerate(pairs):
-        extents = box((r, c))
-        n = np.ix_(*map(np.arange, extents))    # the occupations at dst
-        dst = sum(n_m * stride for n_m, stride in zip(n, strides))
-        for side, (mu, mup) in enumerate((lowered[c], lowered[r])):
-            src[side, p, :rows[p]] = np.ravel(dst + strides[mu] + strides[mup])
-            roots = np.sqrt(n[mu] + 1.0) * np.sqrt(n[mup] + 1.0)
-            weight[side, p, :rows[p]] = np.broadcast_to(roots, extents).ravel()
-    n_a, n_b = (sum(map(space.number_diagonal, beam)) for beam in (BEAM_A, BEAM_B))
-    plan = _Plan(np.array(pairs), rows, src, weight, n_a, n_b, n_a * n_b)
-    for array in plan:
+    lowered = []
+    for mu, mup in product(BEAM_A, BEAM_B):
+        src = tuple(slice(1, None) if m in (mu, mup) else slice(None) for m in range(len(box)))
+        dst = tuple(slice(0, -1) if m in (mu, mup) else slice(None) for m in range(len(box)))
+        weight = (np.sqrt(occupation(mu, cutoffs[mu]) + 1.0)
+                  * np.sqrt(occupation(mup, cutoffs[mup]) + 1.0))[..., None]
+        weight.flags.writeable = False
+        lowered.append((weight, src, dst))
+    n_a, n_b = (np.broadcast_to(sum(occupation(m, box[m]) for m in beam) + 0.0, box).ravel()
+                for beam in (BEAM_A, BEAM_B))
+    layout = _Layout(tuple(lowered), n_a, n_b, n_a * n_b)
+    for array in layout[1:]:
         array.flags.writeable = False
-    return plan
+    return layout
 
 
-def _pair_groups(plan: _Plan, width: int):
-    """Runs of consecutive pairs whose operands, `width` columns each and
-    padded to the first pair's rows, hold at most OPERAND_WORK entries
-    (2 MB) each; a pair alone may hold more.  An operand is gathered,
-    weighted and read by einsum in turn, so a small one stays in cache: on
-    a 2-core Xeon with 2 MB of L2 per core, a 200-state chunk at k = 4 took
-    7 ms in groups of this size and 13 ms in groups four times as large.
-
-    A single state's pairs form one group.  einsum sums one pair of one
-    state, which keeps no axis but the summed one, in chunks (at 12,100
-    rows, not at 8,193) rather than as one running sum."""
-    if width == 1:
-        yield slice(0, len(plan.pairs))
-        return
-    start = 0
-    while start < len(plan.pairs):
-        count = max(1, OPERAND_WORK // max(1, plan.rows[start] * width))
-        yield slice(start, start + count)
-        start += count
-
-
-def _pair_operands(plan: _Plan, psi: np.ndarray, group: slice):
-    """The conjugate of a_c b_c' psi and a_r b_r' psi on the rows of each
-    pair of `group`, each (pairs, rows, n_samples), zero in the padding."""
-    rows = plan.rows[group.start]
-    operands = []
-    for src, weight in zip(plan.src, plan.weight):
-        operand = psi.take(src[group, :rows], axis=0)
-        np.multiply(weight[group, :rows, None], operand, out=operand)
-        operands.append(operand)
-    np.conjugate(operands[0], out=operands[0])
-    return operands
+def _lowered_states(space: fock.FockSpace, psi: np.ndarray) -> np.ndarray:
+    """The four lowered states a_mu b_mu' psi (row 2*mu + mu' of Gamma) of
+    the state columns psi (dimension, n_samples), one zeroed (4, dimension,
+    n_samples) array with each written as a weighted slice of the state
+    block (`_layout`)."""
+    box = psi.reshape(*(c + 1 for c in space.cutoffs), psi.shape[1])
+    low = np.zeros((4, *psi.shape), dtype=complex)
+    for out, (weight, src, dst) in zip(low, _layout(space.cutoffs).lowered):
+        np.multiply(weight, box[src], out=out.reshape(box.shape)[dst])
+    return low
 
 
 def _gammas_and_moments(space: fock.FockSpace, psi: np.ndarray):
@@ -198,30 +147,32 @@ def _gammas_and_moments(space: fock.FockSpace, psi: np.ndarray):
     over the basis, not BLAS), so a state gets the same values alone and in
     a batch of any width; only the last row of each running sum is kept.
 
-    Only the ten upper-triangle entries are summed: each over the rows that
-    both of its lowered states reach, ascending, then over its padding, one
-    einsum per group of entries (`_pair_groups`; a single state is one
-    einsum).  Every sum keeps the order, and so the bits, of the full sum
-    over the basis: the rows left out are structural zeros (a factor that no
-    state can fill), and the padding's exact zeros come after the last
-    term.  The lower triangle is written as the exact conjugate."""
-    plan = _plan(space)
+    Entry (r, c) sums conj(a_c b_c' psi) a_r b_r' psi over the basis,
+    ascending, on the lowered states of `_lowered_states`: one einsum per
+    entry, or one for all sixteen entries of a lone state, since einsum
+    sums a reduction that keeps no other axis in chunks (at 12,100 rows,
+    not at 8,193) rather than as one running sum.  A row that a lowered
+    state does not reach adds an exact zero to a running sum that starts
+    at +0, which leaves its bits as they are."""
+    layout = _layout(space.cutoffs)
     probs = np.abs(psi)
     np.square(probs, out=probs)
     weighted = np.empty_like(probs)
     n_a, n_b, n_ab = (np.add.accumulate(np.multiply(w[:, None], probs, out=weighted),
                                         axis=0, out=weighted)[-1].copy()
-                      for w in (plan.n_a, plan.n_b, plan.n_ab))
-    del probs, weighted         # freed before the pair operands are built
+                      for w in (layout.n_a, layout.n_b, layout.n_ab))
+    del probs, weighted         # freed before the lowered states are built
+    low = _lowered_states(space, psi)
     width = psi.shape[1]
-    upper = np.empty((width, len(plan.pairs)), dtype=complex)
-    for group in _pair_groups(plan, width):
-        upper[:, group] = np.einsum("pds,pds->sp", *_pair_operands(plan, psi, group))
     gammas = np.empty((width, 4, 4), dtype=complex)
-    r, c = plan.pairs.T
-    # a sum from +0 is never -0, so + 0.0 turns the conjugate's -0 into +0
-    gammas[:, c, r] = upper.conj() + 0.0
-    gammas[:, r, c] = upper         # second, so the diagonal keeps its own bits
+    if width == 1:
+        gammas[0] = np.einsum("jd,kd->kj", low[..., 0].conj(), low[..., 0])
+    else:
+        conj_c = np.empty_like(low[0])  # one buffer: an array per c left the heap higher
+        for c in range(4):
+            np.conjugate(low[c], out=conj_c)
+            for r in range(4):
+                gammas[:, r, c] = np.einsum("ds,ds->s", conj_c, low[r])
     return gammas, n_a, n_b, n_ab
 
 
@@ -310,8 +261,8 @@ def haar_state(space: fock.FockSpace, rng: np.random.Generator) -> fock.StateVec
 
 def _sector_indices(space: fock.FockSpace, k_a: int, k_b: int) -> np.ndarray:
     """Basis indices with exactly k_a photons in beam a and k_b in beam b."""
-    plan = _plan(space)
-    idx = np.nonzero((plan.n_a == k_a) & (plan.n_b == k_b))[0]
+    layout = _layout(space.cutoffs)
+    idx = np.nonzero((layout.n_a == k_a) & (layout.n_b == k_b))[0]
     if idx.size == 0:
         raise DomainError(f"no basis states with beam photon numbers ({k_a}, {k_b})")
     return idx
@@ -339,9 +290,9 @@ class BeamSampler:
         else:
             support = _sector_indices(self.space, photons_per_beam, photons_per_beam)
             size = support.size
-        # allocated after the plan (which _sector_indices builds and which
-        # outlives the block): a plan built above the first chunk's block
-        # pinned the heap, and a bright sweep peaked 2 MB higher
+        # allocated after the layout (which _sector_indices builds and which
+        # outlives the block), so that the layout never sits above a chunk's
+        # block and keeps the heap from shrinking after it
         psi = np.zeros((dim, len(indices)), dtype=complex)
         for column, i in enumerate(indices):
             psi[support, column] = _draw(rng_for(master_seed, i), size)
@@ -357,11 +308,11 @@ class BeamSampler:
 
 
 def prepare_bound_rows(cutoff: int) -> None:
-    """Load numpy.random, which numpy loads on first use, and build the plan
-    that `bound_rows` reads at `cutoff`; a process forked afterwards starts
-    with both."""
+    """Load numpy.random, which numpy loads on first use, and build the
+    layout that `bound_rows` reads at `cutoff`; a process forked afterwards
+    starts with both."""
     import numpy.random  # noqa: F401
-    _plan(BeamSampler(cutoff).space)
+    _layout(BeamSampler(cutoff).space.cutoffs)
 
 
 # A report row of the bound-checking sweeps, 65 bytes: its fields are the
@@ -388,22 +339,24 @@ def _rows(indices: range, cutoff: int, gammas: np.ndarray, n_a: np.ndarray,
 
 
 def bound_rows(master_seed: int, indices: range, cutoff: int,
-               photons_per_beam: int | None = None) -> np.ndarray:
+               photons_per_beam: int | None = None, out: np.ndarray | None = None
+               ) -> np.ndarray:
     """Report rows (ROW records, one per sampled state) for the
-    bound-checking sweeps.
+    bound-checking sweeps, written into `out`, a ROW array of one record
+    per index, when it is given.
 
-    The states are drawn and reduced in chunks as wide as keeps the state
-    block, dimension x width amplitudes, within OPERAND_WORK, and so every
-    Gamma operand too; a chunk holds two states at least unless the call
-    has one, since a lone state gathers all ten entries at once
-    (_pair_groups).  A run grows with the number of states only by its
-    65-byte records."""
+    The states are drawn and reduced in chunks as wide as keeps their four
+    lowered states, 4 x dimension x width amplitudes, within OPERAND_WORK;
+    a chunk holds two states at least unless the call has only one, which
+    holds about as much, since it conjugates its four lowered states at
+    once.  A run grows with the number of states only by its 65-byte
+    records."""
     check_sample_work(len(indices), cutoff)
     sampler = BeamSampler(cutoff)
     n = len(indices)
-    width = max(OPERAND_WORK // sampler.space.dimension, 2)
+    width = max(OPERAND_WORK // (4 * sampler.space.dimension), 2)
     count = max(min(-(-n // width), n // 2), 1)
-    rows = np.empty(n, ROW)
+    rows = np.empty(n, ROW) if out is None else out
     for start, stop in ((i * n // count, (i + 1) * n // count) for i in range(count)):
         psi = sampler.sample_states(master_seed, indices[start:stop], photons_per_beam)
         gammas_and_moments = sampler.gammas_and_moments(psi)

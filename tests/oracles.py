@@ -1,9 +1,8 @@
 """Oracles that the tests check beamlab's shortcuts against: the pair
-hopping operator and the expectation <psi| O |psi>, built from
-`fock.ladder_operator`'s CSR matrices the slow, obvious way; the Gamma
-lowering plan, built by matching row sets with `np.intersect1d`; and the
-number variance and phase half-width of a product state, measured on its
-amplitudes.
+hopping operator, the expectation <psi| O |psi> and the four lowered
+states of Gamma, built from `fock.ladder_operator`'s CSR matrices the
+slow, obvious way; and the number variance and phase half-width of a
+product state, measured on its amplitudes.
 
 Four more are reference code that beamlab itself never runs:
 `omega_from_state`, Omega of two modes of a Fock-space state by an index
@@ -13,7 +12,7 @@ samples; `mueller_matrix`, the linear 4x4 action of a device map on
 (I, M, C, S); and `polarizer_map`, an ideal, possibly lossy, polarizer."""
 
 import math
-from itertools import combinations_with_replacement, product
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,36 +54,12 @@ def expectation(state, op) -> complex:
     return complex(np.vdot(state.amplitudes, op @ state.amplitudes))
 
 
-def lowering_plan(space):
-    """The seven arrays of `entanglement._plan(space)`, built by matching the
-    destination rows of each pair of lowered states with `np.intersect1d`.
-
-    a_mu b_mu' (row 2*mu + mu') moves the amplitude at src to dst = src -
-    stride_mu - stride_mu', weighted sqrt(n_mu) * sqrt(n_mu').  The ten
-    (r, c), r <= c, are ordered by the number of rows both lowered states
-    reach, most first; side 0 is a_c b_c', side 1 a_r b_r', padded with
-    zeros to the first pair's rows.
-    """
-    strides = space._strides()
-    lowered = []
-    for mu, mup in product(BEAM_A, BEAM_B):
-        n_mu, n_mup = space.number_diagonal(mu), space.number_diagonal(mup)
-        src = np.nonzero((n_mu > 0) & (n_mup > 0))[0]
-        lowered.append((src - strides[mu] - strides[mup], src,
-                        np.sqrt(n_mu[src]) * np.sqrt(n_mup[src])))
-    shared = {(r, c): np.intersect1d(lowered[c][0], lowered[r][0], assume_unique=True,
-                                     return_indices=True)[1:]
-              for r, c in combinations_with_replacement(range(4), 2)}
-    pairs = sorted(shared, key=lambda pair: -shared[pair][0].size)
-    rows = np.array([shared[pair][0].size for pair in pairs])
-    src = np.zeros((2, len(pairs), max(rows)), dtype=np.intp)
-    weight = np.zeros(src.shape)
-    for p, (r, c) in enumerate(pairs):
-        for side, (row, at) in enumerate(zip((c, r), shared[r, c])):
-            src[side, p, :at.size] = lowered[row][1][at]
-            weight[side, p, :at.size] = lowered[row][2][at]
-    n_a, n_b = (sum(map(space.number_diagonal, beam)) for beam in (BEAM_A, BEAM_B))
-    return np.array(pairs), rows, src, weight, n_a, n_b, n_a * n_b
+def lowered_states(space, psi):
+    """The four lowered states a_mu b_mu' psi (row 2*mu + mu' of Gamma) of
+    the state columns psi, (4, dimension, n_samples): products of
+    `fock.ladder_operator`'s annihilators applied to psi."""
+    ann = [fock.ladder_operator(space, m, "annihilate") for m in range(space.mode_count)]
+    return np.stack([(ann[mu] @ ann[mup]) @ psi for mu, mup in product(BEAM_A, BEAM_B)])
 
 
 def product_fluctuations(n_total, n_bar1):

@@ -3,7 +3,9 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -307,6 +309,23 @@ def test_bound_check_memory_grows_only_by_its_records(tmp_path):
     assert peaks[1] - peaks[0] < 30, peaks
 
 
+def test_bound_check_holds_one_copy_of_its_records():
+    # the sample and the mixture records are written in place into one
+    # array, so building them grows by one 65-byte record per state; joined
+    # with np.concatenate, they took two copies, 130 bytes per state
+    peaks = []
+    for samples in (2000, 30000):
+        args = SimpleNamespace(seed=3, samples=samples, cutoff=1, mixtures=2, workers=1)
+        tracemalloc.start()
+        try:
+            columns, _ = cli.COMMANDS["bound-check"][0](args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(columns["seed"]) == 30002
+    assert (peaks[1] - peaks[0]) / 28000 < 100, peaks
+
+
 WARM_WORKER_RUNS = r"""
 import sys
 from beamlab import cli, entanglement
@@ -315,12 +334,12 @@ bound_chunk = cli._bound_chunk
 
 def checked_chunk(task):        # what each forked pool worker runs
     modules = set(sys.modules)
-    misses = entanglement._plan.misses
+    misses = entanglement._layout.cache_info().misses
     rows = bound_chunk(task)
     loaded = sorted(set(sys.modules) - modules)
     assert not loaded, f"a pool worker loaded {loaded}"
-    assert entanglement._plan.misses == misses, \
-        "a pool worker built a plan"
+    assert entanglement._layout.cache_info().misses == misses, \
+        "a pool worker built a layout"
     return rows
 
 cli._bound_chunk = checked_chunk
@@ -519,8 +538,9 @@ def test_neg_sweep_bound_column(tmp_path):
 def test_exit_code_2_on_violation(tmp_path, monkeypatch):
     import beamlab.entanglement as ent
 
-    def fake_rows(seed, indices, cutoff, photons_per_beam=None):
-        return np.array([(0, cutoff, 1.0, 1.0, 1.0, 3.0, 2.0, 2.0, False)], ent.ROW)
+    def fake_rows(seed, indices, cutoff, photons_per_beam=None, out=None):
+        out[:] = np.array([(0, cutoff, 1.0, 1.0, 1.0, 3.0, 2.0, 2.0, False)], ent.ROW)
+        return out
 
     monkeypatch.setattr(ent, "bound_rows", fake_rows)
     out = tmp_path / "viol.csv"

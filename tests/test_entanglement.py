@@ -15,7 +15,7 @@ from beamlab.errors import (
     ResourceLimitError,
 )
 from beamlab.seeding import rng_for
-from oracles import lowering_plan, sector_state
+from oracles import lowered_states, sector_state
 
 
 def four_mode_space(cutoff):
@@ -304,31 +304,12 @@ def test_sampling_is_seeded_per_index():
 # -- oracles for the Gamma and bound kernels -----------------------------------
 
 
-def lowering_products(space):
-    """The four a_mu b_mu' (row 2*mu + mu') as sparse ladder products."""
-    ann = [fock.ladder_operator(space, m, "annihilate") for m in range(4)]
-    return [(ann[mu] @ ann[mup]).tocsr() for mu in ent.BEAM_A for mup in ent.BEAM_B]
-
-
-def assert_pair_operands_equal_sparse_products(space, psi, products):
-    # each pair operand is its sparse-ladder product on the rows both lowered
-    # states reach, ascending, and zero in its padding; no row left out has
-    # a nonzero product, so the ten pairs cover all of every a_r b_r' psi
-    sparse = np.stack([m @ psi for m in products])
-    reached = [np.unique(m.tocoo().row) for m in products]
-    plan = ent._plan(space)
-    covered = []
-    for group in ent._pair_groups(plan, psi.shape[1]):
-        conj_c, lowered_r = ent._pair_operands(plan, psi, group)
-        for (r, c), conj_op, op in zip(plan.pairs[group], conj_c, lowered_r, strict=True):
-            rows = np.intersect1d(reached[r], reached[c])
-            assert np.array_equal(op[:rows.size], sparse[r][rows])
-            assert np.array_equal(conj_op[:rows.size], sparse[c][rows].conj())
-            assert not op[rows.size:].any() and not conj_op[rows.size:].any()
-            rest = np.setdiff1d(np.arange(space.dimension), rows)
-            assert not (sparse[c][rest].conj() * sparse[r][rest]).any()
-            covered.append((int(r), int(c)))
-    assert sorted(covered) == [(r, c) for r in range(4) for c in range(r, 4)]
+def assert_lowered_states_equal_the_oracle(space, psi):
+    # each of the four is its sparse-ladder product, bit for bit, with an
+    # exact zero on every row that the product does not reach
+    got, want = ent._lowered_states(space, psi), lowered_states(space, psi)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_index_shift_products_equal_sparse_ladder_products():
@@ -337,9 +318,8 @@ def test_index_shift_products_equal_sparse_ladder_products():
     rng = np.random.default_rng(11)
     psi = (rng.standard_normal((space.dimension, 5))
            + 1j * rng.standard_normal((space.dimension, 5)))
-    products = lowering_products(space)
-    sparse = np.stack([m @ psi for m in products])
-    assert_pair_operands_equal_sparse_products(space, psi, products)
+    assert_lowered_states_equal_the_oracle(space, psi)
+    sparse = lowered_states(space, psi)
     gammas, n_a, n_b, n_ab = ent._gammas_and_moments(space, psi)
     assert np.array_equal(gammas, np.einsum("cds,rds->src", sparse.conj(), sparse))
     for col in range(5):
@@ -351,69 +331,74 @@ def test_index_shift_products_equal_sparse_ladder_products():
 
 
 def test_lowering_plan_is_built_once_per_space_and_read_only():
-    ent._plan.cache_clear()
+    # the plan of the lowering is the layout: slices, weights and diagonals
+    ent._layout.cache_clear()
     space = fock.FockSpace.truncated([1, 2, 3, 2])
     rng = np.random.default_rng(5)
     psi = (rng.standard_normal((space.dimension, 3))
            + 1j * rng.standard_normal((space.dimension, 3)))
-    products = lowering_products(space)
     number = [space.number_diagonal(m) for m in range(4)]
     for _ in range(3):
-        assert_pair_operands_equal_sparse_products(space, psi, products)
-    plan = ent._plan(space)
+        assert_lowered_states_equal_the_oracle(space, psi)
+    layout = ent._layout(space.cutoffs)
     n_a, n_b = number[0] + number[1], number[2] + number[3]
-    assert np.array_equal(plan.n_a, n_a) and np.array_equal(plan.n_b, n_b)
-    assert np.array_equal(plan.n_ab, n_a * n_b)
-    assert ent._plan.misses == 1
-    # an equal space built apart reads the same plan
-    assert ent._plan(fock.FockSpace.truncated([1, 2, 3, 2])) is plan
-    assert ent._plan.misses == 1
-    ent._plan(four_mode_space(2))
-    assert ent._plan.misses == 2
-    assert ent._plan.value is not None     # one plan is held; the first is let go
-    for array in plan:
+    assert np.array_equal(layout.n_a, n_a) and np.array_equal(layout.n_b, n_b)
+    assert np.array_equal(layout.n_ab, n_a * n_b)
+    assert ent._layout.cache_info().misses == 1
+    # an equal space built apart reads the same layout
+    assert ent._layout(fock.FockSpace.truncated([1, 2, 3, 2]).cutoffs) is layout
+    assert ent._layout.cache_info().misses == 1
+    ent._layout(four_mode_space(2).cutoffs)
+    info = ent._layout.cache_info()
+    assert (info.misses, info.currsize) == (2, 1)   # one layout is held
+    for array in (*(weight for weight, _, _ in layout.lowered), *layout[1:]):
         assert not array.flags.writeable
     with pytest.raises(ValueError):
-        plan.n_a[0] = 1.0
+        layout.n_a[0] = 1.0
+
+
+def layout_arrays(cutoff):
+    layout = ent._layout(four_mode_space(cutoff).cutoffs)
+    return (*(weight for weight, _, _ in layout.lowered), *layout[1:])
 
 
 def test_a_bright_sweep_holds_one_plan_at_a_time():
-    ent._plan.cache_clear()
+    ent._layout.cache_clear()
     held = []
     for k in range(1, 5):
         ent.bound_rows(k, range(3), k, photons_per_beam=k)
-        assert ent._plan.value is not None
-        held.append(weakref.ref(ent._plan(four_mode_space(k)).src))
-    assert ent._plan.misses == 4
-    # nothing else keeps an earlier plan's arrays alive
+        assert ent._layout.cache_info().currsize == 1
+        held.append(weakref.ref(layout_arrays(k)[-1]))
+    assert ent._layout.cache_info().misses == 4
+    # nothing else keeps an earlier layout's arrays alive
     assert [ref() is None for ref in held] == [True, True, True, False]
 
 
-def test_the_held_plan_is_let_go_before_the_next_is_built(monkeypatch):
-    ent._plan.cache_clear()
-    held = weakref.ref(ent._plan(four_mode_space(1)).src)
-    build, freed = ent._plan.build, []
-
-    def spy(space):
-        freed.append(held() is None)
-        return build(space)
-
-    monkeypatch.setattr(ent._plan, "build", spy)
-    ent._plan(four_mode_space(2))
-    assert freed == [True]
-    assert (ent._plan.misses, ent._plan.value is not None) == (2, True)
+def test_the_held_layout_is_let_go_once_the_next_is_built():
+    # the cache holds the last layout while it builds the next one; nothing
+    # that a Gamma step returns keeps a layout array alive after that
+    ent._layout.cache_clear()
+    sampler = ent.BeamSampler(1)
+    kept = sampler.gammas_and_moments(sampler.sample_states(2, range(3)))
+    held = [weakref.ref(array) for array in layout_arrays(1)]
+    ent._layout(four_mode_space(2).cutoffs)
+    assert [ref() is None for ref in held] == [True] * len(held)
+    assert ent._layout.cache_info().currsize == 1 and len(kept) == 4
 
 
 @pytest.mark.parametrize("cutoffs", [
     [1] * 4, [2] * 4, [3] * 4, [10] * 4, [1, 2, 3, 2], [0, 1, 1, 1], [1, 0, 2, 0],
     [0] * 4, [4, 0, 0, 3], [5, 4, 3, 2], [3, 1, 2, 2, 2], [1, 1, 1, 1, 0, 2]])
 def test_lowering_plan_boxes_equal_the_intersect1d_oracle(cutoffs):
-    # zero cutoffs leave some pairs, or all, with no shared rows
+    # the lowered states of every layout, against the sparse-ladder oracle:
+    # zero cutoffs leave some lowered states, or all, empty, and a fifth or
+    # sixth mode is carried through every slice
     space = fock.FockSpace.truncated(cutoffs)
-    plan = ent._plan(space)
-    for got, want in zip(plan, lowering_plan(space), strict=True):
-        assert (got.shape, got.dtype) == (want.shape, want.dtype)
-        assert got.tobytes() == want.tobytes()
+    rng = np.random.default_rng(len(cutoffs) + sum(cutoffs))
+    for width in (1, 3):
+        psi = (rng.standard_normal((space.dimension, width))
+               + 1j * rng.standard_normal((space.dimension, width)))
+        assert_lowered_states_equal_the_oracle(space, psi)
 
 
 def test_partial_transpose_of_a_stack_matches_index_oracle():
@@ -465,7 +450,7 @@ def test_sample_budget_is_checked_before_sampling():
 def test_bound_rows_do_not_depend_on_the_chunk_width(monkeypatch):
     whole = ent.bound_rows(4, range(3, 13), 1)
     sector = ent.bound_rows(4, range(3, 13), 2, photons_per_beam=2)
-    monkeypatch.setattr(ent, "OPERAND_WORK", 3 * 16)    # widths 2, 3, 2, 3 at cutoff 1
+    monkeypatch.setattr(ent, "OPERAND_WORK", 3 * 64)    # widths 2, 3, 2, 3 at cutoff 1
     assert same_records(ent.bound_rows(4, range(3, 13), 1), whole)
     monkeypatch.setattr(ent, "OPERAND_WORK", 1)         # two states per chunk, the least
     assert same_records(ent.bound_rows(4, range(3, 13), 2, photons_per_beam=2), sector)
@@ -486,25 +471,23 @@ def test_chunks_hold_two_states_and_operands_of_at_most_the_budget(cutoff, photo
     monkeypatch.setattr(ent.BeamSampler, "gammas_and_moments", spy)
     ent.bound_rows(2, range(n), cutoff, photons_per_beam=photons)
     dimension = four_mode_space(cutoff).dimension
-    rows = ent._plan(four_mode_space(cutoff)).rows[0]
-    fits = ent.OPERAND_WORK // dimension
+    fits = ent.OPERAND_WORK // (4 * dimension)
     assert sum(widths) == n
     for width in widths:
         assert width >= 2 or n == 1
-        # the state block and the largest operand are past the budget only
-        # where two states per chunk force it (one chunk of three when n is
-        # odd)
-        assert dimension * width <= ent.OPERAND_WORK or width <= 2 + n % 2
-        assert width * rows <= ent.OPERAND_WORK or width <= 2 + n % 2
+        # the four lowered states, four times the state block, are past the
+        # budget only where two states per chunk force it (one chunk of
+        # three when n is odd)
+        assert 4 * dimension * width <= ent.OPERAND_WORK or width <= 2 + n % 2
         assert width >= min(fits, n) // 2       # and no needless split
 
 
 def test_the_gamma_step_holds_operands_of_2_mb():
-    # k = 10: the state block has 14,641 rows, so a chunk holds 8 states
-    # and peaks near 4.9 MB (its amplitudes and two operands of the largest
-    # entry, 12,100 rows each); chunks of 10 states peaked near 6.1 MB, and
-    # of 34 states near 20 MB
-    ent.prepare_bound_rows(10)          # the plan is not counted
+    # k = 10: the state block has 14,641 rows, so a chunk holds 2 states
+    # and peaks near 3.1 MB (its amplitudes, its four lowered states and
+    # one conjugate); chunks of 8 states and their gathered operands peaked
+    # near 4.9 MB, of 10 states near 6.1 MB, and of 34 states near 20 MB
+    ent.prepare_bound_rows(10)          # the layout is not counted
     tracemalloc.start()
     try:
         ent.bound_rows(7, range(200), 10, photons_per_beam=10)
@@ -537,24 +520,22 @@ def same_bits(a, b):
 
 
 @pytest.mark.parametrize("cutoff,photons", [
-    (1, None), (2, None), (3, None), (4, None), (6, 6), (10, 10)])
-def test_each_column_alone_equals_its_batch_column_bit_for_bit(cutoff, photons,
-                                                               monkeypatch):
+    (1, None), (2, None), (3, None), (4, None), (6, 6), (10, 10), (13, 13), (16, 16)])
+def test_each_column_alone_equals_its_batch_column_bit_for_bit(cutoff, photons):
+    # a lone state sums all 16 entries in one einsum and a batch one entry
+    # at a time; in the k = 13 and k = 16 sectors the rows that the lowered
+    # states reach span 30,733 and 69,601 rows, past the 12,100 at which
+    # einsum would chunk a reduction that kept no other axis (10,981 at
+    # k = 10)
     sampler = ent.BeamSampler(cutoff)
-    psi = sampler.sample_states(8, range(48), photons_per_beam=photons)
-    alone = [ent._gammas_and_moments(sampler.space, psi[:, [j]]) for j in range(48)]
-    layouts = set()
-    # the default pair groups, then smaller ones that split at these widths
-    for operand_work in (ent.OPERAND_WORK, 2 ** 10):
-        monkeypatch.setattr(ent, "OPERAND_WORK", operand_work)
-        for width in (1, 2, 5, 48):
-            plan = ent._plan(sampler.space)
-            layouts.add(tuple((g.start, g.stop) for g in ent._pair_groups(plan, width)))
-            batch = ent._gammas_and_moments(sampler.space, psi[:, :width])
-            for j in range(width):
-                for got, own in zip(batch, alone[j], strict=True):
-                    assert same_bits(got[j], own[0])
-    assert len(layouts) >= 2
+    n = 48 if cutoff <= 10 else 5
+    psi = sampler.sample_states(8, range(n), photons_per_beam=photons)
+    alone = [ent._gammas_and_moments(sampler.space, psi[:, [j]]) for j in range(n)]
+    for width in sorted({1, 2, 5, n}):
+        batch = ent._gammas_and_moments(sampler.space, psi[:, :width])
+        for j in range(width):
+            for got, own in zip(batch, alone[j], strict=True):
+                assert same_bits(got[j], own[0])
 
 
 def test_c_and_fortran_ordered_states_give_the_same_bits():

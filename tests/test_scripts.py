@@ -78,7 +78,7 @@ def test_report_digests_prints_one_digest_per_job():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 25
+    assert len(lines) == 26
     digests = [line.split("  ", 1) for line in lines]
     assert all(len(d) == 64 and int(d, 16) >= 0 and job for d, job in digests)
     # the pooled bound-check and neg-sweep runs write the serial runs' bytes
@@ -104,7 +104,7 @@ def test_report_digests_do_not_depend_on_the_blas_thread_timeout():
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert len(outputs[0].splitlines()) == 25
+    assert len(outputs[0].splitlines()) == 26
     assert outputs[0] == outputs[1]
 
 
