@@ -7,15 +7,26 @@ it.  The reports are written to a temporary directory through
 output to see which reports a change moved:
 
     PYTHONPATH=src python3 scripts/report_digests.py
+
+With `--write` it also refreshes DIGEST_FILE: the host fingerprint line,
+then the digest lines.  tests/test_scripts.py requires every digest to
+equal the committed one on a host of the same fingerprint, so a change
+that moves a report refreshes the file in the same commit.
 """
 
+import argparse
 import hashlib
 import json
 import pathlib
 import sys
 import tempfile
 
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+
 from beamlab import cli
+
+DIGEST_FILE = pathlib.Path(__file__).resolve().parent.parent / "tests/data/report_digests.txt"
 
 JUNCTION = ["--n-total", "200", "--e-c", "0.2", "--lam", "0.1", "--n0", "101",
             "--phi0", "0.5"]
@@ -54,8 +65,8 @@ JOBS = [
     ["bound-check", "--seed", "3", "--samples", "2000", "--cutoff", "3",
      "--mixtures", "200"],
     ["neg-sweep", "--seed", "3", "--samples", "20", "--k-max", "10"],
-    # five states in chunks of two and three from k = 8, two states past
-    # the chunk budget from k = 11
+    # five states in chunks of 4 and 1 at k = 8, 3 and 2 at k = 9, 2, 2 and
+    # 1 at k = 10, and of one state, past the chunk budget, from k = 11
     ["neg-sweep", "--seed", "3", "--samples", "5", "--k-max", "16"],
     # 50,001 rows: a report written in three blocks of reports.BLOCK_ROWS
     ["pendulum", "--omega", "1", "--phi0", "1", "--horizon", "1", "--dt", "2e-5"],
@@ -66,7 +77,8 @@ JOBS = [
      "--mixtures", "10", "--format", "json"],
     # records pickled out of pool workers: the serial job's digest
     ["neg-sweep", "--seed", "9", "--samples", "15", "--k-max", "3", "--workers", "2"],
-    # one lone state per k, summed in one einsum over up to 83,521 rows
+    # one lone state per k, each Gamma column one einsum over up to 83,521
+    # rows
     ["neg-sweep", "--seed", "3", "--samples", "1", "--k-max", "16"],
 ]
 SCENE = {"stokes": {"i": 1.0, "m": 0.2, "c": 0.0, "s": 0.1}, "seed": 3, "shots": 500}
@@ -87,10 +99,25 @@ def digests(out_dir: pathlib.Path) -> list[tuple[str, str]]:
     return lines
 
 
-def main() -> int:
+def host_fingerprint() -> str:
+    """What a report's bits depend on besides the code: numpy's version, the
+    CPU features it enabled, and the OpenBLAS it was built with."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    features = ",".join(sorted(name for name, on in __cpu_features__.items() if on))
+    return (f"# host: numpy {np.__version__}; cpu {features}; "
+            f"{' '.join(blas.get('openblas configuration', blas['name']).split())}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--write", action="store_true",
+                        help=f"also write the digests to {DIGEST_FILE.name}")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        for digest, job in digests(pathlib.Path(tmp)):
-            print(f"{digest}  {job}")
+        lines = [f"{digest}  {job}" for digest, job in digests(pathlib.Path(tmp))]
+    print("\n".join(lines))
+    if args.write:
+        DIGEST_FILE.write_text("\n".join([host_fingerprint(), *lines]) + "\n")
     return 0
 
 

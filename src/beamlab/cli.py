@@ -260,13 +260,11 @@ def _parallel_bound_rows(rows, seed, cutoff, photons, workers):
     """
     from . import entanglement
     samples = len(rows)
-    entanglement.check_sample_work(samples, cutoff)
     if workers <= 1 or samples < 2 * workers:
         entanglement.bound_rows(seed, range(samples), cutoff, photons, out=rows)
         return
-    bounds = np.linspace(0, samples, workers + 1, dtype=int)
-    tasks = [(seed, int(a), int(b), cutoff, photons)
-             for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+    bounds = [i * samples // workers for i in range(workers + 1)]
+    tasks = [(seed, a, b, cutoff, photons) for a, b in zip(bounds, bounds[1:])]
     entanglement.prepare_bound_rows(cutoff)
     with get_context(START_METHOD).Pool(min(workers, _usable_cpus())) as pool:
         parts = pool.map(_bound_chunk, tasks)
@@ -311,9 +309,8 @@ def run_bound_check(args):
     WORKERS,
 ))
 def run_neg_sweep(args):
-    from . import entanglement, fock
+    from . import entanglement
     entanglement.check_sample_work(args.samples, args.k_max)     # the largest k
-    fock.FockSpace.truncated([args.k_max] * 4)      # and its dimension limit
     rows = np.empty(args.samples * args.k_max, entanglement.ROW)
     for k in range(1, args.k_max + 1):
         _parallel_bound_rows(rows[(k - 1) * args.samples:k * args.samples],

@@ -36,6 +36,7 @@ from .errors import (
     ContractViolationError,
     DomainError,
     NormalizationUndefinedError,
+    ResourceLimitError,
 )
 from .seeding import rng_for
 
@@ -45,18 +46,21 @@ BOUND_TOL = 1e-9
 SAMPLE_WORK_LIMIT = 10_000_000
 # A chunk's four lowered states (4 x dimension x width amplitudes, the
 # largest arrays of its Gamma step) hold at most this many 16-byte entries,
-# 2 MB, unless a chunk's least width, two states, forces more: bound_rows
-# sizes its chunks by them.  Measured peak RSS: 42.8 MB for the benchmark's
-# beam workload, 0.14 GB for neg-sweep --samples 20 --k-max 24 and 0.21 GB for
-# --samples 1 --k-max 30, whose lone state holds its four lowered states
-# and their conjugates at once.
+# 2 MB, unless one state's alone hold more: bound_rows sizes its chunks by
+# them.  Measured peak RSS: 42.8 MB for the benchmark's beam workload, 0.10
+# GB for neg-sweep --samples 20 --k-max 24 and 0.15 GB for --samples 1
+# --k-max 30, whose chunks hold one state.
 OPERAND_WORK = 2 ** 17
 
 
 def check_sample_work(samples: int, cutoff: int) -> None:
-    """Refuse `samples` states at `cutoff` beyond SAMPLE_WORK_LIMIT."""
-    fock.check_work(samples * (cutoff + 1) ** 4, SAMPLE_WORK_LIMIT,
-                    "samples x dimension")
+    """Refuse `samples` states at `cutoff` beyond SAMPLE_WORK_LIMIT, and a
+    four-mode space of `cutoff` beyond fock's dimension limit."""
+    dimension = (cutoff + 1) ** 4
+    fock.check_work(samples * dimension, SAMPLE_WORK_LIMIT, "samples x dimension")
+    if dimension > fock.DEFAULT_DIMENSION_LIMIT:
+        raise ResourceLimitError(
+            f"dimension {dimension}+ exceeds the limit {fock.DEFAULT_DIMENSION_LIMIT}")
 
 
 class TwoBeamCorrelation:
@@ -149,11 +153,13 @@ def _gammas_and_moments(space: fock.FockSpace, psi: np.ndarray):
 
     Entry (r, c) sums conj(a_c b_c' psi) a_r b_r' psi over the basis,
     ascending, on the lowered states of `_lowered_states`: one einsum per
-    entry, or one for all sixteen entries of a lone state, since einsum
-    sums a reduction that keeps no other axis in chunks (at 12,100 rows,
-    not at 8,193) rather than as one running sum.  A row that a lowered
-    state does not reach adds an exact zero to a running sum that starts
-    at +0, which leaves its bits as they are."""
+    column c, on one conjugate buffer, at every width.  It keeps the
+    (state, row) axes, so each entry is one running sum even for a lone
+    state; einsum sums a reduction that keeps no other axis in chunks (at
+    12,100 rows, not at 8,193).  A row that a lowered state does not reach
+    adds an exact zero to a running sum that starts at +0, which leaves its
+    bits as they are.  Beside the amplitudes, the step holds five arrays of
+    their size: the four lowered states and the conjugate."""
     layout = _layout(space.cutoffs)
     probs = np.abs(psi)
     np.square(probs, out=probs)
@@ -163,16 +169,11 @@ def _gammas_and_moments(space: fock.FockSpace, psi: np.ndarray):
                       for w in (layout.n_a, layout.n_b, layout.n_ab))
     del probs, weighted         # freed before the lowered states are built
     low = _lowered_states(space, psi)
-    width = psi.shape[1]
-    gammas = np.empty((width, 4, 4), dtype=complex)
-    if width == 1:
-        gammas[0] = np.einsum("jd,kd->kj", low[..., 0].conj(), low[..., 0])
-    else:
-        conj_c = np.empty_like(low[0])  # one buffer: an array per c left the heap higher
-        for c in range(4):
-            np.conjugate(low[c], out=conj_c)
-            for r in range(4):
-                gammas[:, r, c] = np.einsum("ds,ds->s", conj_c, low[r])
+    gammas = np.empty((psi.shape[1], 4, 4), dtype=complex)
+    conj_c = np.empty_like(low[0])  # one buffer: an array per c left the heap higher
+    for c in range(4):
+        np.conjugate(low[c], out=conj_c)
+        gammas[:, :, c] = np.einsum("ds,rds->sr", conj_c, low)
     return gammas, n_a, n_b, n_ab
 
 
@@ -345,23 +346,22 @@ def bound_rows(master_seed: int, indices: range, cutoff: int,
     bound-checking sweeps, written into `out`, a ROW array of one record
     per index, when it is given.
 
-    The states are drawn and reduced in chunks as wide as keeps their four
-    lowered states, 4 x dimension x width amplitudes, within OPERAND_WORK;
-    a chunk holds two states at least unless the call has only one, which
-    holds about as much, since it conjugates its four lowered states at
-    once.  A run grows with the number of states only by its 65-byte
-    records."""
+    The states are drawn and reduced in chunks of one width, the last
+    chunk narrower, as wide as keeps their four lowered states, 4 x
+    dimension x width amplitudes, within OPERAND_WORK, or one state wide
+    where one state's are past it.  A run grows with the number of states
+    only by its 65-byte records."""
     check_sample_work(len(indices), cutoff)
     sampler = BeamSampler(cutoff)
     n = len(indices)
-    width = max(OPERAND_WORK // (4 * sampler.space.dimension), 2)
-    count = max(min(-(-n // width), n // 2), 1)
+    width = max(OPERAND_WORK // (4 * sampler.space.dimension), 1)
     rows = np.empty(n, ROW) if out is None else out
-    for start, stop in ((i * n // count, (i + 1) * n // count) for i in range(count)):
-        psi = sampler.sample_states(master_seed, indices[start:stop], photons_per_beam)
+    for start in range(0, n, width):
+        chunk = indices[start:start + width]
+        psi = sampler.sample_states(master_seed, chunk, photons_per_beam)
         gammas_and_moments = sampler.gammas_and_moments(psi)
         del psi                 # freed before the next chunk's states are drawn
-        rows[start:stop] = _rows(indices[start:stop], cutoff, *gammas_and_moments)
+        rows[start:start + width] = _rows(chunk, cutoff, *gammas_and_moments)
     return rows
 
 

@@ -147,15 +147,6 @@ class FockSpace:
         s = self._strides()[mode]
         return ((idx // s) % (self.cutoffs[mode] + 1)).astype(float)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FockSpace)
-                and self.kind == other.kind
-                and self.cutoffs == other.cutoffs
-                and self.n_total == other.n_total)
-
-    def __hash__(self):
-        return hash((self.kind, self.cutoffs, self.n_total))
-
     def __repr__(self):
         if self.kind == "truncated":
             return f"FockSpace.truncated({list(self.cutoffs)})"

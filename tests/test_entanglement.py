@@ -107,6 +107,22 @@ def test_two_beam_correlation_validates_invariants():
         ent.TwoBeamCorrelation(good, 1.0, 1.0, 2.0)
 
 
+def test_a_gamma_that_is_not_4x4_is_refused():
+    with pytest.raises(DomainError, match="4x4"):
+        ent.TwoBeamCorrelation(np.eye(3), 1.0, 1.0, 1.0)
+    with pytest.raises(DomainError, match="4x4"):
+        ent.partial_transpose(np.eye(3))
+
+
+def test_a_mixture_needs_components_and_weights_that_sum_to_1():
+    corr = ent.TwoBeamCorrelation(np.diag([0.5, 0.5, 0.0, 0.0]), 1.0, 1.0, 1.0)
+    with pytest.raises(DomainError, match="at least one component"):
+        ent.gamma_from_mixture([])
+    for components in ([(1.5, corr), (-0.5, corr)], [(0.4, corr), (0.5, corr)]):
+        with pytest.raises(DomainError, match="sum to 1"):
+            ent.gamma_from_mixture(components)
+
+
 def test_gamma_requires_photons_in_both_beams():
     space = four_mode_space(1)
     vacuum_b = state_from_occupations(space, {(1, 0, 0, 0): 1.0})
@@ -450,9 +466,9 @@ def test_sample_budget_is_checked_before_sampling():
 def test_bound_rows_do_not_depend_on_the_chunk_width(monkeypatch):
     whole = ent.bound_rows(4, range(3, 13), 1)
     sector = ent.bound_rows(4, range(3, 13), 2, photons_per_beam=2)
-    monkeypatch.setattr(ent, "OPERAND_WORK", 3 * 64)    # widths 2, 3, 2, 3 at cutoff 1
+    monkeypatch.setattr(ent, "OPERAND_WORK", 3 * 64)    # widths 3, 3, 3, 1 at cutoff 1
     assert same_records(ent.bound_rows(4, range(3, 13), 1), whole)
-    monkeypatch.setattr(ent, "OPERAND_WORK", 1)         # two states per chunk, the least
+    monkeypatch.setattr(ent, "OPERAND_WORK", 1)         # one state per chunk, the least
     assert same_records(ent.bound_rows(4, range(3, 13), 2, photons_per_beam=2), sector)
 
 
@@ -471,15 +487,14 @@ def test_chunks_hold_two_states_and_operands_of_at_most_the_budget(cutoff, photo
     monkeypatch.setattr(ent.BeamSampler, "gammas_and_moments", spy)
     ent.bound_rows(2, range(n), cutoff, photons_per_beam=photons)
     dimension = four_mode_space(cutoff).dimension
-    fits = ent.OPERAND_WORK // (4 * dimension)
+    width = max(ent.OPERAND_WORK // (4 * dimension), 1)
     assert sum(widths) == n
-    for width in widths:
-        assert width >= 2 or n == 1
-        # the four lowered states, four times the state block, are past the
-        # budget only where two states per chunk force it (one chunk of
-        # three when n is odd)
-        assert 4 * dimension * width <= ent.OPERAND_WORK or width <= 2 + n % 2
-        assert width >= min(fits, n) // 2       # and no needless split
+    # every chunk but the last is `width` states wide, and the last no wider
+    assert widths[:-1] == [width] * (len(widths) - 1) and 1 <= widths[-1] <= width
+    for w in widths:
+        # a chunk's four lowered states, four times its state block, are
+        # past the budget only where a chunk holds one state
+        assert 4 * dimension * w <= ent.OPERAND_WORK or w == 1
 
 
 def test_the_gamma_step_holds_operands_of_2_mb():
@@ -495,6 +510,24 @@ def test_the_gamma_step_holds_operands_of_2_mb():
     finally:
         tracemalloc.stop()
     assert peak < 5.5 * 2 ** 20
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_a_lone_state_gamma_step_holds_six_state_sized_arrays(n):
+    # k = 16: 83,521 rows of 16 bytes, past the budget for one state's
+    # four lowered states, so every chunk holds one state: its amplitudes,
+    # its four lowered states and one conjugate.  A step that conjugated
+    # all four lowered states at once would hold 9 such arrays, and chunks
+    # of two or three states 18.
+    state_bytes = 16 * 83_521
+    ent.prepare_bound_rows(16)          # the layout is not counted
+    tracemalloc.start()
+    try:
+        ent.bound_rows(7, range(n), 16, photons_per_beam=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.25 * state_bytes
 
 
 def test_mixture_rows_equal_per_index_bound_reports():
@@ -522,11 +555,11 @@ def same_bits(a, b):
 @pytest.mark.parametrize("cutoff,photons", [
     (1, None), (2, None), (3, None), (4, None), (6, 6), (10, 10), (13, 13), (16, 16)])
 def test_each_column_alone_equals_its_batch_column_bit_for_bit(cutoff, photons):
-    # a lone state sums all 16 entries in one einsum and a batch one entry
-    # at a time; in the k = 13 and k = 16 sectors the rows that the lowered
-    # states reach span 30,733 and 69,601 rows, past the 12,100 at which
-    # einsum would chunk a reduction that kept no other axis (10,981 at
-    # k = 10)
+    # one einsum per Gamma column keeps the (state, row) axes at every
+    # width, so each entry is one ascending running sum over the basis; in
+    # the k = 13 and k = 16 sectors the rows that the lowered states reach
+    # span 30,733 and 69,601 rows, past the 12,100 at which einsum would
+    # chunk a reduction that kept no other axis (10,981 at k = 10)
     sampler = ent.BeamSampler(cutoff)
     n = 48 if cutoff <= 10 else 5
     psi = sampler.sample_states(8, range(n), photons_per_beam=photons)

@@ -204,6 +204,12 @@ def test_overlap_law():
             assert got == pytest.approx(want, abs=1e-10)
 
 
+def test_coherence_refuses_a_truncated_space_state():
+    state = fock.basis_state(fock.FockSpace.truncated([3, 3]), (1, 2))
+    with pytest.raises(ContractViolationError, match="coherence"):
+        jj.coherence(state)
+
+
 def test_mean_field_charging_slope():
     # built from |nbar1 + delta, phi>, the charging diagonal is linear in k
     # with slope E_C * delta

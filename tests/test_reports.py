@@ -80,6 +80,12 @@ def test_rows_must_be_homogeneous(tmp_path):
     assert path.read_text() == "kept"
 
 
+def test_a_missing_report_is_refused_with_its_path(tmp_path):
+    path = tmp_path / "missing.csv"
+    with pytest.raises(BeamlabError, match="cannot read report .*missing.csv"):
+        reports.load_report(str(path))
+
+
 def test_io_error_carries_path():
     with pytest.raises(BeamlabError, match="no/such/dir"):
         reports.emit_report({"a": [1]}, "csv", "/no/such/dir/report.csv", config={})

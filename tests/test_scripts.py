@@ -86,6 +86,27 @@ def test_report_digests_prints_one_digest_per_job():
     assert digests[1][0] == digests[24][0] and digests[24][1].endswith("--workers 2")
 
 
+def test_reports_keep_their_committed_digests(tmp_path, monkeypatch):
+    # tests/data/report_digests.txt holds the digests of the last change
+    # that moved a report, written by `report_digests.py --write`; a
+    # report's bits depend on the host too, so another host skips
+    spec = importlib.util.spec_from_file_location(
+        "report_digests", ROOT / "scripts" / "report_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    fingerprint, *committed = script.DIGEST_FILE.read_text().splitlines()
+    if fingerprint != script.host_fingerprint():
+        pytest.skip(f"digests committed on another host: {fingerprint!r}, "
+                    f"this host: {script.host_fingerprint()!r}")
+    monkeypatch.setattr(script, "DIGEST_FILE", tmp_path / "report_digests.txt")
+    assert script.main(["--write"]) == 0
+    written, *got = script.DIGEST_FILE.read_text().splitlines()
+    assert written == fingerprint
+    assert len(got) == len(committed) == len(script.JOBS)
+    moved = [line for line, want in zip(got, committed) if line != want]
+    assert not moved, f"reports moved: {moved}"
+
+
 def test_report_digests_do_not_depend_on_the_blas_thread_timeout():
     # the timeout sets how long an idle OpenBLAS thread spins, not how a sum
     # is split: at 2 threads every report keeps its bytes between the CLI's
