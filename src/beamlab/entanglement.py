@@ -47,7 +47,7 @@ SAMPLE_WORK_LIMIT = 10_000_000
 # A chunk's four lowered states (4 x dimension x width amplitudes, the
 # largest arrays of its Gamma step) hold at most this many 16-byte entries,
 # 2 MB, unless one state's alone hold more: bound_rows sizes its chunks by
-# them.  Measured peak RSS: 42.8 MB for the benchmark's beam workload, 0.10
+# them.  Measured peak RSS: 40.9 MB for the benchmark's beam workload, 0.10
 # GB for neg-sweep --samples 20 --k-max 24 and 0.15 GB for --samples 1
 # --k-max 30, whose chunks hold one state.
 OPERAND_WORK = 2 ** 17

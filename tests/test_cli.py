@@ -291,12 +291,15 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
 def test_report_memory_is_bounded_by_the_model_arrays(tmp_path):
     # a report holds its columns and one block of rows: 2e5 pendulum rows,
-    # whose arrays take about 12 MB, peak within 30 MB of 101 rows (one dict
-    # per row took about 106 MB more)
-    peaks = [int(run_fresh(PEAK_OF_ONE_RUN, "pendulum", "--omega", "1", "--phi0", "1",
-                           "--horizon", "1", "--dt", dt, "--out", tmp_path / "r.csv"))
-             / 1024 for dt in ("1e-2", "5e-6")]
-    assert peaks[1] - peaks[0] < 30, peaks
+    # whose arrays take about 12 MB, peak within 30 MB of 101 rows in either
+    # format (one dict per row took about 106 MB more; JSON blocks of 20,000
+    # row dicts and their text, 46 MB more)
+    for fmt in ("csv", "json"):
+        peaks = [int(run_fresh(PEAK_OF_ONE_RUN, "pendulum", "--omega", "1", "--phi0", "1",
+                               "--horizon", "1", "--dt", dt, "--format", fmt,
+                               "--out", tmp_path / f"r.{fmt}")) / 1024
+                 for dt in ("1e-2", "5e-6")]
+        assert peaks[1] - peaks[0] < 30, (fmt, peaks)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")

@@ -160,6 +160,12 @@ def test_report_across_blocks_matches_a_row_by_row_writer(tmp_path):
         writer.writerow([str(i), "" if math.isnan(value) else repr(value),
                          "true" if i % 3 else "false", f"r{i}"])
     assert path.read_bytes() == oracle.getvalue().encode()
+    # JSON across the same block boundaries: json.dumps of all the rows at once
+    path = tmp_path / "blocks.json"
+    reports.emit_report(columns, "json", str(path), config={"n": n})
+    rows = [{"i": i, "x": None if math.isnan(x[i]) else float(x[i]), "ok": bool(i % 3),
+             "name": f"r{i}"} for i in range(n)]
+    assert path.read_text() == json.dumps({"config": {"n": n}, "rows": rows}, indent=2) + "\n"
 
 
 def test_arrays_numpy_scalars_and_builtins_write_the_same_bytes(tmp_path):

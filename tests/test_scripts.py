@@ -2,11 +2,14 @@
 
 import importlib.util
 import json
+import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from beamlab import cli, reports
@@ -37,6 +40,14 @@ def paper_results(tmp_path_factory):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     return cwd / "out", proc.stdout
+
+
+def load_script(name: str):
+    """scripts/<name>.py as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def read_report(path: Path) -> tuple[dict, str, int]:
@@ -78,7 +89,7 @@ def test_report_digests_prints_one_digest_per_job():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 26
+    assert len(lines) == 27
     digests = [line.split("  ", 1) for line in lines]
     assert all(len(d) == 64 and int(d, 16) >= 0 and job for d, job in digests)
     # the pooled bound-check and neg-sweep runs write the serial runs' bytes
@@ -90,10 +101,7 @@ def test_reports_keep_their_committed_digests(tmp_path, monkeypatch):
     # tests/data/report_digests.txt holds the digests of the last change
     # that moved a report, written by `report_digests.py --write`; a
     # report's bits depend on the host too, so another host skips
-    spec = importlib.util.spec_from_file_location(
-        "report_digests", ROOT / "scripts" / "report_digests.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("report_digests")
     fingerprint, *committed = script.DIGEST_FILE.read_text().splitlines()
     if fingerprint != script.host_fingerprint():
         pytest.skip(f"digests committed on another host: {fingerprint!r}, "
@@ -105,6 +113,30 @@ def test_reports_keep_their_committed_digests(tmp_path, monkeypatch):
     assert len(got) == len(committed) == len(script.JOBS)
     moved = [line for line, want in zip(got, committed) if line != want]
     assert not moved, f"reports moved: {moved}"
+
+
+def test_report_digests_compare_names_the_moved_job_and_column(tmp_path, monkeypatch):
+    # two of the jobs: a CSV trajectory and a JSON bound-check report
+    script = load_script("report_digests")
+    monkeypatch.setattr(script, "JOBS", [script.JOBS[3], script.JOBS[23]])
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert script.main(["--out-dir", str(a)]) == 0
+    assert sorted(path.name for path in a.glob("0*")) == ["00.csv", "01.json"]
+    assert script.compare(a, a) == []
+    shutil.copytree(a, b)
+    report = json.loads((b / "01.json").read_text())
+    row = report["rows"][3]
+    row["negativity"] = float(np.nextafter(row["negativity"], math.inf))
+    (b / "01.json").write_text(json.dumps(report, indent=2) + "\n")
+    lines = script.compare(a, b)
+    assert lines[0] == f"job 1: {' '.join(script.JOBS[1])}"
+    moved = [line for line in lines[1:] if not line.endswith("change 0, relative 0")]
+    assert len(moved) == 1 and moved[0].startswith("  negativity: "), lines
+    # a phase column is compared modulo 2 pi
+    rows = reports.load_report(str(a / "00.csv"))[0]
+    turned = [{**row, "phi": row["phi"] + 2 * math.pi} for row in rows]
+    absolute, relative = script.column_changes(rows, turned)["phi"]
+    assert absolute < 1e-14 and relative < 1e-13
 
 
 def test_report_digests_do_not_depend_on_the_blas_thread_timeout():
@@ -125,7 +157,7 @@ def test_report_digests_do_not_depend_on_the_blas_thread_timeout():
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert len(outputs[0].splitlines()) == 26
+    assert len(outputs[0].splitlines()) == 27
     assert outputs[0] == outputs[1]
 
 
@@ -134,9 +166,6 @@ def test_paper_results_summary_prints_an_undefined_phase(tmp_path):
     out = tmp_path / "cmp.csv"
     assert cli.main(["compare", "--n-total", "4", "--e-c", "1", "--lam", "0",
                      "--n0", "0", "--horizon", "1", "--out", str(out)]) == 0
-    spec = importlib.util.spec_from_file_location(
-        "paper_results", ROOT / "scripts" / "paper_results.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("paper_results")
     lines = script.summary("jj_dichotomy.csv", *reports.load_report(str(out)))
     assert "max |phi_exact - phi_mf| = undefined," in lines[0]
